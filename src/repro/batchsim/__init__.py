@@ -1,20 +1,21 @@
-"""Batch replay: the whole ablation grid in one pass over one trace.
+"""Kernel replay: the packed engine's blocking replay path.
 
 The package decodes and partitions a recorded trace once
 (:mod:`repro.batchsim.decode`), then advances any number of
 policy/ablation lanes through it with per-policy specialized kernels
 (:mod:`repro.batchsim.kernels`), each lane bit-identical to a solo
-``fastsim`` replay.  :mod:`repro.batchsim.engine` exposes the
-single-lane ``--engine batch`` adapter and the multi-lane
-:func:`~repro.batchsim.engine.replay_batch` front door;
+reference-engine replay.  :mod:`repro.batchsim.engine` exposes
+:class:`~repro.batchsim.engine.FastReplayEngine` — what ``--engine
+fast`` (or its other spelling, ``batch``) replays with — and the
+multi-lane :func:`~repro.batchsim.engine.replay_batch` front door;
 :mod:`repro.batchsim.grid` expands ``--grid`` axes into lanes.
 """
 
-from repro.batchsim.engine import BatchReplayEngine, Lane, replay_batch
+from repro.batchsim.engine import FastReplayEngine, Lane, replay_batch
 from repro.batchsim.grid import GridAxis, cell_label, expand_grid, parse_grid_axis
 
 __all__ = [
-    "BatchReplayEngine",
+    "FastReplayEngine",
     "Lane",
     "replay_batch",
     "GridAxis",

@@ -1,4 +1,4 @@
-"""Shared trace preprocessing for the batch replay engine.
+"""Shared trace preprocessing for kernel replay.
 
 Every lane of a batch replay consumes the *same* record stream, so the
 expensive per-record work — varint decoding, PC -> instruction-ID

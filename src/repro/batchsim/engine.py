@@ -1,35 +1,43 @@
-"""The batch replay engine: N policy lanes over one decoded trace.
+"""The packed replay engine: the generated kernels behind ``--engine fast``.
+
+:class:`FastReplayEngine` is fast-engine replay (``batch`` is another
+spelling of it): constructor-compatible with
+:class:`~repro.trace.replay.ReplayEngine` and bit-identical to it, so
+its results resolve the same store entries.  A fresh blocking engine
+decodes its record stream once and advances each SM's packed
+:class:`~repro.fastsim.engine.FastL1DCache` through it with the
+specialized kernels in :mod:`repro.batchsim.kernels`.  A non-blocking
+or already-warmed engine runs the reference engine's per-record driver
+over the same packed caches instead: fills in flight break the
+per-window set decomposition the kernels rely on, and the kernels
+start from an empty cache.
 
 :func:`replay_batch` is the multi-lane front door: it decodes and
 partitions the trace once (:mod:`repro.batchsim.decode`), then advances
 every lane — a (scheme, policy_kwargs) variant — through the stream via
-the specialized kernels in :mod:`repro.batchsim.kernels`.  Lanes whose
-blocking-replay trajectories are provably identical (``baseline`` vs
-``stall_bypass``, knobs the replay path never reads such as
-``insn_sample_limit``) share one kernel run and the survivors get a
-state copy, so a 17-cell ablation grid costs ~15 kernel passes plus one
-decode instead of 17 full replays.
-
-:class:`BatchReplayEngine` is the single-lane adapter behind
-``--engine batch``: constructor-compatible with
-:class:`~repro.fastsim.replay.FastReplayEngine` and bit-identical to it
-(and therefore to the reference engine) lane for lane, so batch results
-resolve the same store entries as either other engine.  Non-blocking
-mode has no batch specialization — fills in flight break the per-window
-set decomposition — so NB lanes run the ordinary per-record engine,
-one private engine per lane (no cross-lane state by construction).
+the same kernels.  Lanes whose blocking-replay trajectories are
+provably identical (``baseline`` vs ``stall_bypass``, knobs the replay
+path never reads such as ``insn_sample_limit``) share one kernel run
+and the survivors get a state copy, so a 17-cell ablation grid costs
+~15 kernel passes plus one decode instead of 17 full replays.
+Non-blocking lanes run the per-record driver, one private engine per
+lane (no cross-lane state by construction).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from collections import deque
+from typing import (
+    Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple,
+    Union,
+)
 
-from repro.fastsim.engine import KIND_DLP, FastL1DCache
-from repro.fastsim.replay import FastReplayEngine
+from repro.core.policy import CachePolicy
+from repro.fastsim.engine import KIND_DLP, FastL1DCache, PolicySpec
 from repro.gpu.config import GPUConfig
 from repro.gpu.simulator import SimResult
 from repro.trace.format import TraceReader, TraceRecord
-from repro.trace.replay import _resolve
+from repro.trace.replay import ReplayEngine, _resolve
 
 from repro.batchsim.decode import (
     SmColumns,
@@ -39,6 +47,74 @@ from repro.batchsim.decode import (
     decode_records,
 )
 from repro.batchsim.kernels import DLP, GLOBAL, UNPROTECTED, get_kernel, kernel_key
+
+
+class FastReplayEngine:
+    """Per-SM packed caches consuming a record stream.
+
+    Constructor-compatible with :class:`ReplayEngine` (``config`` plus a
+    policy factory); the factory is invoked once to extract the
+    :class:`PolicySpec` every per-SM cache shares.
+    """
+
+    def __init__(self, config: GPUConfig,
+                 policy_factory: Callable[[], CachePolicy]) -> None:
+        self.config = config
+        spec = PolicySpec.from_policy(policy_factory())
+        self._insn_ids: Dict[int, int] = {}
+        self.sent_fetches = 0
+        self.sent_writes = 0
+        l1 = config.l1d
+        self.non_blocking = l1.non_blocking
+        self.caches: List[FastL1DCache] = [
+            FastL1DCache(
+                l1.geometry(),
+                spec,
+                mshr_entries=l1.mshr_entries,
+                mshr_merge=l1.mshr_merge,
+                miss_queue_depth=l1.miss_queue_depth,
+                sm_id=sm_id,
+                non_blocking=l1.non_blocking,
+            )
+            for sm_id in range(config.num_sms)
+        ]
+        self.replayed_records = 0
+        self.replayed_per_sm: List[int] = [0] * config.num_sms
+        self._nb_outstanding: List[Deque[Tuple[int, int]]] = [
+            deque() for _ in range(config.num_sms)
+        ]
+        self._nb_seq: List[int] = [0] * config.num_sms
+
+    # Per-record replay reuses the reference engine's drivers verbatim
+    # (duck-typed: FastL1DCache exposes access/fill/miss_queue/stats),
+    # so the packed protocol path is driven exactly as the reference is.
+    access = ReplayEngine.access
+    _access_blocking = ReplayEngine._access_blocking
+    _access_non_blocking = ReplayEngine._access_non_blocking
+    _insn_id = ReplayEngine._insn_id
+    flush = ReplayEngine.flush
+
+    def run(self, records: Iterable[TraceRecord]) -> SimResult:
+        """Kernel replay on a fresh blocking engine; otherwise the
+        reference engine's per-record driver over the packed caches."""
+        if self.non_blocking or any(
+            c._stamp or c.stats.loads or c.stats.stores for c in self.caches
+        ):
+            return ReplayEngine.run(self, records)  # type: ignore[arg-type]
+        columns = decode_records(list(records), len(self.caches))
+        _run_lane(self, TracePartitions(columns))
+        return self.result()
+
+    def result(self) -> SimResult:
+        # Every send in replay lands in its cache's counters (bypasses at
+        # issue, queued requests at drain), so the engine-level totals the
+        # reference accumulates are exactly the per-cache sums.
+        self.sent_fetches = sum(c.stats.sent_fetches for c in self.caches)
+        self.sent_writes = sum(c.stats.sent_writes for c in self.caches)
+        # Duck-typed reuse of the reference aggregation: self.caches
+        # expose .stats and .policy.stats(), which is all it reads.
+        return ReplayEngine.result(self)  # type: ignore[arg-type]
+
 
 #: One lane: (scheme, policy kwargs) — the same pair ``repro sweep``
 #: passes to :func:`repro.trace.replay.replay_trace`.
@@ -154,7 +230,7 @@ def replay_batch(
     nb_records: List[TraceRecord] = []
     for engine in engines:
         if engine.non_blocking:
-            # No batch specialization: fills in flight break the window
+            # No kernel specialization: fills in flight break the window
             # decomposition.  Each NB lane gets its own engine pass over
             # the shared decoded records — lane isolation by construction.
             if not nb_records:
@@ -175,23 +251,4 @@ def replay_batch(
     return [engine.result() for engine in engines]
 
 
-class BatchReplayEngine(FastReplayEngine):
-    """Single-lane batch engine — the ``--engine batch`` adapter.
-
-    Blocking streams run through the specialized kernels; non-blocking
-    streams (and reruns over warmed caches, which the kernels refuse)
-    fall back to the per-record :class:`FastReplayEngine` path, which is
-    already bit-identical.
-    """
-
-    def run(self, records: Iterable[TraceRecord]) -> SimResult:
-        if self.non_blocking or any(
-            c._stamp or c.stats.loads or c.stats.stores for c in self.caches
-        ):
-            return FastReplayEngine.run(self, records)
-        columns = decode_records(list(records), len(self.caches))
-        _run_lane(self, TracePartitions(columns))
-        return self.result()
-
-
-__all__ = ["Lane", "BatchReplayEngine", "replay_batch"]
+__all__ = ["FastReplayEngine", "Lane", "replay_batch"]

@@ -3,7 +3,7 @@
 A grid axis is one policy knob swept over explicit values
 (``nasc=0,2,4``) or an integer range (``nasc=0:8`` or ``pl=2:14:4``);
 :func:`expand_grid` crosses the axes into one policy-kwargs dict per
-cell, which the batch engine then replays as one lane each.  This is
+cell, which the fast engine then replays as one lane each.  This is
 the Fig. 9-style frontier map: hundreds of (Nasc, PD-bits,
 sampling-period) points over a single decoded trace.
 """

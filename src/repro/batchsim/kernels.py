@@ -1,13 +1,15 @@
-"""Specialized per-policy replay kernels for the batch engine.
+"""Specialized per-policy kernels: the fast engine's blocking replay.
 
 Each kernel advances one lane's :class:`~repro.fastsim.engine.FastL1DCache`
 through one SM's set-major partition (:mod:`repro.batchsim.decode`).
 Kernels are generated per (policy kind, associativity, knob flags) with
 the way loop unrolled into scalar locals, so the per-record cost is a
 handful of integer compares instead of list walks.  They are proven
-bit-identical to :func:`repro.fastsim.replay._replay_stream` by the
-differential suite in ``tests/batchsim``; the transformations they rely
-on are:
+bit-identical to the reference replay engine
+(:class:`repro.trace.replay.ReplayEngine`) by the differential suite in
+``tests/batchsim``, and they leave the packed cache in a state the
+per-record protocol path continues from exactly; the transformations
+they rely on are:
 
 * **Set decomposition.**  Between sampling-window closes, accesses to
   different sets commute: PDPT/VTA credits are saturating increments,
@@ -32,7 +34,10 @@ on are:
   is observationally equivalent to the packed victim-tag array: probes
   consume (``pop``), re-inserting an existing block moves it to the
   tail, and evicting the first key is the LRU fallback, which the
-  array only reaches once every slot is valid.
+  array only reaches once every slot is valid.  At the end each dict
+  is written back in order — LRU entry first, increasing stamps, the
+  remaining slots invalid — which is all the array's insert and probe
+  paths ever read.
 * **Derived counters.**  In blocking replay ``loads = hits + misses +
   bypasses``, ``fills = misses``, ``sent_fetches = misses + bypasses``,
   ``write_evicts = write_hits``, ``vta_probes = misses + bypasses +
@@ -110,7 +115,7 @@ def _build(kind: str, assoc: int, bypass_enabled: bool = False,
     emit(0, "def _kernel(cache, windows, full, n, sm_id):")
     emit(1,
          "if cache._stamp or cache.stats.loads or cache.stats.stores:",
-         "    raise ValueError('batch kernels require a fresh cache')",
+         "    raise ValueError('replay kernels require a fresh cache')",
          "blk = cache._blk",
          "iid = cache._iid",
          "pli = cache._pli",
@@ -320,6 +325,16 @@ def _build(kind: str, assoc: int, bypass_enabled: bool = False,
         emit(2, *(f"r{k} = d{k} - (t - s{k})" for k in ways))
         emit(2, f"pli[base:base + {a}] = "
                 f"({', '.join(f'r{k} if r{k} > 0 else 0' for k in ways)},)")
+        emit(2,
+             "vd = vds[si]",
+             "k = len(vd)",
+             "pad = vta_assoc - k",
+             "base = si * vta_assoc",
+             "end = base + vta_assoc",
+             "cache._vta_valid[base:end] = [True] * k + [False] * pad",
+             "cache._vta_blk[base:end] = list(vd) + [-1] * pad",
+             "cache._vta_iid[base:end] = list(vd.values()) + [0] * pad",
+             "cache._vta_lru[base:end] = list(range(1, k + 1)) + [0] * pad")
     emit(1,
          "s = cache.stats",
          "s.loads += hits + misses + bypasses",

@@ -99,7 +99,6 @@ _SCANNED_FILES = (
     "cache/line.py",
     "cache/mshr.py",
     "fastsim/engine.py",
-    "fastsim/replay.py",
 )
 
 

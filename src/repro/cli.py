@@ -88,6 +88,7 @@ from repro.experiments.runner import (
     run_workload,
 )
 from repro.experiments.store import ResultStore, default_store_dir, open_store
+from repro.fastsim import DEFAULT_ENGINE, ENGINES, validate_engine
 from repro.trace.format import TraceFormatError
 from repro.workloads import ALL_APPS, make_workload, table2_rows
 
@@ -99,6 +100,20 @@ _TIMING_FIGURES = {
     "fig12b": (fig12b_data, "Fig. 12b: normalized L1D hits"),
     "fig13": (fig13_data, "Fig. 13: normalized interconnect traffic"),
 }
+
+
+def _engine_name(text: str) -> str:
+    try:
+        return validate_engine(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _add_engine_flag(parser: argparse.ArgumentParser, help: str) -> None:
+    """``--engine``, with the choices :mod:`repro.fastsim` defines; every
+    accepted spelling parses to its canonical engine name."""
+    parser.add_argument("--engine", default=DEFAULT_ENGINE,
+                        type=_engine_name, choices=ENGINES, help=help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,9 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of SMs (scaled machine; default 4)")
     p_run.add_argument("--scale", type=float, default=1.0,
                        help="workload input scale factor")
-    p_run.add_argument("--engine", default="reference",
-                       choices=["reference", "fast"],
-                       help="L1D implementation (bit-identical results; "
+    _add_engine_flag(p_run, "L1D implementation (bit-identical results; "
                             "'fast' is the packed array engine)")
     p_run.add_argument("--non-blocking", action="store_true",
                        help="non-blocking L1D (hit-under-miss, word-"
@@ -159,13 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--trace-dir", default=None, metavar="DIR",
                          help="with --replay: persist recorded traces here "
                               "(default: in-memory, this run only)")
-    p_sweep.add_argument("--engine", default="reference",
-                         choices=["reference", "fast", "batch"],
-                         help="L1D implementation for uncached cells "
+    _add_engine_flag(p_sweep, "L1D implementation for uncached cells "
                               "(bit-identical results; store keys are "
-                              "engine-independent; 'batch' replays all "
-                              "of an app's schemes in one pass and "
-                              "requires --replay)")
+                              "engine-independent; with --replay, 'fast' "
+                              "replays all of an app's cells in one pass)")
     p_sweep.add_argument("--non-blocking", action="store_true",
                          help="non-blocking L1D for every cell "
                               "(semantic switch: enters store keys)")
@@ -205,9 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--trace-dir", default=None, metavar="DIR",
                          help="shared trace directory for replay jobs "
                               "(default: capture in-worker, no sharing)")
-    p_serve.add_argument("--engine", default="reference",
-                         choices=["reference", "fast"],
-                         help="L1D implementation the workers run "
+    _add_engine_flag(p_serve, "L1D implementation the workers run "
                               "(bit-identical results; store keys are "
                               "engine-independent)")
     p_serve.add_argument("--drain-timeout", type=float, default=30.0,
@@ -320,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_load.add_argument("--store", default=None, metavar="DIR",
                         help="result store for the self-hosted cluster "
                              "(default: in-memory)")
-    p_load.add_argument("--engine", default="reference",
-                        choices=["reference", "fast"])
+    _add_engine_flag(p_load, "L1D implementation of the self-hosted "
+                             "cluster's workers")
     p_load.add_argument("--max-queued", type=int, default=0)
     p_load.add_argument("--rate", type=float, default=None)
     p_load.add_argument("--burst", type=float, default=None)
@@ -422,9 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     t_rep.add_argument("--sms", type=int, default=None,
                        help="SM count for the replayed machine "
                             "(default: the trace's own)")
-    t_rep.add_argument("--engine", default="reference",
-                       choices=["reference", "fast", "batch"],
-                       help="replay engine (bit-identical results)")
+    _add_engine_flag(t_rep, "replay engine (bit-identical results)")
     t_rep.add_argument("--non-blocking", action="store_true",
                        help="replay against the non-blocking L1D "
                             "(windowed fills; RESERVED lines survive "
@@ -575,10 +581,6 @@ def cmd_sweep(args) -> int:
             raise ValueError(
                 f"unknown scheme {scheme!r}; expected one of {sorted(SCHEME_LABELS)}"
             )
-    if args.engine == "batch" and not args.replay:
-        raise ValueError(
-            "--engine batch is a replay engine; add --replay"
-        )
     if getattr(args, "grid", None) and not args.replay:
         raise ValueError("--grid is a replay mode; add --replay")
     if args.replay:

@@ -33,7 +33,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.gpu.config import GPUConfig
 from repro.gpu.simulator import SimResult
@@ -254,15 +254,28 @@ class ResultStore:
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
-    def get(self, key: str) -> Optional[SimResult]:
-        path = self._path(key)
+    @staticmethod
+    def _load(path: Path) -> Optional[Tuple[Dict[str, Any], SimResult]]:
+        """One entry's ``(meta, result)``, or ``None`` when the file is
+        gone, torn, or parses as JSON but is not a whole entry."""
         try:
             payload = json.loads(path.read_text())
-        except (FileNotFoundError, json.JSONDecodeError):
+            return (dict(payload.get("meta", {})),
+                    SimResult.from_dict(payload["result"]))
+        except (FileNotFoundError, ValueError, KeyError, TypeError,
+                AttributeError):
+            return None
+
+    def get(self, key: str) -> Optional[SimResult]:
+        """The stored result, or ``None`` (a counted miss) when the
+        entry is absent, torn or malformed; the next ``put`` of the key
+        overwrites a bad entry."""
+        entry = self._load(self._path(key))
+        if entry is None:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        return SimResult.from_dict(payload["result"])
+        return entry[1]
 
     def put(self, key: str, result: SimResult,
             meta: Optional[Dict[str, Any]] = None) -> None:
@@ -296,13 +309,11 @@ class ResultStore:
     def ls(self) -> List[Dict[str, Any]]:
         entries = []
         for path in sorted(self.root.glob("*.json")):
-            try:
-                payload = json.loads(path.read_text())
-            except FileNotFoundError:  # pruned/cleared by another worker
-                continue
-            except json.JSONDecodeError:  # torn/foreign file: skip, don't die
-                continue
-            entries.append({"key": path.stem, **payload.get("meta", {})})
+            # Skips entries pruned by another worker and torn, malformed
+            # or foreign files: the same ones get() reports as misses.
+            entry = self._load(path)
+            if entry is not None:
+                entries.append({"key": path.stem, **entry[0]})
         return entries
 
     def clear(self) -> int:

@@ -1,13 +1,20 @@
 """Packed fast-path simulation engine (``--engine fast``).
 
-Two interchangeable L1D engines exist:
+Two interchangeable engines exist:
 
 * ``reference`` — the per-object model (:mod:`repro.cache.l1d` +
   :mod:`repro.core`), with hardware bit-width contracts and per-hook
   policy dispatch.  The semantic source of truth.
-* ``fast`` — :class:`repro.fastsim.engine.FastL1DCache`, a packed
-  struct-of-arrays engine with the four policies inlined.  Bit-identical
-  to the reference (proven by ``tests/fastsim``), several times faster.
+* ``fast`` — the packed engine.  The timing simulator and per-record
+  replay (non-blocking, or over already-warmed caches) drive
+  :class:`repro.fastsim.engine.FastL1DCache`, a struct-of-arrays L1D
+  with the four policies inlined; blocking trace replay runs the
+  generated kernels of :mod:`repro.batchsim` over the same packed
+  state.  Both are bit-identical to the reference (proven by
+  ``tests/fastsim`` and ``tests/batchsim``), several times faster.
+
+``batch`` is accepted as another spelling of ``fast``;
+:func:`validate_engine` maps every spelling to its canonical name.
 
 Because results are identical, the engine choice is an *execution*
 detail, never part of a result's identity: store keys and cell
@@ -15,8 +22,8 @@ fingerprints exclude it, and results computed by either engine resolve
 each other in every store.
 
 This package module stays import-light (engine only) so
-``repro.gpu.sm`` can import it without cycles; the replay fast path
-(:mod:`repro.fastsim.replay`) and the profiler
+``repro.gpu.sm`` can import it without cycles; the replay engine
+(:mod:`repro.batchsim.engine`) and the profiler
 (:mod:`repro.fastsim.profile`) import the simulator layers and are
 loaded lazily by their callers.
 """
@@ -34,13 +41,18 @@ from repro.fastsim.engine import FastL1DCache, PolicySpec
 ENGINES = ("reference", "fast")
 DEFAULT_ENGINE = ENGINES[0]
 
+#: Other accepted spellings, each mapped to its canonical engine.
+_ALIASES = {"batch": "fast"}
+
 
 def validate_engine(engine: str) -> str:
-    if engine not in ENGINES:
+    """The canonical name of ``engine``; raises on an unknown one."""
+    canonical = _ALIASES.get(engine, engine)
+    if canonical not in ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}"
         )
-    return engine
+    return canonical
 
 
 def make_l1d(

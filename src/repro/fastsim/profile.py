@@ -12,7 +12,7 @@ Answers two questions about one (app, scheme) cell:
    residue — tag scans, MSHR bookkeeping, dispatch — reports as
    ``other``.
 2. *What does the packed engine buy?*  The same stream runs through
-   :class:`~repro.fastsim.replay.FastReplayEngine` end to end; the
+   :class:`~repro.batchsim.engine.FastReplayEngine` end to end; the
    profile reports both engines' per-access cost and the speedup, and
    raises if the results are not bit-identical (profiling a divergent
    engine would time a different computation).
@@ -150,7 +150,7 @@ def profile_cell(
     Raises ``RuntimeError`` if the engines disagree — a phase profile of
     a divergent engine would be timing the wrong computation.
     """
-    from repro.fastsim.replay import FastReplayEngine
+    from repro.batchsim.engine import FastReplayEngine
     from repro.trace.record import capture_records
     from repro.trace.replay import ReplayEngine, _resolve
     from repro.workloads import make_workload

@@ -326,7 +326,7 @@ class TraceReader:
     def sm_payload(self, sm_id: int) -> bytes:
         """One SM section's raw (still gzip-compressed) payload.
 
-        Bulk consumers — the batch engine's vectorized varint decoder —
+        Bulk consumers — the kernel replay's vectorized varint decoder —
         decompress and decode the whole section at once instead of
         streaming record by record through :meth:`sm_stream`."""
         if not 0 <= sm_id < self.num_sms:

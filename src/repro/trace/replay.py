@@ -30,11 +30,14 @@ the differential oracle (`tests/trace/test_record_replay.py`) holds both.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Tuple, Union
+from typing import (
+    Callable, Deque, Dict, Iterable, List, Optional, Tuple, Union,
+)
 
 from repro.cache.l1d import L1DCache, L1DStats, MemAccess
 from repro.core import make_policy
 from repro.core.policy import CachePolicy
+from repro.fastsim import validate_engine
 from repro.gpu.config import GPUConfig
 from repro.gpu.simulator import SimResult
 from repro.trace.format import TraceFormatError, TraceReader, TraceRecord
@@ -264,7 +267,7 @@ class ReplayEngine:
 # ----------------------------------------------------------------------
 
 def _resolve(scheme: Union[str, CachePolicy, None], config: GPUConfig,
-             **policy_kwargs) -> Tuple[GPUConfig, object]:
+             **policy_kwargs) -> Tuple[GPUConfig, Callable[[], CachePolicy]]:
     """Map a scheme name to (possibly resized config, policy factory),
     mirroring :func:`repro.experiments.runner.build_simulator`."""
     if callable(scheme) and not isinstance(scheme, str):
@@ -278,22 +281,11 @@ def _resolve(scheme: Union[str, CachePolicy, None], config: GPUConfig,
 
 def _make_engine(engine: str, config: GPUConfig, factory) -> "ReplayEngine":
     """Build the selected replay engine (both share run()/result())."""
-    if engine == "fast":
-        # Imported lazily: repro.fastsim.replay imports this module.
-        from repro.fastsim.replay import FastReplayEngine
+    if validate_engine(engine) == "fast":
+        # Imported lazily: repro.batchsim.engine imports this module.
+        from repro.batchsim.engine import FastReplayEngine
 
         return FastReplayEngine(config, factory)  # type: ignore[return-value]
-    if engine == "batch":
-        # Imported lazily for the same reason (batchsim builds on both
-        # this module and repro.fastsim.replay).
-        from repro.batchsim.engine import BatchReplayEngine
-
-        return BatchReplayEngine(config, factory)  # type: ignore[return-value]
-    if engine != "reference":
-        raise ValueError(
-            f"unknown engine {engine!r}; expected 'reference', 'fast', "
-            f"or 'batch'"
-        )
     return ReplayEngine(config, factory)
 
 

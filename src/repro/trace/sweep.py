@@ -32,6 +32,7 @@ from repro.experiments.store import (
     replay_cell_key,
     trace_key,
 )
+from repro.fastsim import validate_engine
 from repro.gpu.config import GPUConfig
 from repro.gpu.simulator import SimResult
 from repro.trace.format import TraceReader
@@ -105,10 +106,13 @@ class ReplaySweepExecutor:
         directory to persist traces in the binary format and share them
         across invocations and with the ``repro trace`` verbs.
     engine:
-        L1D implementation used for replays (``reference`` or ``fast``).
+        L1D implementation used for replays (``reference`` or ``fast``,
+        any spelling :func:`~repro.fastsim.validate_engine` accepts).
         The engines are bit-identical, so the choice never enters trace
         keys or replay-result store keys — results computed by either
-        resolve the same entries.
+        resolve the same entries.  Under ``fast``, sweeps and grids
+        replay each app's uncached cells as lanes of one
+        :func:`~repro.batchsim.engine.replay_batch` pass.
     """
 
     def __init__(self, store=None, trace_dir=None,
@@ -118,7 +122,7 @@ class ReplaySweepExecutor:
         self.traces = TraceStore(trace_dir) if trace_dir is not None else None
         self._memory_traces: Dict[str, List] = {}
         self.config = config
-        self.engine = engine
+        self.engine = validate_engine(engine)
         self.stats = ReplaySweepStats()
 
     # ------------------------------------------------------------------
@@ -253,10 +257,10 @@ class ReplaySweepExecutor:
         """The full app x scheme matrix as ``{app: {scheme: result}}``.
 
         Iteration is app-major so each app's trace is captured exactly
-        once and immediately reused by every scheme.  Under
-        ``engine="batch"`` each app's uncached schemes replay as lanes
-        of a single batch pass (one decode, shared set partitions)."""
-        if self.engine == "batch":
+        once and immediately reused by every scheme.  Under the fast
+        engine each app's uncached schemes replay as lanes of a single
+        batch pass (one decode, shared set partitions)."""
+        if self.engine != "reference":
             return {
                 app.upper(): dict(zip(
                     schemes,
@@ -294,16 +298,16 @@ class ReplaySweepExecutor:
 
         Every grid point stores under its own replay cell key (the
         policy kwargs enter the key), so grids warm-cache incrementally
-        and across engines.  Under ``engine="batch"`` all uncached
-        points replay as lanes of one batch pass; other engines fall
-        back to one :meth:`run_cell` per point.
+        and across engines.  Under the fast engine all uncached points
+        replay as lanes of one batch pass; the reference engine runs
+        one :meth:`run_cell` per point.
         """
         from repro.batchsim.grid import cell_label, expand_grid
 
         abbr = app.upper()
         combos = expand_grid(list(axes))
         cells = [(scheme, {**base_kwargs, **combo}) for combo in combos]
-        if self.engine == "batch":
+        if self.engine != "reference":
             replayed = self._run_cells_batched(
                 abbr, cells, num_sms, scale, seed)
         else:

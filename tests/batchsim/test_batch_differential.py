@@ -1,8 +1,8 @@
-"""The batch engine is bit-identical to fastsim, lane for lane.
+"""The kernel replay path is bit-identical to the reference, lane for lane.
 
-Every test replays the same stream through ``engine="fast"`` (itself
-proven bit-identical to the reference engine) and through the batch
-path — the single-lane ``--engine batch`` adapter or the multi-lane
+Every test replays the same stream through ``engine="reference"`` and
+through the packed kernels — the single-lane fast engine (also spelled
+``--engine batch``) or the multi-lane
 :func:`~repro.batchsim.engine.replay_batch` front door — and requires
 identical results via the canonical-JSON oracle.  The grid is the full
 17-cell ablation matrix the fastsim differential suite uses, plus
@@ -121,30 +121,31 @@ ADVERSARIAL = {
 
 
 # ----------------------------------------------------------------------
-# single-lane adapter (--engine batch)
+# single-lane fast engine
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize(
     "scheme,kwargs", ABLATIONS, ids=map(_label, ABLATIONS))
 def test_single_lane_identical(captured, scheme, kwargs):
     config, records = captured
+    reference = replay_records(iter(records), config, scheme,
+                               engine="reference", **kwargs)
     fast = replay_records(iter(records), config, scheme,
                           engine="fast", **kwargs)
-    batch = replay_records(iter(records), config, scheme,
-                           engine="batch", **kwargs)
-    assert_results_identical(fast, batch, label=f"{scheme}/{kwargs}")
+    assert_results_identical(reference, fast, label=f"{scheme}/{kwargs}")
 
 
 def test_trace_file_replay_identical(captured, tmp_path):
     """``repro trace replay --engine batch`` path: through a recorded
-    trace file, decoded vectorized from the binary format."""
+    trace file, under the fast engine's other spelling."""
     config, _ = captured
     path = tmp_path / "mm.rptr"
     record_workload(make_workload("MM", 0.4), config, path)
     for scheme, kwargs in (("dlp", {}), ("global_protection", {"nasc": 0})):
-        fast = replay_trace(path, scheme, config, engine="fast", **kwargs)
+        reference = replay_trace(path, scheme, config, engine="reference",
+                                 **kwargs)
         batch = replay_trace(path, scheme, config, engine="batch", **kwargs)
-        assert_results_identical(fast, batch, label=f"trace/{scheme}")
+        assert_results_identical(reference, batch, label=f"trace/{scheme}")
 
 
 def test_unknown_engine_still_rejected(captured):
@@ -153,18 +154,24 @@ def test_unknown_engine_still_rejected(captured):
         replay_records(iter(records), config, "baseline", engine="turbo")
 
 
-def test_warmed_cache_falls_back(captured):
-    """The kernels require a fresh cache; a second run() on the same
-    engine must fall back to the per-record path, not corrupt state."""
-    from repro.batchsim.engine import BatchReplayEngine
-    from repro.trace.replay import _resolve
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_warmed_reruns_match_reference(name):
+    """Kernels run only on a fresh engine; each later run() continues
+    per record from the state they left, VTA included.  Three
+    consecutive runs on one engine must each equal the reference's."""
+    from repro.batchsim.engine import FastReplayEngine
+    from repro.trace.replay import ReplayEngine, _resolve
 
-    config, records = captured
-    lane_config, factory = _resolve("dlp", config)
-    engine = BatchReplayEngine(lane_config, factory)
-    engine.run(iter(records))
-    second = engine.run(iter(records))  # warmed: per-record fallback
-    assert second.to_dict()  # completed without tripping the guard
+    config = GPUConfig().scaled(2)
+    records = ADVERSARIAL[name]
+    for scheme, kwargs in ABLATIONS:
+        lane_config, factory = _resolve(scheme, config, **kwargs)
+        reference = ReplayEngine(lane_config, factory)
+        fast = FastReplayEngine(lane_config, factory)
+        for run in range(3):
+            assert_results_identical(
+                reference.run(iter(records)), fast.run(iter(records)),
+                label=f"{name}/{_label((scheme, kwargs))}/run{run}")
 
 
 # ----------------------------------------------------------------------
@@ -173,7 +180,7 @@ def test_warmed_cache_falls_back(captured):
 
 def test_multi_lane_grid_identical(captured):
     """All 17 ablation cells through ONE replay_batch pass, each lane
-    field-for-field identical to its solo fast replay — including the
+    field-for-field identical to its reference replay — including the
     deduplicated lanes (baseline vs stall_bypass, insn_sample_limit)
     that are served by a state copy rather than a kernel run."""
     config, records = captured
@@ -181,7 +188,7 @@ def test_multi_lane_grid_identical(captured):
     assert len(batched) == len(ABLATIONS)
     for (scheme, kwargs), result in zip(ABLATIONS, batched):
         solo = replay_records(iter(records), config, scheme,
-                              engine="fast", **kwargs)
+                              engine="reference", **kwargs)
         assert_results_identical(solo, result, label=_label((scheme, kwargs)))
 
 
@@ -199,7 +206,7 @@ def test_adversarial_streams_identical(name):
     batched = replay_batch(records, lanes, config)
     for (scheme, kwargs), result in zip(lanes, batched):
         solo = replay_records(iter(records), config, scheme,
-                              engine="fast", **kwargs)
+                              engine="reference", **kwargs)
         assert_results_identical(
             solo, result, label=f"{name}/{_label((scheme, kwargs))}")
 
@@ -210,7 +217,7 @@ def test_lane_order_is_preserved(captured):
     batched = replay_batch(records, lanes, config)
     for (scheme, kwargs), result in zip(lanes, batched):
         solo = replay_records(iter(records), config, scheme,
-                              engine="fast", **kwargs)
+                              engine="reference", **kwargs)
         assert_results_identical(solo, result, label=f"order/{scheme}")
 
 
@@ -222,7 +229,7 @@ def test_resized_lanes_share_the_pass(captured):
     batched = replay_batch(records, lanes, config)
     for (scheme, kwargs), result in zip(lanes, batched):
         solo = replay_records(iter(records), config, scheme,
-                              engine="fast", **kwargs)
+                              engine="reference", **kwargs)
         assert_results_identical(solo, result, label=f"resize/{scheme}")
 
 
@@ -237,7 +244,7 @@ def test_more_sms_than_trace(captured, tmp_path):
     wide = GPUConfig().scaled(4)
     reader = TraceReader(path)
     batched = replay_batch(reader, [("dlp", {})], wide)
-    solo = replay_trace(TraceReader(path), "dlp", wide, engine="fast")
+    solo = replay_trace(TraceReader(path), "dlp", wide, engine="reference")
     assert_results_identical(solo, batched[0], label="padded-sms")
 
 
@@ -269,7 +276,7 @@ class TestNonBlockingLanes:
         batched = replay_batch(records, lanes, nb_config)
         for (scheme, kwargs), result in zip(lanes, batched):
             solo = replay_records(iter(records), nb_config, scheme,
-                                  engine="fast", **kwargs)
+                                  engine="reference", **kwargs)
             assert_results_identical(solo, result, label=f"nb/{scheme}")
 
     def test_nb_lane_isolation_under_duplicates(self, captured):
@@ -281,7 +288,7 @@ class TestNonBlockingLanes:
         lanes = [("dlp", {}), ("dlp", {})]
         first, second = replay_batch(records, lanes, nb_config)
         solo = replay_records(iter(records), nb_config, "dlp",
-                              engine="fast")
+                              engine="reference")
         assert_results_identical(solo, first, label="nb-dup/first")
         assert_results_identical(solo, second, label="nb-dup/second")
 
@@ -295,5 +302,5 @@ class TestNonBlockingLanes:
         batched = replay_batch(records, lanes, config)
         for (scheme, kwargs), result in zip(lanes, batched):
             solo = replay_records(iter(records), config, scheme,
-                                  engine="fast", **kwargs)
+                                  engine="reference", **kwargs)
             assert_results_identical(solo, result, label=f"mixed/{scheme}")

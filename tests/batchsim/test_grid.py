@@ -63,14 +63,14 @@ class TestRunGrid:
     AXES = [GridAxis("nasc", (0, 2)), GridAxis("pd_bits", (2, 4))]
 
     def test_grid_identical_across_engines(self):
-        fast = ReplaySweepExecutor(engine="fast").run_grid(
+        reference = ReplaySweepExecutor(engine="reference").run_grid(
             "MM", "dlp", self.AXES, num_sms=2, scale=0.4)
         batch = ReplaySweepExecutor(engine="batch").run_grid(
             "MM", "dlp", self.AXES, num_sms=2, scale=0.4)
-        assert list(batch) == list(fast)
-        for label in fast:
+        assert list(batch) == list(reference)
+        for label in reference:
             assert_results_identical(
-                fast[label], batch[label], label=f"grid/{label}")
+                reference[label], batch[label], label=f"grid/{label}")
 
     def test_grid_points_warm_incrementally(self):
         executor = ReplaySweepExecutor(engine="batch")

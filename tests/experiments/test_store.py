@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.experiments.executor import Cell, SweepExecutor
 from repro.experiments.runner import harness_config, run_workload
 from repro.experiments.store import (
     SIM_VERSION,
@@ -19,6 +20,25 @@ from repro.experiments.store import (
     trace_key,
 )
 from repro.gpu.simulator import SimResult
+
+
+def _without(result: dict, field: str) -> dict:
+    return {k: v for k, v in result.items() if k != field}
+
+
+#: Entries that parse as JSON but are not ``{"meta": ..., "result": ...}``
+#: with a whole result, each built from a good result's dict.
+MALFORMED = {
+    "empty-object": lambda result: {},
+    "array": lambda result: [],
+    "string": lambda result: "result",
+    "null-result": lambda result: {"result": None},
+    "empty-result": lambda result: {"result": {}},
+    "dropped-cycles": lambda result: {"result": _without(result, "cycles")},
+    "dropped-l1d": lambda result: {"result": _without(result, "l1d")},
+    "l1d-not-a-dict": lambda result: {"result": {**result, "l1d": []}},
+    "meta-not-a-dict": lambda result: {"meta": 7, "result": result},
+}
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +189,34 @@ class TestDiskStore:
         (tmp_path / ("k" * 64 + ".json")).write_text("{not json")
         assert store.get("k" * 64) is None
         assert store.ls() == []
+
+    @pytest.mark.parametrize("shape", sorted(MALFORMED))
+    def test_malformed_entry_is_a_counted_miss(self, tmp_path, small_result,
+                                               shape):
+        """Valid JSON that is not a whole entry reads like a torn file:
+        a miss (never a hit, never an exception), skipped by ``ls``, and
+        overwritten by the next ``put``."""
+        store = ResultStore(tmp_path)
+        key = "k" * 64
+        (tmp_path / f"{key}.json").write_text(
+            json.dumps(MALFORMED[shape](small_result.to_dict())))
+        assert store.get(key) is None
+        assert store.stats.as_dict() == {"hits": 0, "misses": 1, "puts": 0}
+        assert store.ls() == []
+        store.put(key, small_result, meta={"abbr": "MM"})
+        assert store.get(key) == small_result
+        assert [e["key"] for e in store.ls()] == [key]
+
+    def test_sweep_resimulates_a_malformed_entry(self, tmp_path):
+        store = ResultStore(tmp_path)
+        cell = Cell.make("MM", "dlp", num_sms=1, scale=0.1)
+        first = SweepExecutor(store=store).run_cell(cell)
+        path = tmp_path / f"{cell.key()}.json"
+        path.write_text(json.dumps({"result": {}}))
+        executor = SweepExecutor(store=store)
+        assert executor.run_cell(cell) == first
+        assert executor.stats.simulated == 1
+        assert store.get(cell.key()) == first
 
     def test_open_store(self, tmp_path):
         assert isinstance(open_store(None), MemoryStore)

@@ -121,6 +121,7 @@ def test_engine_registry():
     assert ENGINES == ("reference", "fast")
     for engine in ENGINES:
         assert validate_engine(engine) == engine
+    assert validate_engine("batch") == "fast"
     with pytest.raises(ValueError, match="unknown engine"):
         validate_engine("warp")
     with pytest.raises(ValueError, match="unknown engine"):

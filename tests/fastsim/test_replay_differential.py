@@ -65,7 +65,7 @@ def test_fast_replay_engine_counts_match(captured):
     scheme_config, factory = _resolve("dlp", config)
     reference = ReplayEngine(scheme_config, factory)
     reference.run(iter(records))
-    from repro.fastsim.replay import FastReplayEngine as Fast
+    from repro.batchsim.engine import FastReplayEngine as Fast
 
     fast = Fast(scheme_config, factory)
     fast.run(iter(records))

@@ -25,6 +25,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "SS"], ["sweep"], ["serve"], ["loadtest"],
+        ["trace", "replay", "t.rptr"],
+    ], ids=lambda argv: argv[0])
+    def test_engine_flags_parse_to_canonical_names(self, argv):
+        parser = build_parser()
+        assert parser.parse_args(argv).engine == "reference"
+        assert parser.parse_args(argv + ["--engine", "fast"]).engine == "fast"
+        assert parser.parse_args(argv + ["--engine", "batch"]).engine == "fast"
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv + ["--engine", "turbo"])
+
 
 class TestCommands:
     def test_list(self, capsys):
