@@ -37,7 +37,7 @@ class AccessOutcome(enum.Enum):
     STALL = "stall"                   # not processed; caller must retry
 
 
-@dataclass
+@dataclass(slots=True)
 class MemAccess:
     """One coalesced memory request arriving at the L1D."""
 
@@ -51,7 +51,7 @@ class MemAccess:
     waiter: Any = None
 
 
-@dataclass
+@dataclass(slots=True)
 class AccessResult:
     outcome: AccessOutcome
     stall_reason: Optional[StallReason] = None
@@ -62,7 +62,7 @@ class AccessResult:
         return self.outcome is AccessOutcome.STALL
 
 
-@dataclass
+@dataclass(slots=True)
 class FetchRequest:
     """A read fetch travelling from the L1D toward the interconnect."""
 
@@ -248,9 +248,19 @@ class L1DCache:
     # ------------------------------------------------------------------
 
     def access(self, access: MemAccess) -> AccessResult:
-        """Process one request; returns STALL without side effects when the
-        request cannot be absorbed (the caller retries, blocking the
-        pipeline behind it, exactly as Section 2 describes)."""
+        """Process one request; returns STALL when the request cannot be
+        absorbed (the caller retries, blocking the pipeline behind it,
+        exactly as Section 2 describes).
+
+        Not every stall is side-effect-free.  ``MSHR_FULL``,
+        ``MISS_QUEUE_FULL`` and ``MERGE_FULL`` are reported before any
+        state changes, and a request that got one keeps getting it
+        until a fill or a miss-queue drain; the LD/ST unit's stall memo
+        (:mod:`repro.gpu.ldst`) relies on that.  ``NO_RESERVABLE_LINE``
+        comes after the set query and the VTA probe, so under a
+        protecting policy with bypass disabled every retry decays the
+        set's Protected Life.
+        """
         if access.is_write:
             return self._access_write(access)
         return self._access_load(access)

@@ -92,7 +92,12 @@ class CachePolicy:
         return False
 
     def bypass_on_stall(self, reason: StallReason, access: "MemAccess") -> bool:
-        """Bypass instead of stalling on MSHR/miss-queue exhaustion."""
+        """Bypass instead of stalling on MSHR/miss-queue exhaustion.
+
+        The answer may depend on ``reason`` and ``access`` only: the
+        LD/ST unit replays a refused request's stall without asking
+        again until the L1D fills or drains.
+        """
         return False
 
     def on_allocate(self, line: "CacheLine", access: "MemAccess") -> None:

@@ -20,9 +20,15 @@ A ``pc`` identifies a static memory instruction; DLP folds it to the
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, List, Sequence, Union
 
 from repro.utils.hashing import hash_pc
+
+#: PCs are static per workload (a few dozen at most), while a grid
+#: builds ~10^5 memory ops, so each op looks its ID up instead of
+#: rerunning the hash.
+_insn_id = lru_cache(maxsize=1024)(hash_pc)
 
 
 class ComputeOp:
@@ -58,7 +64,7 @@ class MemOp:
         self.is_write = bool(is_write)
         self.pc = pc
         self.addrs = addrs
-        self.insn_id = hash_pc(pc)
+        self.insn_id = _insn_id(pc)
         self.active_lanes = len(addrs)
 
     def __repr__(self) -> str:

@@ -15,22 +15,44 @@ end instead: a stalled head still burns its stall cycle (the retry
 occupies the pipeline register), but the unit then offers the L1D the
 next queued instruction's request in FIFO order and issues the first
 one the cache accepts — hit-under-miss and miss-under-miss service
-while the head's miss resources recover.  Probing is side-effect-free
-because a STALL result mutates nothing, so scan order alone determines
-which request goes first and the schedule stays deterministic.
+while the head's miss resources recover.  Scan order alone determines
+which request goes first, so the schedule stays deterministic.
+
+Not every stall is side-effect-free.  The L1D reports three reasons
+before it touches any state: MSHR full, miss queue full and merge full
+(:data:`PURE_STALLS`).  A ``NO_RESERVABLE_LINE`` stall comes after the
+set query, so under a protecting policy with bypass disabled each
+retry decays the set's Protected Life and probes the VTA.
+
+In blocking mode a head that stalled for a pure reason keeps stalling
+until the L1D fills a line or drains its miss queue: only the head
+accesses the cache, and nothing else frees an MSHR entry, a merge slot
+or a miss-queue slot.  The unit remembers the reason together with the
+L1D's fill count and miss-queue length, and while both are unchanged a
+retry counts its stall cycle and records the stall in the L1D's stats
+exactly as a probe would, without calling ``access``.  The memo checks
+itself against L1D state on every retry, so a caller that fills or
+drains the cache directly need not tell the unit.  Neither
+``NO_RESERVABLE_LINE`` nor non-blocking probing is memoized.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.cache.l1d import AccessOutcome, L1DCache, MemAccess
+from repro.core.policy import StallReason
 from repro.gpu.warp import Warp
 
+#: Stall reasons the L1D reports before touching any state.
+PURE_STALLS = frozenset(
+    {StallReason.MSHR_FULL, StallReason.MISS_QUEUE_FULL, StallReason.MERGE_FULL}
+)
 
-@dataclass
+
+@dataclass(slots=True)
 class MemWork:
     """One warp memory instruction broken into line requests."""
 
@@ -80,6 +102,9 @@ class LdStUnit:
         self.non_blocking = non_blocking
         self.queue: Deque[MemWork] = deque()
         self.stats = LdStStats()
+        #: (head work, L1D fills, miss-queue length, reason) of the last
+        #: pure stall in blocking mode; None when the head must probe.
+        self._stall_memo: Optional[Tuple[MemWork, int, int, StallReason]] = None
 
     # ------------------------------------------------------------------
 
@@ -114,10 +139,27 @@ class LdStUnit:
         if not self.queue:
             return False
         work = self.queue[0]
-        result = self.l1d.access(self._access_for(work, now))
+        l1d = self.l1d
+        memo = self._stall_memo
+        if memo is not None:
+            if (
+                memo[0] is work
+                and memo[1] == l1d.stats.fills
+                and memo[2] == len(l1d.miss_queue)
+            ):
+                self.stats.stall_cycles += 1
+                l1d.stats.record_stall(memo[3])
+                return False
+            self._stall_memo = None
+        result = l1d.access(self._access_for(work, now))
         if result.is_stall:
             self.stats.stall_cycles += 1
             if not self.non_blocking:
+                if result.stall_reason in PURE_STALLS:
+                    self._stall_memo = (
+                        work, l1d.stats.fills, len(l1d.miss_queue),
+                        result.stall_reason,
+                    )
                 return False
             return self._issue_under_miss(now)
 

@@ -275,27 +275,34 @@ class GpuSimulator:
 
     def run(self) -> SimResult:
         self._dispatch()
+        # Loop state lives in locals; ``self.now`` is written back each
+        # cycle because event callbacks and ``schedule`` read it.
         heap = self._heap
+        heappop = heapq.heappop
+        sms = self.sms
+        work_remaining = self._work_remaining
+        max_cycles = self.max_cycles
+        now = self.now
         truncated = False
-        while self._work_remaining():
-            while heap and heap[0][0] <= self.now:
-                _, _, fn = heapq.heappop(heap)
-                fn()
+        while work_remaining():
+            while heap and heap[0][0] <= now:
+                heappop(heap)[2]()
             progress = False
-            for sm in self.sms:
-                if sm.step(self.now):
+            for sm in sms:
+                if sm.step(now):
                     progress = True
-            if not self._work_remaining():
+            if not work_remaining():
                 break
-            if self.max_cycles is not None and self.now >= self.max_cycles:
+            if max_cycles is not None and now >= max_cycles:
                 truncated = True
                 break
             if progress:
-                self.now += 1
+                now += 1
             elif heap:
-                self.now = max(self.now + 1, heap[0][0])
+                now = max(now + 1, heap[0][0])
             else:
                 self._raise_deadlock()
+            self.now = now
         return self._collect(truncated)
 
     def _raise_deadlock(self) -> None:  # pragma: no cover - model bug path

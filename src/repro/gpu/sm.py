@@ -152,19 +152,22 @@ class StreamingMultiprocessor:
 
     def step(self, now: int) -> bool:
         progress = False
+        # Runs for every SM every cycle: a busy scheduler and an empty
+        # LD/ST queue cost an attribute test, not a call.
         for scheduler in self.schedulers:
-            if self._issue(scheduler, now):
-                progress = True
-        if self.ldst.step(now):
+            if now >= scheduler.busy_until:
+                warp = scheduler.pick(now)
+                if warp is not None and self._issue(scheduler, warp, now):
+                    progress = True
+        ldst = self.ldst
+        if ldst.queue and ldst.step(now):
             progress = True
         if self.l1d.drain_miss_queue(1):
             progress = True
         return progress
 
-    def _issue(self, scheduler, now: int) -> bool:
-        warp = scheduler.pick(now)
-        if warp is None:
-            return False
+    def _issue(self, scheduler, warp: Warp, now: int) -> bool:
+        """Issue ``warp``'s next op, just picked from ``scheduler``."""
         op = warp.peek()
         if isinstance(op, ComputeOp):
             n = op.count

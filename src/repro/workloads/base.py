@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterator, List
 
 import numpy as np
@@ -39,6 +40,16 @@ WARP = 32
 
 # Region alignment: 1 MiB apart so the XOR-hash index still spreads them
 _REGION_ALIGN = 1 << 20
+
+
+@lru_cache(maxsize=64, typed=True)
+def _lane_offsets(stride_bytes: int, count: int) -> np.ndarray:
+    """Read-only ``lane * stride_bytes`` for ``count`` lanes, built once
+    per shape: every warp access of a grid adds its base to one of a
+    handful of these."""
+    offsets = np.arange(count, dtype=np.int64) * stride_bytes
+    offsets.flags.writeable = False
+    return offsets
 
 
 @dataclass(frozen=True)
@@ -160,7 +171,7 @@ class Workload(abc.ABC):
     def coalesced(base: int, elem_bytes: int = 4) -> np.ndarray:
         """Per-lane addresses of a fully coalesced warp access starting at
         ``base`` (lane i reads ``base + i*elem_bytes``)."""
-        return base + np.arange(WARP, dtype=np.int64) * elem_bytes
+        return base + _lane_offsets(elem_bytes, WARP)
 
     @staticmethod
     def broadcast(addr: int) -> np.ndarray:
@@ -171,7 +182,7 @@ class Workload(abc.ABC):
     def strided(base: int, stride_bytes: int, count: int = WARP) -> np.ndarray:
         """Lane i reads ``base + i*stride_bytes`` — divergent when the
         stride exceeds the line size."""
-        return base + np.arange(count, dtype=np.int64) * stride_bytes
+        return base + _lane_offsets(stride_bytes, count)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Workload {self.meta.abbr} scale={self.scale}>"

@@ -1,25 +1,36 @@
-"""LD/ST unit: request pacing and head-of-line blocking."""
+"""LD/ST unit: request pacing, head-of-line blocking and the stall memo."""
 
 import pytest
 
-from repro.cache.l1d import L1DCache, MemAccess
+from repro.cache.l1d import MemAccess
 from repro.cache.tagarray import CacheGeometry
-from repro.core.baseline import BaselinePolicy
+from repro.core import make_policy
+from repro.fastsim import FastL1DCache, make_l1d
 from repro.gpu.isa import load
 from repro.gpu.ldst import LdStUnit, MemWork
 from repro.gpu.warp import Warp
 
+ENGINES = ("reference", "fast")
+
 
 class Harness:
-    def __init__(self, mshr_entries=2, queue_depth=2):
+    """One LD/ST unit over a 2-set x 2-way L1D (linear index: even
+    blocks map to set 0, odd blocks to set 1)."""
+
+    def __init__(self, mshr_entries=2, queue_depth=2, engine="reference",
+                 policy="baseline", mshr_merge=8, miss_queue_depth=8,
+                 non_blocking=False, **policy_kwargs):
         self.completed = []
         self.events = []
-        self.l1d = L1DCache(
+        self.l1d = make_l1d(
+            engine,
             CacheGeometry(num_sets=2, assoc=2, index_fn="linear"),
-            BaselinePolicy(),
+            make_policy(policy, **policy_kwargs),
             send_fn=lambda f: None,
             mshr_entries=mshr_entries,
-            miss_queue_depth=8,
+            mshr_merge=mshr_merge,
+            miss_queue_depth=miss_queue_depth,
+            non_blocking=non_blocking,
         )
         self.ldst = LdStUnit(
             self.l1d,
@@ -27,7 +38,17 @@ class Harness:
             queue_depth=queue_depth,
             schedule=lambda d, fn: self.events.append(fn),
             complete_request=self.completed.append,
+            non_blocking=non_blocking,
         )
+        # Every block the unit offers the L1D, in order.
+        self.probes = []
+        access = self.l1d.access
+
+        def counting_access(request):
+            self.probes.append(request.block_addr)
+            return access(request)
+
+        self.l1d.access = counting_access
 
     def fire_events(self):
         while self.events:
@@ -114,3 +135,113 @@ class TestWrites:
         h.ldst.enqueue(work(warp_with_load(), [0, 1, 2]))
         h.ldst.step(0)
         assert h.ldst.pending_requests() == 2
+
+
+def _fast_way(l1d, block):
+    base = l1d._set_base(block)
+    return next(w for w in range(base, base + l1d._assoc) if l1d._blk[w] == block)
+
+
+def protected_life(l1d, block):
+    """Protected Life of the line holding ``block``, on either engine."""
+    if isinstance(l1d, FastL1DCache):
+        return l1d._pli[_fast_way(l1d, block)]
+    return l1d.tags.probe(block).protected_life
+
+
+def set_protected_life(l1d, block, value):
+    if isinstance(l1d, FastL1DCache):
+        l1d._pli[_fast_way(l1d, block)] = value
+    else:
+        l1d.tags.probe(block).protected_life = value
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+class TestStallMemo:
+    """A blocking head that stalled before touching L1D state retries
+    without probing until the L1D fills or drains."""
+
+    def test_mshr_full_retry_counts_without_probing(self, engine):
+        h = Harness(mshr_entries=2, engine=engine)
+        h.ldst.enqueue(work(warp_with_load(), [0, 1, 2]))
+        assert h.ldst.step(0) and h.ldst.step(1)
+        assert not h.ldst.step(2)            # MSHR full: probed once
+        assert h.probes == [0, 1, 2]
+        for cycle in range(3, 8):
+            assert not h.ldst.step(cycle)
+            assert h.ldst.stats.stall_cycles == cycle - 1
+            assert h.l1d.stats.stalls == {"mshr_full": cycle - 1}
+        assert h.probes == [0, 1, 2]         # no probe while memoized
+
+    def test_fill_ends_the_memo(self, engine):
+        h = Harness(mshr_entries=2, engine=engine)
+        h.ldst.enqueue(work(warp_with_load(), [0, 1, 2]))
+        h.ldst.step(0)
+        h.ldst.step(1)
+        assert not h.ldst.step(2)
+        assert not h.ldst.step(3)
+        h.l1d.fill(0, 4)
+        assert h.ldst.step(4)                # re-probed and issued
+        assert h.probes == [0, 1, 2, 2]
+        assert h.l1d.stats.misses == 3
+        assert h.l1d.stats.stalls == {"mshr_full": 2}
+
+    def test_drain_ends_the_memo(self, engine):
+        h = Harness(mshr_entries=4, miss_queue_depth=1, engine=engine)
+        h.ldst.enqueue(work(warp_with_load(), [0, 1]))
+        assert h.ldst.step(0)
+        assert not h.ldst.step(1)            # miss queue full
+        assert not h.ldst.step(2)
+        assert h.probes == [0, 1]
+        assert h.l1d.drain_miss_queue(1) == 1
+        assert h.ldst.step(3)
+        assert h.probes == [0, 1, 1]
+        assert h.l1d.stats.stalls == {"miss_queue_full": 2}
+
+    def test_merge_full_retry_is_memoized(self, engine):
+        h = Harness(mshr_merge=1, engine=engine)
+        h.ldst.enqueue(work(warp_with_load(0), [0]))
+        h.ldst.enqueue(work(warp_with_load(1), [0]))
+        assert h.ldst.step(0)
+        assert not h.ldst.step(1)            # one merge slot, taken
+        assert not h.ldst.step(2)
+        assert h.probes == [0, 0]
+        h.l1d.fill(0, 3)
+        assert h.ldst.step(3)                # now a hit
+        assert h.probes == [0, 0, 0]
+        assert h.l1d.stats.hits == 1
+        assert h.l1d.stats.stalls == {"merge_full": 2}
+
+    def test_no_reservable_line_is_probed_every_retry(self, engine):
+        # Set 0 holds valid block 0 and pending block 2; block 4 finds
+        # no reservable line while block 0 is protected.  Every retry
+        # queries the set, so block 0's Protected Life decays by one per
+        # step until it can be evicted.
+        h = Harness(engine=engine, policy="dlp", bypass_enabled=False)
+        h.ldst.enqueue(work(warp_with_load(0), [0]))
+        assert h.ldst.step(0)
+        h.l1d.fill(0, 1)
+        h.ldst.enqueue(work(warp_with_load(1), [2]))
+        assert h.ldst.step(1)
+        set_protected_life(h.l1d, 0, 3)
+        h.ldst.enqueue(work(warp_with_load(2), [4]))
+        assert not h.ldst.step(2)
+        assert protected_life(h.l1d, 0) == 2
+        assert not h.ldst.step(3)
+        assert protected_life(h.l1d, 0) == 1
+        assert h.l1d.stats.stalls == {"no_reservable_line": 2}
+        assert h.ldst.step(4)                # PL reached 0: evicted
+        assert h.probes == [0, 2, 4, 4, 4]
+        assert h.l1d.stats.evictions == 1
+
+    def test_non_blocking_never_memoizes(self, engine):
+        h = Harness(mshr_entries=2, queue_depth=4, engine=engine,
+                    non_blocking=True)
+        h.ldst.enqueue(work(warp_with_load(), [0, 1, 2]))
+        h.ldst.step(0)
+        h.ldst.step(1)
+        for cycle in range(2, 6):
+            assert not h.ldst.step(cycle)
+        assert h.probes == [0, 1, 2, 2, 2, 2]
+        assert h.ldst.stats.stall_cycles == 4
+        assert h.l1d.stats.stalls == {"mshr_full": 4}
