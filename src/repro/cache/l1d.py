@@ -51,15 +51,32 @@ class MemAccess:
     waiter: Any = None
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class AccessResult:
+    """What one access did.  Immutable: both L1D engines return the
+    shared instances below, one per outcome and one per stall reason,
+    instead of allocating a result per access."""
+
     outcome: AccessOutcome
     stall_reason: Optional[StallReason] = None
-    evicted_block: Optional[int] = None
 
     @property
     def is_stall(self) -> bool:
         return self.outcome is AccessOutcome.STALL
+
+
+HIT = AccessResult(AccessOutcome.HIT)
+HIT_RESERVED = AccessResult(AccessOutcome.HIT_RESERVED)
+MISS = AccessResult(AccessOutcome.MISS)
+BYPASS = AccessResult(AccessOutcome.BYPASS)
+WRITE_HIT = AccessResult(AccessOutcome.WRITE_HIT)
+WRITE_MISS = AccessResult(AccessOutcome.WRITE_MISS)
+STALL_MSHR_FULL = AccessResult(AccessOutcome.STALL, StallReason.MSHR_FULL)
+STALL_MISS_QUEUE_FULL = AccessResult(AccessOutcome.STALL, StallReason.MISS_QUEUE_FULL)
+STALL_MERGE_FULL = AccessResult(AccessOutcome.STALL, StallReason.MERGE_FULL)
+STALL_NO_RESERVABLE_LINE = AccessResult(
+    AccessOutcome.STALL, StallReason.NO_RESERVABLE_LINE
+)
 
 
 @dataclass(slots=True)
@@ -285,7 +302,7 @@ class L1DCache:
         self.policy.on_hit(line, access, reserved=False)
         self.tags.touch(line)
         self._done(access, AccessOutcome.HIT)
-        return AccessResult(AccessOutcome.HIT)
+        return HIT
 
     def _merge_pending(self, cache_set, line: CacheLine, access: MemAccess) -> AccessResult:
         entry = self.mshr.lookup(access.block_addr)
@@ -302,14 +319,14 @@ class L1DCache:
             if self.policy.bypass_on_stall(StallReason.MERGE_FULL, access):
                 return self._do_bypass(cache_set, access, count_query=True)
             self.stats.record_stall(StallReason.MERGE_FULL)
-            return AccessResult(AccessOutcome.STALL, StallReason.MERGE_FULL)
+            return STALL_MERGE_FULL
         self._query(cache_set, access)
         self.stats.loads += 1
         self.stats.hit_reserved += 1
         self.mshr.merge(access.block_addr, access.waiter, word=word)
         self.policy.on_hit(line, access, reserved=True)
         self._done(access, AccessOutcome.HIT_RESERVED)
-        return AccessResult(AccessOutcome.HIT_RESERVED)
+        return HIT_RESERVED
 
     def _handle_miss(self, cache_set, access: MemAccess) -> AccessResult:
         # Resource checks happen before side effects so a stalled request
@@ -318,12 +335,12 @@ class L1DCache:
             if self.policy.bypass_on_stall(StallReason.MSHR_FULL, access):
                 return self._do_bypass(cache_set, access, count_query=True, missed=True)
             self.stats.record_stall(StallReason.MSHR_FULL)
-            return AccessResult(AccessOutcome.STALL, StallReason.MSHR_FULL)
+            return STALL_MSHR_FULL
         if self.miss_queue.is_full:
             if self.policy.bypass_on_stall(StallReason.MISS_QUEUE_FULL, access):
                 return self._do_bypass(cache_set, access, count_query=True, missed=True)
             self.stats.record_stall(StallReason.MISS_QUEUE_FULL)
-            return AccessResult(AccessOutcome.STALL, StallReason.MISS_QUEUE_FULL)
+            return STALL_MISS_QUEUE_FULL
 
         # The set query (and the PL decay it implies) precedes victim
         # selection: "a bypassed request also queries and consumes PL
@@ -341,11 +358,9 @@ class L1DCache:
             # baseline request re-queries on retry in hardware too; we
             # count the access once at completion instead.
             self.stats.record_stall(StallReason.NO_RESERVABLE_LINE)
-            return AccessResult(AccessOutcome.STALL, StallReason.NO_RESERVABLE_LINE)
+            return STALL_NO_RESERVABLE_LINE
 
-        evicted_block: Optional[int] = None
         if victim.state is LineState.VALID:
-            evicted_block = victim.block_addr
             self.policy.on_evict(victim)
             self.stats.evictions += 1
         victim.invalidate()
@@ -361,18 +376,16 @@ class L1DCache:
             access.block_addr, access.insn_id, access.now, access.waiter,
             word=self._word_of(access) if self.non_blocking else None,
         )
-        fetch = FetchRequest(
-            block_addr=access.block_addr,
-            insn_id=access.insn_id,
-            sm_id=self.sm_id,
-            is_bypass=False,
-            issued_at=access.now,
+        self.miss_queue.push(
+            FetchRequest(
+                access.block_addr, access.insn_id, self.sm_id, False, False,
+                access.now,
+            )
         )
-        self.miss_queue.push(fetch)
         self.stats.loads += 1
         self.stats.misses += 1
         self._done(access, AccessOutcome.MISS)
-        return AccessResult(AccessOutcome.MISS, evicted_block=evicted_block)
+        return MISS
 
     def _do_bypass(
         self,
@@ -393,18 +406,15 @@ class L1DCache:
         self.stats.loads += 1
         self.stats.bypasses += 1
         self.policy.on_bypass(access)
-        fetch = FetchRequest(
-            block_addr=access.block_addr,
-            insn_id=access.insn_id,
-            sm_id=self.sm_id,
-            is_bypass=True,
-            issued_at=access.now,
-            waiter=access.waiter,
-        )
         self.stats.sent_fetches += 1
-        self.send_fn(fetch)
+        self.send_fn(
+            FetchRequest(
+                access.block_addr, access.insn_id, self.sm_id, True, False,
+                access.now, access.waiter,
+            )
+        )
         self._done(access, AccessOutcome.BYPASS)
-        return AccessResult(AccessOutcome.BYPASS)
+        return BYPASS
 
     def _access_write(self, access: MemAccess) -> AccessResult:
         cache_set = self.tags.set_for(access.block_addr)
@@ -415,7 +425,7 @@ class L1DCache:
         if self.miss_queue.is_full:
             if not self.policy.bypass_on_stall(StallReason.MISS_QUEUE_FULL, access):
                 self.stats.record_stall(StallReason.MISS_QUEUE_FULL)
-                return AccessResult(AccessOutcome.STALL, StallReason.MISS_QUEUE_FULL)
+                return STALL_MISS_QUEUE_FULL
             # Stall-Bypass routes the write down the bypass path instead.
             self._query(cache_set, access)
             self.stats.stores += 1
@@ -423,35 +433,32 @@ class L1DCache:
             self.stats.sent_writes += 1
             self.send_fn(
                 FetchRequest(
-                    access.block_addr, access.insn_id, self.sm_id,
-                    is_bypass=True, is_write=True, issued_at=access.now,
+                    access.block_addr, access.insn_id, self.sm_id, True, True,
+                    access.now,
                 )
             )
             self._done(access, AccessOutcome.WRITE_MISS)
-            return AccessResult(AccessOutcome.WRITE_MISS)
+            return WRITE_MISS
 
         self._query(cache_set, access)
         self.stats.stores += 1
-        outcome = AccessOutcome.WRITE_MISS
+        result = WRITE_MISS
         if line is not None and line.state is LineState.VALID:
             # write-evict: invalidate the local copy, data goes to L2
             line.invalidate()
             self.stats.write_hits += 1
             self.stats.write_evicts += 1
-            outcome = AccessOutcome.WRITE_HIT
+            result = WRITE_HIT
         else:
             self.stats.write_misses += 1
-        write = FetchRequest(
-            block_addr=access.block_addr,
-            insn_id=access.insn_id,
-            sm_id=self.sm_id,
-            is_bypass=False,
-            is_write=True,
-            issued_at=access.now,
+        self.miss_queue.push(
+            FetchRequest(
+                access.block_addr, access.insn_id, self.sm_id, False, True,
+                access.now,
+            )
         )
-        self.miss_queue.push(write)
-        self._done(access, outcome)
-        return AccessResult(outcome)
+        self._done(access, result.outcome)
+        return result
 
     # ------------------------------------------------------------------
     # interconnect side

@@ -6,15 +6,22 @@ partitions.  The slice is modelled functionally (LRU, write-through to
 DRAM for stores) with an unbounded merge table for outstanding DRAM
 fetches; the partition model in :mod:`repro.memory.partition` adds the
 timing.
+
+Each set is a dict of its resident blocks, least recently used first:
+a read or write hit moves the block to the end, and a fill into a full
+set evicts the first key.  That is exact LRU, not an approximation.
+Every resident line is valid, because a fill allocates and installs in
+one step; recency is a strict order; and no counter depends on which
+way a block sits in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from repro.cache.tagarray import CacheGeometry, TagArray
-from repro.cache.line import LineState
+from repro.cache.hashing import get_index_fn
+from repro.cache.tagarray import CacheGeometry
 
 
 @dataclass
@@ -47,18 +54,27 @@ class L2Stats:
 
 
 class L2Cache:
-    """One L2 slice: LRU tag array plus a pending-fetch merge table."""
+    """One L2 slice: per-set recency dicts plus a pending-fetch merge table."""
 
     def __init__(self, geometry: Optional[CacheGeometry] = None):
         self.geometry = geometry or CacheGeometry(
             num_sets=64, assoc=8, line_size=128, index_fn="linear"
         )
-        self.tags = TagArray(self.geometry)
         self.stats = L2Stats()
+        self._index_fn = get_index_fn(self.geometry.index_fn)
+        self._num_sets = self.geometry.num_sets
+        self._assoc = self.geometry.assoc
+        # per set: resident block -> None, least recently used first
+        self._sets: List[Dict[int, None]] = [
+            {} for _ in range(self.geometry.num_sets)
+        ]
         # block_addr -> waiters for the in-flight DRAM fetch
         self._pending: Dict[int, List[Any]] = {}
 
     # ------------------------------------------------------------------
+
+    def _set_for(self, block_addr: int) -> Dict[int, None]:
+        return self._sets[self._index_fn(block_addr, self._num_sets)]
 
     def read(self, block_addr: int, waiter: Any = None) -> str:
         """Look up a read. Returns one of:
@@ -69,14 +85,16 @@ class L2Cache:
                         waiter rides along and no new DRAM read is issued.
         """
         self.stats.reads += 1
-        line = self.tags.probe(block_addr)
-        if line is not None and line.state is LineState.VALID:
+        lines = self._set_for(block_addr)
+        if block_addr in lines:
             self.stats.hits += 1
-            self.tags.touch(line)
+            del lines[block_addr]
+            lines[block_addr] = None
             return "hit"
-        if block_addr in self._pending:
+        pending = self._pending.get(block_addr)
+        if pending is not None:
             self.stats.merged += 1
-            self._pending[block_addr].append(waiter)
+            pending.append(waiter)
             return "merged"
         self.stats.misses += 1
         self.stats.dram_reads += 1
@@ -84,28 +102,26 @@ class L2Cache:
         return "miss"
 
     def fill(self, block_addr: int) -> List[Any]:
-        """DRAM data returned: install the line, return merged waiters."""
+        """DRAM data returned: install the line, return merged waiters.
+
+        A block that is already resident keeps its recency."""
         waiters = self._pending.pop(block_addr, [None])
-        cache_set = self.tags.set_for(block_addr)
-        tag = self.geometry.tag(block_addr)
-        if cache_set.find(tag) is None:
-            victim = cache_set.find_invalid()
-            if victim is None:
-                candidates = cache_set.replaceable()
-                victim = min(candidates, key=lambda l: l.lru_stamp)
+        lines = self._set_for(block_addr)
+        if block_addr not in lines:
+            if len(lines) >= self._assoc:
+                del lines[next(iter(lines))]
                 self.stats.evictions += 1
-            victim.invalidate()
-            victim.reserve(tag, block_addr, 0, self.tags.next_stamp())
-            victim.fill(self.tags.next_stamp())
+            lines[block_addr] = None
         return waiters
 
     def write(self, block_addr: int) -> None:
         """Write-through: update the line if present, forward to DRAM."""
         self.stats.writes += 1
         self.stats.dram_writes += 1
-        line = self.tags.probe(block_addr)
-        if line is not None and line.state is LineState.VALID:
-            self.tags.touch(line)
+        lines = self._set_for(block_addr)
+        if block_addr in lines:
+            del lines[block_addr]
+            lines[block_addr] = None
 
     def pending_count(self) -> int:
         return len(self._pending)

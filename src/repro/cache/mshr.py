@@ -203,28 +203,30 @@ class MissQueue:
         if depth < 1:
             raise ValueError("miss queue needs at least one slot")
         self.depth = depth
-        self._queue: Deque[Any] = deque()
+        #: The FIFO itself.  Callers may test it for emptiness (the SM
+        #: does, every cycle, before draining); only this class mutates it.
+        self.entries: Deque[Any] = deque()
         self.total_enqueued = 0
 
     def __len__(self) -> int:
-        return len(self._queue)
+        return len(self.entries)
 
     @property
     def is_full(self) -> bool:
-        return len(self._queue) >= self.depth
+        return len(self.entries) >= self.depth
 
     @property
     def is_empty(self) -> bool:
-        return not self._queue
+        return not self.entries
 
     def push(self, item: Any) -> None:
         if self.is_full:
             raise RuntimeError("push to full miss queue")
-        self._queue.append(item)
+        self.entries.append(item)
         self.total_enqueued += 1
 
     def pop(self) -> Any:
-        return self._queue.popleft()
+        return self.entries.popleft()
 
     def peek(self) -> Any:
-        return self._queue[0]
+        return self.entries[0]

@@ -35,6 +35,16 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.cache.hashing import get_index_fn
 from repro.cache.l1d import (
+    BYPASS,
+    HIT,
+    HIT_RESERVED,
+    MISS,
+    STALL_MERGE_FULL,
+    STALL_MISS_QUEUE_FULL,
+    STALL_MSHR_FULL,
+    STALL_NO_RESERVABLE_LINE,
+    WRITE_HIT,
+    WRITE_MISS,
     AccessOutcome,
     AccessResult,
     FetchRequest,
@@ -119,13 +129,12 @@ class _FastPolicyFacade:
 
     def __init__(self, cache: "FastL1DCache") -> None:
         self._cache = cache
+        # Bound once: the SM calls this on every issued op.
+        self.notify_instructions: Callable[[int], None] = cache.notify_instructions
 
     @property
     def name(self) -> str:
         return self._cache.policy_name
-
-    def notify_instructions(self, count: int) -> None:
-        self._cache.notify_instructions(count)
 
     def stats(self) -> Dict[str, float]:
         return self._cache.policy_stats()
@@ -314,7 +323,7 @@ class FastL1DCache:
         self._stamp += 1
         self._lru[way] = self._stamp
         self._done(access, AccessOutcome.HIT)
-        return AccessResult(AccessOutcome.HIT)
+        return HIT
 
     def _merge_pending(
         self, base: int, end: int, way: int, access: MemAccess
@@ -336,7 +345,7 @@ class FastL1DCache:
                     base, end, access, count_query=True, missed=True
                 )
             self.stats.record_stall(StallReason.MERGE_FULL)
-            return AccessResult(AccessOutcome.STALL, StallReason.MERGE_FULL)
+            return STALL_MERGE_FULL
         self._query(base, end)
         self.stats.loads += 1
         self.stats.hit_reserved += 1
@@ -347,7 +356,7 @@ class FastL1DCache:
         elif self._kind == KIND_GLOBAL:
             self._gp_tda += 1
         self._done(access, AccessOutcome.HIT_RESERVED)
-        return AccessResult(AccessOutcome.HIT_RESERVED)
+        return HIT_RESERVED
 
     def _handle_miss(self, base: int, end: int, access: MemAccess) -> AccessResult:
         kind = self._kind
@@ -358,7 +367,7 @@ class FastL1DCache:
                     base, end, access, count_query=True, missed=True
                 )
             self.stats.record_stall(StallReason.MSHR_FULL)
-            return AccessResult(AccessOutcome.STALL, StallReason.MSHR_FULL)
+            return STALL_MSHR_FULL
         if self.miss_queue.is_full:
             if kind == KIND_STALL_BYPASS:
                 self._bypassed[StallReason.MISS_QUEUE_FULL.value] += 1
@@ -366,7 +375,7 @@ class FastL1DCache:
                     base, end, access, count_query=True, missed=True
                 )
             self.stats.record_stall(StallReason.MISS_QUEUE_FULL)
-            return AccessResult(AccessOutcome.STALL, StallReason.MISS_QUEUE_FULL)
+            return STALL_MISS_QUEUE_FULL
 
         # Query (PL decay) precedes victim selection, as in the paper.
         self._query(base, end)
@@ -386,14 +395,10 @@ class FastL1DCache:
                     base, end, access, count_query=False, missed=False
                 )
             self.stats.record_stall(StallReason.NO_RESERVABLE_LINE)
-            return AccessResult(
-                AccessOutcome.STALL, StallReason.NO_RESERVABLE_LINE
-            )
+            return STALL_NO_RESERVABLE_LINE
 
         st, blk = self._st, self._blk
-        evicted_block: Optional[int] = None
         if st[way] == VALID:
-            evicted_block = blk[way]
             if self._protected:
                 self._vta_insert(blk[way], self._iid[way])
             self.stats.evictions += 1
@@ -420,17 +425,13 @@ class FastL1DCache:
         )
         self.miss_queue.push(
             FetchRequest(
-                block_addr=block,
-                insn_id=access.insn_id,
-                sm_id=self.sm_id,
-                is_bypass=False,
-                issued_at=access.now,
+                block, access.insn_id, self.sm_id, False, False, access.now
             )
         )
         self.stats.loads += 1
         self.stats.misses += 1
         self._done(access, AccessOutcome.MISS)
-        return AccessResult(AccessOutcome.MISS, evicted_block=evicted_block)
+        return MISS
 
     def _do_bypass(
         self,
@@ -446,18 +447,15 @@ class FastL1DCache:
             self._vta_probe_credit(base // self._assoc, access.block_addr)
         self.stats.loads += 1
         self.stats.bypasses += 1
-        fetch = FetchRequest(
-            block_addr=access.block_addr,
-            insn_id=access.insn_id,
-            sm_id=self.sm_id,
-            is_bypass=True,
-            issued_at=access.now,
-            waiter=access.waiter,
-        )
         self.stats.sent_fetches += 1
-        self.send_fn(fetch)
+        self.send_fn(
+            FetchRequest(
+                access.block_addr, access.insn_id, self.sm_id, True, False,
+                access.now, access.waiter,
+            )
+        )
         self._done(access, AccessOutcome.BYPASS)
-        return AccessResult(AccessOutcome.BYPASS)
+        return BYPASS
 
     def _access_write(self, access: MemAccess) -> AccessResult:
         block = access.block_addr
@@ -468,9 +466,7 @@ class FastL1DCache:
         if self.miss_queue.is_full:
             if self._kind != KIND_STALL_BYPASS:
                 self.stats.record_stall(StallReason.MISS_QUEUE_FULL)
-                return AccessResult(
-                    AccessOutcome.STALL, StallReason.MISS_QUEUE_FULL
-                )
+                return STALL_MISS_QUEUE_FULL
             self._bypassed[StallReason.MISS_QUEUE_FULL.value] += 1
             self._query(base, end)
             self.stats.stores += 1
@@ -478,16 +474,15 @@ class FastL1DCache:
             self.stats.sent_writes += 1
             self.send_fn(
                 FetchRequest(
-                    block, access.insn_id, self.sm_id,
-                    is_bypass=True, is_write=True, issued_at=access.now,
+                    block, access.insn_id, self.sm_id, True, True, access.now
                 )
             )
             self._done(access, AccessOutcome.WRITE_MISS)
-            return AccessResult(AccessOutcome.WRITE_MISS)
+            return WRITE_MISS
 
         self._query(base, end)
         self.stats.stores += 1
-        outcome = AccessOutcome.WRITE_MISS
+        result = WRITE_MISS
         for w in range(base, end):
             if blk[w] == block and st[w] == VALID:
                 # write-evict: invalidate the local copy
@@ -497,22 +492,15 @@ class FastL1DCache:
                 self._iid[w] = 0
                 self.stats.write_hits += 1
                 self.stats.write_evicts += 1
-                outcome = AccessOutcome.WRITE_HIT
+                result = WRITE_HIT
                 break
         else:
             self.stats.write_misses += 1
         self.miss_queue.push(
-            FetchRequest(
-                block_addr=block,
-                insn_id=access.insn_id,
-                sm_id=self.sm_id,
-                is_bypass=False,
-                is_write=True,
-                issued_at=access.now,
-            )
+            FetchRequest(block, access.insn_id, self.sm_id, False, True, access.now)
         )
-        self._done(access, outcome)
-        return AccessResult(outcome)
+        self._done(access, result.outcome)
+        return result
 
     # ------------------------------------------------------------------
     # interconnect side

@@ -6,7 +6,9 @@ by workloads, and :class:`GpuSimulator`.
 
 from repro.gpu.config import BASELINE_CONFIG, SCALED_CONFIG, GPUConfig, L1DConfig
 from repro.gpu.coalescer import coalesce, coalesce_count
-from repro.gpu.isa import ComputeOp, MemOp, compute, load, store, trace_stats
+from repro.gpu.isa import (
+    AffineLanes, ComputeOp, MemOp, compute, load, store, trace_stats,
+)
 from repro.gpu.kernel import Kernel, KernelSequence, as_kernel_list
 from repro.gpu.scheduler import GtoScheduler, LrrScheduler, make_scheduler
 from repro.gpu.simulator import DeadlockError, GpuSimulator, SimResult
@@ -20,6 +22,7 @@ __all__ = [
     "SCALED_CONFIG",
     "coalesce",
     "coalesce_count",
+    "AffineLanes",
     "ComputeOp",
     "MemOp",
     "compute",

@@ -14,6 +14,12 @@ Workload traces are sequences of two op kinds:
   ``pc`` with the per-lane byte addresses.  The coalescer in
   :mod:`repro.gpu.coalescer` folds the lanes into 128-byte line requests.
 
+Most warp accesses are affine (coalesced, strided or broadcast: lane
+``i`` reads ``base + i * stride``), so their addresses travel as an
+:class:`AffineLanes` descriptor of three ints rather than a lane
+array, and the coalescer folds them in closed form.  Any other pattern
+is a plain array or sequence of lane addresses.
+
 A ``pc`` identifies a static memory instruction; DLP folds it to the
 7-bit instruction ID with :func:`repro.utils.hashing.hash_pc`.
 """
@@ -21,7 +27,9 @@ A ``pc`` identifies a static memory instruction; DLP folds it to the
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, List, Sequence, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.utils.hashing import hash_pc
 
@@ -48,24 +56,66 @@ class ComputeOp:
         return isinstance(other, ComputeOp) and other.count == self.count
 
 
+class AffineLanes:
+    """Lane addresses ``base + lane * stride`` for ``count`` lanes.
+
+    Stands in for the int64 lane array it describes wherever lane
+    addresses are read: ``len``, iteration, ``tolist()`` and
+    ``np.asarray`` (through ``__array__``) all see the lanes.  The
+    coalescer reads the three fields directly instead.
+    """
+
+    __slots__ = ("base", "stride", "count")
+
+    def __init__(self, base: int, stride: int, count: int):
+        self.base = int(base)  # workloads may compute it as a numpy int
+        self.stride = stride
+        self.count = count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def tolist(self) -> List[int]:
+        base, stride = self.base, self.stride
+        return [base + lane * stride for lane in range(self.count)]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.tolist())
+
+    def __array__(self, dtype=None, copy: Optional[bool] = None) -> np.ndarray:
+        lanes = np.arange(self.count, dtype=np.int64) * self.stride + self.base
+        return lanes if dtype is None else lanes.astype(dtype, copy=False)
+
+    def __repr__(self) -> str:
+        return (
+            f"AffineLanes(base={self.base:#x}, stride={self.stride}, "
+            f"count={self.count})"
+        )
+
+
+LaneAddrs = Union[AffineLanes, Sequence[int]]
+
+
 class MemOp:
     """One warp-level global load or store.
 
     ``addrs`` holds per-lane byte addresses (up to warp_size of them;
-    fewer models a partially-active warp).  ``insn_id`` is precomputed at
+    fewer models a partially-active warp), as an :class:`AffineLanes`
+    descriptor or a lane array.  ``insn_id`` is precomputed at
     construction so the cache hot path never re-hashes the PC.
     """
 
     __slots__ = ("is_write", "pc", "addrs", "insn_id", "active_lanes")
 
-    def __init__(self, is_write: bool, pc: int, addrs: Sequence[int]):
-        if len(addrs) == 0:
+    def __init__(self, is_write: bool, pc: int, addrs: LaneAddrs):
+        lanes = len(addrs)
+        if lanes == 0:
             raise ValueError("memory op needs at least one active lane")
         self.is_write = bool(is_write)
         self.pc = pc
         self.addrs = addrs
         self.insn_id = _insn_id(pc)
-        self.active_lanes = len(addrs)
+        self.active_lanes = lanes
 
     def __repr__(self) -> str:
         kind = "ST" if self.is_write else "LD"
@@ -76,11 +126,11 @@ WarpOp = Union[ComputeOp, MemOp]
 WarpTrace = Iterator[WarpOp]
 
 
-def load(pc: int, addrs: Sequence[int]) -> MemOp:
+def load(pc: int, addrs: LaneAddrs) -> MemOp:
     return MemOp(False, pc, addrs)
 
 
-def store(pc: int, addrs: Sequence[int]) -> MemOp:
+def store(pc: int, addrs: LaneAddrs) -> MemOp:
     return MemOp(True, pc, addrs)
 
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.cache.l1d import AccessOutcome, L1DCache, MemAccess
 from repro.core.policy import StallReason
@@ -88,7 +88,7 @@ class LdStUnit:
         l1d: L1DCache,
         hit_latency: int,
         queue_depth: int,
-        schedule: Callable[[int, Callable[[], None]], None],
+        schedule: Callable[[int, Callable[[Any], None], Any], None],
         complete_request: Callable[[Optional[Warp]], None],
         sm_id: int = 0,
         non_blocking: bool = False,
@@ -123,15 +123,13 @@ class LdStUnit:
         self.queue.append(work)
 
     def _access_for(self, work: MemWork, now: int) -> MemAccess:
+        warp = work.warp
+        is_write = work.is_write
+        # One record per probe: the L1D's access tap may keep it.
         return MemAccess(
-            block_addr=work.blocks[work.next_index],
-            pc=work.pc,
-            insn_id=work.insn_id,
-            is_write=work.is_write,
-            warp_id=work.warp.gid if work.warp else -1,
-            sm_id=self.sm_id,
-            now=now,
-            waiter=None if work.is_write else work.warp,
+            work.blocks[work.next_index], work.pc, work.insn_id, is_write,
+            warp.gid if warp else -1, self.sm_id, now,
+            None if is_write else warp,
         )
 
     def step(self, now: int) -> bool:
@@ -182,10 +180,7 @@ class LdStUnit:
     def _finish_issue(self, work: MemWork, outcome: AccessOutcome, index: int) -> None:
         self.stats.requests_sent += 1
         if outcome is AccessOutcome.HIT:
-            warp = work.warp
-            self.schedule(
-                self.hit_latency, lambda w=warp: self.complete_request(w)
-            )
+            self.schedule(self.hit_latency, self.complete_request, work.warp)
         # MISS / HIT_RESERVED waiters complete on fill; BYPASS waiters
         # complete when the interconnect response arrives; writes are
         # fire-and-forget.

@@ -10,6 +10,15 @@ The ready set is a lazy-deletion min-heap keyed by warp age: a warp is
 pushed whenever it becomes ready, and ``push_count`` invalidates stale
 entries, keeping every scheduler operation O(log n) per the
 profiling-first performance guidance (the scheduler runs every cycle).
+
+A compute run or a store keeps the scheduler busy until exactly the
+cycle its warp may issue again, so the scheduler holds that wake
+itself (``wake_at``, ``wake_warp``) instead of the event heap: nothing
+reads the warp's readiness while the scheduler is busy.  The SM
+applies the wake the first time it steps the scheduler at or after
+``busy_until``, just before :meth:`GtoScheduler.pick`.  A run that
+ends its warp still leaves a wake, so the simulator visits the cycle
+the run ends on.
 """
 
 from __future__ import annotations
@@ -32,6 +41,10 @@ class GtoScheduler:
         self.busy_until: int = 0
         self.last_warp: Optional[Warp] = None
         self.issued_ops = 0
+        #: Pending wake: ``wake_warp`` becomes issuable at ``wake_at``
+        #: (== ``busy_until``); None once the SM has applied it.
+        self.wake_at: int = 0
+        self.wake_warp: Optional[Warp] = None
 
     def add_warp(self, warp: Warp) -> None:
         self.warps.append(warp)

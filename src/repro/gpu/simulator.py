@@ -2,9 +2,16 @@
 
 A discrete-event model of the paper's Table 1 machine: SMs step cycle by
 cycle while memory-side progress (interconnect delivery, L2 access,
-DRAM service, fills) rides a global event heap.  When no SM can make
-progress in a cycle, time skips directly to the next event, so
-memory-bound phases cost O(events), not O(cycles).
+DRAM service, fills) and LD/ST hit completions ride a global event
+heap.  Each heap entry is ``(time, seq, fn, arg)`` and fires as
+``fn(arg)``, in (time, seq) order.
+
+When no SM can make progress in a cycle, time skips to whatever comes
+first: the next event, or the next wake a warp scheduler holds (the
+end of a compute run or a store's issue cycle; see
+:mod:`repro.gpu.scheduler`).  Memory-bound phases therefore cost
+O(events), not O(cycles).  The run ends when no kernel is left to
+dispatch, no event or wake is pending and every SM is idle.
 
 One policy *instance* is created per SM: the L1D, its VTA and its PDPT
 are private per-core structures in the paper.
@@ -24,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, NoReturn, Optional
 
 from repro.cache.l1d import FetchRequest, L1DStats
 from repro.core.policy import CachePolicy
@@ -37,7 +44,7 @@ from repro.memory.partition import MemoryPartition, partition_for
 
 
 class DeadlockError(RuntimeError):
-    """No SM can progress and no events are pending - a model bug."""
+    """No SM can progress and no event or wake is pending - a model bug."""
 
 
 @dataclass
@@ -166,12 +173,13 @@ class GpuSimulator:
                 config,
                 policy_factory(),
                 self.schedule,
-                self._make_send(sm_id),
+                self._send,
                 self._on_cta_done,
                 engine=engine,
             )
             for sm_id in range(config.num_sms)
         ]
+        self._schedulers = [s for sm in self.sms for s in sm.schedulers]
 
         # kernel dispatch state
         self._kernel_index = 0
@@ -184,9 +192,10 @@ class GpuSimulator:
     # event plumbing
     # ------------------------------------------------------------------
 
-    def schedule(self, delay: int, fn: Callable[[], None]) -> None:
+    def schedule(self, delay: int, fn: Callable[[Any], None], arg: Any) -> None:
+        """Run ``fn(arg)`` ``delay`` cycles from now."""
         self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, fn))
+        heapq.heappush(self._heap, (self.now + delay, self._seq, fn, arg))
 
     def attach_l1d_tap(self, tap) -> None:
         """Install ``tap(access, outcome)`` on every SM's L1D.
@@ -196,22 +205,21 @@ class GpuSimulator:
         for sm in self.sms:
             sm.l1d.access_tap = tap
 
-    def _make_send(self, sm_id: int) -> Callable[[FetchRequest], None]:
-        def send(fetch: FetchRequest) -> None:
-            partition = self.partitions[
-                partition_for(fetch.block_addr, self.config.num_partitions)
-            ]
-            self.interconnect.send_request(
-                sm_id,
-                fetch.is_write,
-                lambda f=fetch, p=partition: p.receive(f, self.now),
-            )
+    def _send(self, fetch: FetchRequest) -> None:
+        """An L1D request leaves its SM toward the memory partitions."""
+        self.interconnect.send_request(
+            fetch.sm_id, fetch.is_write, self._arrive, fetch
+        )
 
-        return send
+    def _arrive(self, fetch: FetchRequest) -> None:
+        partition = self.partitions[
+            partition_for(fetch.block_addr, self.config.num_partitions)
+        ]
+        partition.receive(fetch, self.now)
 
     def _respond(self, fetch: FetchRequest) -> None:
         """A partition produced read data; route it back to the SM."""
-        self.interconnect.send_response(lambda f=fetch: self._deliver(f))
+        self.interconnect.send_response(self._deliver, fetch)
 
     def _deliver(self, fetch: FetchRequest) -> None:
         sm = self.sms[fetch.sm_id]
@@ -267,16 +275,28 @@ class GpuSimulator:
     # ------------------------------------------------------------------
 
     def _work_remaining(self) -> bool:
-        if self.current_kernel is not None:
+        if self._kernel_index < len(self.kernels):
             return True
-        if self._heap:
+        if self._heap or self._next_wake() is not None:
             return True
         return any(not sm.is_idle for sm in self.sms)
+
+    def _next_wake(self) -> Optional[int]:
+        """Earliest cycle a scheduler holds a wake for, or None."""
+        wake = None
+        for scheduler in self._schedulers:
+            if scheduler.wake_warp is not None and (
+                wake is None or scheduler.wake_at < wake
+            ):
+                wake = scheduler.wake_at
+        return wake
 
     def run(self) -> SimResult:
         self._dispatch()
         # Loop state lives in locals; ``self.now`` is written back each
-        # cycle because event callbacks and ``schedule`` read it.
+        # cycle because event callbacks and ``schedule`` read it.  Work
+        # is tested once per pass, after the SMs step: the first pass
+        # runs unconditionally (with nothing to do it steps idle SMs).
         heap = self._heap
         heappop = heapq.heappop
         sms = self.sms
@@ -284,9 +304,10 @@ class GpuSimulator:
         max_cycles = self.max_cycles
         now = self.now
         truncated = False
-        while work_remaining():
+        while True:
             while heap and heap[0][0] <= now:
-                heappop(heap)[2]()
+                _, _, fn, arg = heappop(heap)
+                fn(arg)
             progress = False
             for sm in sms:
                 if sm.step(now):
@@ -298,14 +319,17 @@ class GpuSimulator:
                 break
             if progress:
                 now += 1
-            elif heap:
-                now = max(now + 1, heap[0][0])
             else:
-                self._raise_deadlock()
+                target = self._next_wake()
+                if heap and (target is None or heap[0][0] < target):
+                    target = heap[0][0]
+                if target is None:
+                    self._raise_deadlock()
+                now = max(now + 1, target)
             self.now = now
         return self._collect(truncated)
 
-    def _raise_deadlock(self) -> None:  # pragma: no cover - model bug path
+    def _raise_deadlock(self) -> NoReturn:
         details = []
         for sm in self.sms:
             details.append(

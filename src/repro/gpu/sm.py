@@ -9,26 +9,30 @@ interleaved by the schedulers.
 warp op (compute runs occupy the scheduler for their whole length, the
 GTO greedy behaviour), the LD/ST unit feeds one request into the L1D,
 and the L1D's miss queue injects one packet into the interconnect.
+
+Wakes: a load's warp wakes when its last request completes
+(:meth:`StreamingMultiprocessor.complete_request`, an event).  After a
+compute run or a store the warp may issue again exactly when its
+scheduler stops being busy, so the scheduler holds that wake
+(``wake_at`` / ``wake_warp``) and ``step`` applies it, with the same
+``not done and outstanding == 0`` check, before the scheduler's next
+pick.  No event is scheduled for it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.cache.l1d import FetchRequest
 from repro.core.policy import CachePolicy
 from repro.fastsim import make_l1d
 from repro.gpu.coalescer import coalesce
 from repro.gpu.config import GPUConfig
-from repro.gpu.isa import ComputeOp, MemOp
+from repro.gpu.isa import ComputeOp
 from repro.gpu.kernel import Kernel
 from repro.gpu.ldst import LdStUnit, MemWork
 from repro.gpu.scheduler import make_scheduler
 from repro.gpu.warp import Warp
-
-
-def _noop() -> None:
-    """Event-heap nudge: forces a loop visit at its timestamp."""
 
 
 class CtaSlot:
@@ -46,7 +50,7 @@ class StreamingMultiprocessor:
         sm_id: int,
         config: GPUConfig,
         policy: CachePolicy,
-        schedule: Callable[[int, Callable[[], None]], None],
+        schedule: Callable[[int, Callable[[Any], None], Any], None],
         send_fetch: Callable[[FetchRequest], None],
         on_cta_done: Callable[["StreamingMultiprocessor"], None],
         engine: str = "reference",
@@ -82,6 +86,8 @@ class StreamingMultiprocessor:
             non_blocking=config.l1d.non_blocking,
         )
         self.cta_slots = [CtaSlot(i) for i in range(config.max_ctas_per_sm)]
+        # Tested every cycle before draining the miss queue.
+        self._miss_fifo = self.l1d.miss_queue.entries
         self.active_warps = 0
         self.thread_insns = 0
         self.warp_insns = 0
@@ -152,24 +158,28 @@ class StreamingMultiprocessor:
 
     def step(self, now: int) -> bool:
         progress = False
-        # Runs for every SM every cycle: a busy scheduler and an empty
-        # LD/ST queue cost an attribute test, not a call.
+        # Runs for every SM every cycle: a busy scheduler, an empty LD/ST
+        # queue and an empty miss queue cost an attribute test, not a call.
         for scheduler in self.schedulers:
             if now >= scheduler.busy_until:
+                woken = scheduler.wake_warp
+                if woken is not None:
+                    scheduler.wake_warp = None
+                    self._wake(woken)
                 warp = scheduler.pick(now)
                 if warp is not None and self._issue(scheduler, warp, now):
                     progress = True
         ldst = self.ldst
         if ldst.queue and ldst.step(now):
             progress = True
-        if self.l1d.drain_miss_queue(1):
+        if self._miss_fifo and self.l1d.drain_miss_queue(1):
             progress = True
         return progress
 
     def _issue(self, scheduler, warp: Warp, now: int) -> bool:
         """Issue ``warp``'s next op, just picked from ``scheduler``."""
-        op = warp.peek()
-        if isinstance(op, ComputeOp):
+        op = warp.current_op
+        if type(op) is ComputeOp:
             n = op.count
             scheduler.consume(warp, n, now)
             warp.insns_issued += n
@@ -183,42 +193,37 @@ class StreamingMultiprocessor:
                 if warp.outstanding == 0:
                     self._warp_finished(warp)
                 # else: the LD/ST completion path finishes it.
-                # Still nudge the event loop at busy-end so the scheduler
-                # is revisited even if the event heap would drain first.
-                self.schedule(n, _noop)
             else:
                 warp.ready_time = now + n
-                self.schedule(n, lambda w=warp: self._wake(w))
+            # The wake of a finished warp wakes nothing, but it still
+            # keeps the run going until the scheduler's busy window ends.
+            scheduler.wake_at = now + n
+            scheduler.wake_warp = warp
             return True
 
         # memory op
-        if self.ldst.is_full:
-            self.ldst.stats.queue_full_rejects += 1
+        ldst = self.ldst
+        if len(ldst.queue) >= ldst.queue_depth:
+            ldst.stats.queue_full_rejects += 1
             return False
-        assert isinstance(op, MemOp)
         blocks = coalesce(op.addrs, self.config.l1d.line_size)
         scheduler.consume(warp, 1, now)
         warp.insns_issued += 1
-        warp.thread_insns += op.active_lanes
-        self.thread_insns += op.active_lanes
+        lanes = op.active_lanes
+        warp.thread_insns += lanes
+        self.thread_insns += lanes
         self.warp_insns += 1
-        self.policy.notify_instructions(op.active_lanes)
+        self.policy.notify_instructions(lanes)
         warp.advance()
-        work = MemWork(
-            warp=warp,
-            blocks=blocks,
-            is_write=op.is_write,
-            pc=op.pc,
-            insn_id=op.insn_id,
-        )
-        self.ldst.enqueue(work)
+        ldst.enqueue(MemWork(warp, blocks, op.is_write, op.pc, op.insn_id))
         if op.is_write:
             # stores are fire-and-forget for the warp
             if warp.done:
                 self._warp_finished(warp)
             else:
                 warp.ready_time = now + 1
-                self.schedule(1, lambda w=warp: self._wake(w))
+                scheduler.wake_at = now + 1
+                scheduler.wake_warp = warp
         # loads: begin_memory_wait ran inside enqueue; the warp wakes (or
         # finishes) via complete_request
         return True

@@ -13,7 +13,7 @@ the paper's configuration), not in the crossbar itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 CONTROL_BYTES = 8
 LINE_BYTES = 128
@@ -45,9 +45,9 @@ class Interconnect:
     """Fixed-latency crossbar with per-source injection serialisation and
     traffic accounting.
 
-    ``schedule(delay, fn)`` is the simulator's event scheduler; delivery
-    callbacks fire after ``latency`` cycles plus any injection-port
-    queueing.  Each SM's injection port accepts one packet per cycle —
+    ``schedule(delay, fn, arg)`` is the simulator's event scheduler;
+    ``deliver(arg)`` fires after ``latency`` cycles plus any
+    injection-port queueing.  Each SM's injection port accepts one packet per cycle —
     this throttles the dedicated bypass path of Fig. 1/8 the same way the
     miss queue throttles ordinary fetches, so bypass-heavy policies still
     pay for their request volume.
@@ -55,7 +55,7 @@ class Interconnect:
 
     def __init__(
         self,
-        schedule: Callable[[int, Callable[[], None]], None],
+        schedule: Callable[[int, Callable[[Any], None], Any], None],
         latency: int,
         clock: Callable[[], int] | None = None,
         injection_interval: int = 1,
@@ -75,15 +75,17 @@ class Interconnect:
         self._next_free[src] = start + self.injection_interval
         return start - now
 
-    def send_request(self, src: int, is_write: bool, deliver: Callable[[], None]) -> None:
+    def send_request(
+        self, src: int, is_write: bool, deliver: Callable[[Any], None], arg: Any
+    ) -> None:
         """SM -> memory partition direction."""
         self.stats.request_packets += 1
         self.stats.bytes_to_mem += CONTROL_BYTES + (LINE_BYTES if is_write else 0)
-        self.schedule(self._injection_delay(src) + self.latency, deliver)
+        self.schedule(self._injection_delay(src) + self.latency, deliver, arg)
 
-    def send_response(self, deliver: Callable[[], None]) -> None:
+    def send_response(self, deliver: Callable[[Any], None], arg: Any) -> None:
         """Memory partition -> SM direction (read data).  Return-path
         serialisation happens at the partition's response port."""
         self.stats.response_packets += 1
         self.stats.bytes_from_mem += CONTROL_BYTES + LINE_BYTES
-        self.schedule(self.latency, deliver)
+        self.schedule(self.latency, deliver, arg)

@@ -19,7 +19,7 @@ against extra hits, as the paper's Section 6.4 discusses.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.cache.l1d import FetchRequest
 from repro.cache.l2 import L2Cache
@@ -40,7 +40,7 @@ class MemoryPartition:
         partition_id: int,
         l2_geometry: CacheGeometry,
         dram: DramChannel,
-        schedule: Callable[[int, Callable[[], None]], None],
+        schedule: Callable[[int, Callable[[Any], None], Any], None],
         respond: Callable[[FetchRequest], None],
         l2_latency: int,
         l2_service_interval: int = 2,
@@ -73,7 +73,7 @@ class MemoryPartition:
         start = max(ready, self._resp_next_free)
         self._resp_next_free = start + self.response_interval
         self.resp_queue_delay += start - ready
-        self.schedule(start - now, lambda f=fetch: self.respond(f))
+        self.schedule(start - now, self.respond, fetch)
 
     def receive(self, fetch: FetchRequest, now: int) -> None:
         """A request delivered by the interconnect."""
@@ -87,13 +87,13 @@ class MemoryPartition:
             self._respond_later(fetch, start + self.l2_latency, now)
         elif outcome == "miss":
             ready = self.dram.schedule_read(start + self.l2_latency)
-            self.schedule(
-                ready - now, lambda b=fetch.block_addr, t=ready: self._dram_return(b, t)
-            )
+            self.schedule(ready - now, self._dram_return, (fetch.block_addr, ready))
         # "merged": the fetch waits on the in-flight DRAM read and will be
         # released by _dram_return via L2Cache.fill.
 
-    def _dram_return(self, block_addr: int, now: int) -> None:
+    def _dram_return(self, read: Tuple[int, int]) -> None:
+        """DRAM data for ``(block_addr, ready cycle)`` reached the slice."""
+        block_addr, now = read
         waiters: List[Optional[FetchRequest]] = self.l2.fill(block_addr)
         for fetch in waiters:
             if fetch is not None:

@@ -26,12 +26,9 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, Iterator, List
 
-import numpy as np
-
-from repro.gpu.isa import WarpOp, trace_stats
+from repro.gpu.isa import AffineLanes, WarpOp, trace_stats
 from repro.gpu.kernel import Kernel
 from repro.utils.rng import DeterministicRng
 
@@ -40,16 +37,6 @@ WARP = 32
 
 # Region alignment: 1 MiB apart so the XOR-hash index still spreads them
 _REGION_ALIGN = 1 << 20
-
-
-@lru_cache(maxsize=64, typed=True)
-def _lane_offsets(stride_bytes: int, count: int) -> np.ndarray:
-    """Read-only ``lane * stride_bytes`` for ``count`` lanes, built once
-    per shape: every warp access of a grid adds its base to one of a
-    handful of these."""
-    offsets = np.arange(count, dtype=np.int64) * stride_bytes
-    offsets.flags.writeable = False
-    return offsets
 
 
 @dataclass(frozen=True)
@@ -166,23 +153,27 @@ class Workload(abc.ABC):
         return totals
 
     # -- helpers for subclasses ------------------------------------------------
+    #
+    # Each returns an AffineLanes descriptor, not a lane array: the
+    # coalescer folds it in closed form, and every other reader sees
+    # the lanes through len/iter/tolist/np.asarray.
 
     @staticmethod
-    def coalesced(base: int, elem_bytes: int = 4) -> np.ndarray:
+    def coalesced(base: int, elem_bytes: int = 4) -> AffineLanes:
         """Per-lane addresses of a fully coalesced warp access starting at
         ``base`` (lane i reads ``base + i*elem_bytes``)."""
-        return base + _lane_offsets(elem_bytes, WARP)
+        return AffineLanes(base, elem_bytes, WARP)
 
     @staticmethod
-    def broadcast(addr: int) -> np.ndarray:
+    def broadcast(addr: int) -> AffineLanes:
         """All lanes read the same address (one request after coalescing)."""
-        return np.full(WARP, addr, dtype=np.int64)
+        return AffineLanes(addr, 0, WARP)
 
     @staticmethod
-    def strided(base: int, stride_bytes: int, count: int = WARP) -> np.ndarray:
+    def strided(base: int, stride_bytes: int, count: int = WARP) -> AffineLanes:
         """Lane i reads ``base + i*stride_bytes`` — divergent when the
         stride exceeds the line size."""
-        return base + _lane_offsets(stride_bytes, count)
+        return AffineLanes(base, stride_bytes, count)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Workload {self.meta.abbr} scale={self.scale}>"

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro.gpu.coalescer import coalesce, coalesce_count
+from repro.gpu.isa import AffineLanes, MemOp
+from repro.workloads import ALL_APPS, make_workload
+from repro.workloads.base import LINE, WARP
 
 LINE_SIZES = (32, 64, 128, 256, 512)
 
@@ -109,3 +112,86 @@ class TestMatchesReference:
         addrs = (np.arange(lanes, dtype=np.int64) * 200)[::-1]
         for line_size in LINE_SIZES:
             assert coalesce(addrs, line_size) == reference_coalesce(addrs, line_size)
+
+
+class TestAffineLanes:
+    """Closed-form folding of a lane descriptor equals the reference
+    applied to the lane array the descriptor stands for."""
+
+    STRIDES = (0, 1, 4, 100, 127, 128, 129, 256, 1000, -4, -128)
+    #: Aligned, unaligned and just-below-a-boundary bases; high enough
+    #: that negative strides keep every lane address positive.
+    BASES = (1 << 20, (1 << 20) + 4, (1 << 20) + 127, (1 << 24) + 4000 + 60)
+
+    def test_behaves_like_its_lane_array(self):
+        desc = AffineLanes(np.int64(4096), 12, 5)
+        lanes = [4096 + 12 * i for i in range(5)]
+        assert len(desc) == 5
+        assert list(desc) == lanes
+        assert desc.tolist() == lanes
+        assert all(type(a) is int for a in desc.tolist())
+        array = np.asarray(desc)
+        assert array.dtype == np.int64
+        assert array.tolist() == lanes
+        assert np.asarray(desc, dtype=np.int32).dtype == np.int32
+        assert type(desc.base) is int
+
+    @pytest.mark.parametrize("line_size", LINE_SIZES)
+    @pytest.mark.parametrize("stride", STRIDES)
+    def test_matches_reference(self, stride, line_size):
+        for base in self.BASES:
+            for count in range(1, WARP + 1):
+                for typed_base in (base, np.int64(base)):
+                    desc = AffineLanes(typed_base, stride, count)
+                    want = reference_coalesce(np.asarray(desc), line_size)
+                    got = coalesce(desc, line_size)
+                    assert got == want, (base, stride, count)
+                    assert all(type(block) is int for block in got)
+
+    def test_empty_descriptor_has_no_blocks(self):
+        for stride in (0, 4, 200):
+            assert coalesce(AffineLanes(4096, stride, 0)) == []
+
+
+def materialized_ops(workload, ctas=None):
+    """Every memory op of the workload's kernels, optionally only the
+    first ``ctas`` CTAs of each."""
+    for kernel in workload.kernels():
+        for cta in range(min(ctas or kernel.num_ctas, kernel.num_ctas)):
+            for w in range(kernel.warps_per_cta):
+                for op in kernel.warp_trace(cta, w):
+                    yield op
+
+
+@pytest.mark.parametrize("abbr", ALL_APPS)
+class TestEveryWorkload:
+    """The workloads' own accesses, descriptor and array alike, fold to
+    the reference's blocks."""
+
+    def test_ops_match_reference(self, abbr):
+        ops = [
+            op for op in materialized_ops(make_workload(abbr, scale=0.1), ctas=4)
+            if isinstance(op, MemOp)
+        ]
+        assert ops
+        for op in ops:
+            want = reference_coalesce(np.asarray(op.addrs, dtype=np.int64), LINE)
+            assert coalesce(op.addrs, LINE) == want
+
+    def test_static_stats_match_materialized_totals(self, abbr):
+        thread_insns = mem_ops = mem_requests = 0
+        pcs = set()
+        for op in materialized_ops(make_workload(abbr, scale=0.1)):
+            if isinstance(op, MemOp):
+                lanes = np.asarray(op.addrs, dtype=np.int64)
+                thread_insns += lanes.size
+                mem_ops += 1
+                mem_requests += len(reference_coalesce(lanes, LINE))
+                pcs.add(op.pc)
+            else:
+                thread_insns += op.count * WARP
+        stats = make_workload(abbr, scale=0.1).static_stats()
+        assert stats["thread_instructions"] == thread_insns
+        assert stats["mem_ops"] == mem_ops
+        assert stats["mem_requests"] == mem_requests
+        assert stats["distinct_pcs"] == len(pcs)

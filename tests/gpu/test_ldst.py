@@ -36,7 +36,7 @@ class Harness:
             self.l1d,
             hit_latency=3,
             queue_depth=queue_depth,
-            schedule=lambda d, fn: self.events.append(fn),
+            schedule=lambda d, fn, arg: self.events.append((fn, arg)),
             complete_request=self.completed.append,
             non_blocking=non_blocking,
         )
@@ -52,7 +52,8 @@ class Harness:
 
     def fire_events(self):
         while self.events:
-            self.events.pop(0)()
+            fn, arg = self.events.pop(0)
+            fn(arg)
 
 
 def warp_with_load(gid=0):

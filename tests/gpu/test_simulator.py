@@ -1,10 +1,12 @@
 """Timing simulator: end-to-end execution, accounting and invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core import make_policy
-from repro.gpu import GpuSimulator, Kernel, compute, load, store
+from repro.gpu import GPUConfig, GpuSimulator, Kernel, compute, load, store
 from repro.gpu.simulator import DeadlockError
 
 
@@ -149,3 +151,69 @@ class TestDeterminism:
         r2 = run(Kernel("l", 2, 2, one_load), tiny_config)
         assert r1.cycles == r2.cycles
         assert r1.l1d.as_dict() == r2.l1d.as_dict()
+
+
+def lanes_of(cta, w):
+    """One fully coalesced line per warp, distinct across warps."""
+    return np.arange(32) * 4 + (cta * 64 + w) * 4096
+
+
+def load_between_runs(cta, w):
+    yield compute(2)
+    yield load(0x100, lanes_of(cta, w))
+    yield compute(7)
+
+
+def load_store_run(cta, w):
+    yield load(0x100, lanes_of(cta, w))
+    yield store(0x108, lanes_of(cta, w))
+    yield compute(3)
+
+
+def run_then_load(cta, w):
+    yield compute(2)
+    yield load(0x100, lanes_of(cta, w))
+
+
+def run_then_store(cta, w):
+    yield compute(2)
+    yield store(0x100, lanes_of(cta, w))
+
+
+class TestEndOfRunCycle:
+    """The cycle a run ends on, pinned exactly (values taken before
+    schedulers held compute and store wakes themselves): a kernel that
+    ends in a compute run ends when the run does, not when its last
+    event fires."""
+
+    #: trace -> (gto cycles, lrr cycles); 3 CTAs x 5 warps, dlp.
+    EXPECTED = {
+        compute_only: (120, 120),
+        load_between_runs: (318, 324),
+        load_store_run: (324, 324),
+        run_then_load: (310, 312),
+        run_then_store: (33, 33),
+    }
+
+    @pytest.mark.parametrize("engine", ("reference", "fast"))
+    @pytest.mark.parametrize("scheduler", ("gto", "lrr"))
+    @pytest.mark.parametrize("trace", list(EXPECTED), ids=lambda f: f.__name__)
+    def test_exact_cycles(self, trace, scheduler, engine):
+        config = dataclasses.replace(GPUConfig().scaled(2), scheduler=scheduler)
+        result = run(Kernel("k", 3, 5, trace), config, policy="dlp", engine=engine)
+        assert result.cycles == self.EXPECTED[trace][scheduler == "lrr"]
+
+
+class TestDeadlock:
+    @pytest.mark.parametrize("engine", ("reference", "fast"))
+    def test_lost_fetches_deadlock(self, engine):
+        """Fetches that never reach memory leave warps waiting with no
+        event or wake pending: the loop must raise, not spin or end."""
+        sim = GpuSimulator(
+            Kernel("d", 2, 2, load_between_runs), GPUConfig().scaled(2),
+            lambda: make_policy("baseline"), engine=engine,
+        )
+        for sm in sim.sms:
+            sm.l1d.send_fn = lambda fetch: None
+        with pytest.raises(DeadlockError, match="deadlocked at cycle 4:"):
+            sim.run()

@@ -28,15 +28,15 @@ class Harness:
     def _on_done(self):
         self.cta_done += 1
 
-    def schedule(self, delay, fn):
-        self.events.append([self.now + delay, fn])
+    def schedule(self, delay, fn, arg):
+        self.events.append([self.now + delay, fn, arg])
 
     def tick(self, cycles=1):
         for _ in range(cycles):
             for ev in sorted(self.events, key=lambda e: e[0]):
                 if ev[0] <= self.now:
                     self.events.remove(ev)
-                    ev[1]()
+                    ev[1](ev[2])
             self.sm.step(self.now)
             self.now += 1
 

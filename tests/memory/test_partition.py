@@ -24,15 +24,15 @@ class Harness:
             response_interval=resp_interval,
         )
 
-    def schedule(self, delay, fn):
-        self.events.append([self.now + delay, fn])
+    def schedule(self, delay, fn, arg):
+        self.events.append([self.now + delay, fn, arg])
 
     def run_until_quiet(self):
         while self.events:
             self.events.sort(key=lambda e: e[0])
-            time, fn = self.events.pop(0)
+            time, fn, arg = self.events.pop(0)
             self.now = time
-            fn()
+            fn(arg)
 
 
 def fetch(block, is_write=False, sm=0):
