@@ -3,7 +3,8 @@
 Every lane of a batch replay consumes the *same* record stream, so the
 expensive per-record work — varint decoding, PC -> instruction-ID
 hashing, set indexing and the set-major reordering the kernels want —
-is done once here and shared across all lanes.
+is done once here and shared across all lanes.  The predict profiler
+(:mod:`repro.predict.profile`) reads the same columns.
 
 Decoding is vectorized: an SM section decompresses to one byte buffer,
 varint boundaries fall out of the continuation bit, and
@@ -140,33 +141,34 @@ def _columns_from_lists(
     )
 
 
+def decode_sm(reader: TraceReader, sm_id: int) -> SmColumns:
+    """Decode one SM section of a trace file into columns."""
+    expected = reader.records_per_sm[sm_id]
+    decoded = None
+    try:
+        decoded = _decode_payload(reader.sm_payload(sm_id), expected)
+    except (OSError, EOFError, zlib.error):
+        decoded = None  # scalar path raises the canonical error
+    if decoded is not None:
+        return SmColumns(sm_id, *decoded)
+    records = list(reader.sm_stream(sm_id))
+    if len(records) != expected:
+        raise TraceFormatError(
+            f"{reader.path}: SM{sm_id} decoded {len(records)} "
+            f"records but the header declares {expected}"
+        )
+    return _columns_from_lists(
+        sm_id,
+        [r.block_addr for r in records],
+        [r.pc for r in records],
+        [int(r.is_write) for r in records],
+        [r.warp_id for r in records],
+    )
+
+
 def decode_reader(reader: TraceReader) -> List[SmColumns]:
     """Decode every SM section of a trace file into columns."""
-    out: List[SmColumns] = []
-    for sm_id in range(reader.num_sms):
-        expected = reader.records_per_sm[sm_id]
-        decoded = None
-        try:
-            decoded = _decode_payload(reader.sm_payload(sm_id), expected)
-        except (OSError, EOFError, zlib.error):
-            decoded = None  # scalar path raises the canonical error
-        if decoded is None:
-            records = list(reader.sm_stream(sm_id))
-            if len(records) != expected:
-                raise TraceFormatError(
-                    f"{reader.path}: SM{sm_id} decoded {len(records)} "
-                    f"records but the header declares {expected}"
-                )
-            out.append(_columns_from_lists(
-                sm_id,
-                [r.block_addr for r in records],
-                [r.pc for r in records],
-                [int(r.is_write) for r in records],
-                [r.warp_id for r in records],
-            ))
-        else:
-            out.append(SmColumns(sm_id, *decoded))
-    return out
+    return [decode_sm(reader, sm_id) for sm_id in range(reader.num_sms)]
 
 
 def decode_records(
@@ -179,10 +181,14 @@ def decode_records(
     warps: List[List[int]] = [[] for _ in range(num_sms)]
     for record in records:
         sm_id = record[0]
+        if not 0 <= sm_id < num_sms:
+            raise ValueError(
+                f"sm_id {sm_id} out of range for {num_sms} SMs"
+            )
         blocks[sm_id].append(record[1])
         pcs[sm_id].append(record[2])
         writes[sm_id].append(int(record[3]))
-        warps[sm_id].append(record[4])
+        warps[sm_id].append(record[4] if len(record) > 4 else 0)
     return [
         _columns_from_lists(sm, blocks[sm], pcs[sm], writes[sm], warps[sm])
         for sm in range(num_sms)
@@ -192,6 +198,25 @@ def decode_records(
 # ----------------------------------------------------------------------
 # set-major partitions
 # ----------------------------------------------------------------------
+
+def set_indices(blocks: "np.ndarray", num_sets: int,
+                index_fn: str) -> "np.ndarray":
+    """Set index of every block, vectorized: the modulo mask for the
+    ``linear`` index function, else the XOR fold of
+    :func:`~repro.utils.hashing.xor_set_index`."""
+    mask = num_sets - 1
+    bits = mask.bit_length()
+    sets: "np.ndarray"
+    if index_fn == "linear" or bits == 0:
+        sets = blocks & mask
+    else:
+        sets = np.zeros_like(blocks)
+        rest = blocks.copy()
+        while rest.any():
+            sets ^= rest & mask
+            rest >>= bits
+    return sets
+
 
 #: A run of one set's records inside one sampling window:
 #: ``(set_index, [(block, insn, is_write), ...])``.
@@ -213,17 +238,8 @@ class SmPartition:
                  index_fn: str) -> None:
         self.n = columns.n
         self.num_sets = num_sets
-        mask = num_sets - 1
-        bits = mask.bit_length()
         blocks = columns.blocks
-        if index_fn == "linear" or bits == 0:
-            sets = blocks & mask
-        else:
-            sets = np.zeros_like(blocks)
-            rest = blocks.copy()
-            while rest.any():
-                sets ^= rest & mask
-                rest >>= bits
+        sets = set_indices(blocks, num_sets, index_fn)
         self._sets = sets
         order = np.argsort(sets, kind="stable")
         self._tuples: List[Tuple[int, int, int]] = list(zip(

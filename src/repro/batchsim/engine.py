@@ -17,8 +17,9 @@ partitions the trace once (:mod:`repro.batchsim.decode`), then advances
 every lane — a (scheme, policy_kwargs) variant — through the stream via
 the same kernels.  Lanes whose blocking-replay trajectories are
 provably identical (``baseline`` vs ``stall_bypass``, knobs the replay
-path never reads such as ``insn_sample_limit``) share one kernel run
-and the survivors get a state copy, so a 17-cell ablation grid costs
+path never reads such as ``insn_sample_limit``, Nasc-0 lanes that
+differ only in ``pd_bits``) share one kernel run and the survivors get
+a state copy, so a 17-cell ablation grid costs
 ~15 kernel passes plus one decode instead of 17 full replays.
 Non-blocking lanes run the per-record driver, one private engine per
 lane (no cross-lane state by construction).
@@ -142,14 +143,27 @@ def _lane_key(cache: FastL1DCache) -> Tuple[Any, ...]:
     (replay never calls ``notify_instructions``) and ``baseline`` /
     ``stall_bypass`` collapse to one unprotected group (the only stall
     blocking replay can raise is one unprotected policies never hit).
+
+    With Nasc 0 the PD width (``pl_max``) is keyed as 0, so DLP or
+    Global-Protection lanes that differ only in ``pd_bits`` share a run:
+
+    * every PD starts at 0, and ``policy_reset`` zeroes it;
+    * the increase path adds ``_pd_increment(0, ...)``, a multiple of
+      Nasc and so 0, and the decrease path subtracts 0, so no PDPT entry
+      and no global PD ever leaves 0;
+    * a line's Protected Life is ``min(PD, pl_max)`` = 0, so no line is
+      ever protected and neither ``pl_max`` nor ``pd_max`` ever binds;
+    * ``policy_stats`` reports no width, and :func:`_copy_cache` copies
+      only state, never the width itself.
     """
     geom = cache.geometry
     base: Tuple[Any, ...] = (geom.num_sets, geom.assoc, geom.index_fn)
     if not cache._protected:
         return base + (UNPROTECTED,)
     kind = DLP if cache._kind == KIND_DLP else GLOBAL
+    pl_max = cache._pl_max if cache._nasc else 0
     return base + (kind, cache._bypass_enabled, cache._acc_limit,
-                   cache._vta_assoc, cache._pl_max, cache._nasc)
+                   cache._vta_assoc, pl_max, cache._nasc)
 
 
 def _copy_cache(src: FastL1DCache, dst: FastL1DCache) -> None:

@@ -30,7 +30,6 @@ from repro.predict.model import (
 from repro.predict.profile import (
     NUM_EPOCHS,
     PredictProfile,
-    PredictProfiler,
     profile_records,
     profile_trace,
     profile_workload,
@@ -52,7 +51,6 @@ __all__ = [
     "predict",
     "NUM_EPOCHS",
     "PredictProfile",
-    "PredictProfiler",
     "profile_records",
     "profile_trace",
     "profile_workload",

@@ -28,6 +28,16 @@ included.  Stores are modelled as the cache models them (write-through,
 write-evict): a written block's next read can never hit, and the write
 removes the block from the stack.
 
+Profiling runs one columnar pass per SM.  A recorded trace is decoded
+one SM section at a time, and an in-memory stream is bucketed per SM,
+into the numpy columns :mod:`repro.batchsim.decode` builds for the
+replay kernels; their ``insns`` column already holds each record's
+hashed instruction ID.  Set indices are computed vectorized, and the
+state machine then walks plain lists: per-set MRU-first block stacks
+and counters plus one last-touch dict per SM.  Per-SM state is private
+(L1Ds are private), so SMs are folded into the profile one after
+another; profiling a trace file holds one SM's columns at a time.
+
 A :class:`PredictProfile` is a plain JSON document, so profiles cache
 per trace key and travel through the serve worker pool.
 """
@@ -35,26 +45,17 @@ per trace key and travel through the serve worker pool.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
-from repro.analysis.reuse import RddHistogram
+from repro.analysis.reuse import RddHistogram, bucket_of
 from repro.cache.tagarray import CacheGeometry
 from repro.gpu.config import GPUConfig
 from repro.gpu.isa import ComputeOp
-from repro.utils.hashing import hash_pc
 
 if TYPE_CHECKING:
-    from repro.trace.format import TraceReader
+    from repro.batchsim.decode import SmColumns
+    from repro.trace.format import TraceReader, TraceRecord
     from repro.workloads import Workload
-
-#: Per-SM profiler state: (stacks[set] = blocks MRU->LRU, counters[set],
-#: read_counters[set], last[set][block] = (insn, ctr, read_ctr, written)).
-SmState = Tuple[
-    List[List[int]],
-    List[int],
-    List[int],
-    List[Dict[int, Tuple[int, int, int, bool]]],
-]
 
 #: Stack positions are exact up to this depth; anything deeper lands in
 #: the tail.  Deep enough for the largest modelled geometry (64 KB =
@@ -68,10 +69,6 @@ RD_CAP = 32
 TAIL = -1
 #: Temporal resolution of a profile (upper bound on epochs kept).
 NUM_EPOCHS = 64
-
-
-def _cap(value: int, cap: int) -> int:
-    return value if value <= cap else TAIL
 
 
 @dataclass
@@ -229,158 +226,144 @@ class PredictProfile:
         return profile
 
 
-class PredictProfiler:
-    """One pass over an access stream, per-SM state, merged output.
+def _empty_profile(config: GPUConfig) -> PredictProfile:
+    l1 = config.l1d
+    return PredictProfile(
+        num_sets=l1.num_sets, line_size=l1.line_size,
+        index_fn=l1.index_fn, num_sms=config.num_sms,
+    )
 
-    ``expected_per_sm`` maps SM id to that stream's record count and
-    sizes the epochs: a record's epoch is its *fractional position in
-    its own SM's stream*, so SM streams line up phase-by-phase whether
-    the source interleaves them (live capture) or concatenates them
-    (``TraceReader``).  Without the hint the whole stream lands in one
-    epoch (temporally flat — fine for short synthetic streams, lossy
-    for phased applications).
+
+def _profile_sm(profile: PredictProfile, columns: SmColumns,
+                geometry: CacheGeometry) -> None:
+    """Fold one SM stream into ``profile``.
+
+    Record ``i`` of an ``n``-record stream falls in epoch
+    ``i * NUM_EPOCHS // n``: its fractional position in its own SM's
+    stream, so SM streams line up phase by phase whether the source
+    interleaves them (live capture) or concatenates them (trace file).
     """
+    from repro.batchsim.decode import set_indices
 
-    def __init__(self, config: GPUConfig,
-                 expected_per_sm: Optional[Dict[int, int]] = None) -> None:
-        l1 = config.l1d
-        self.geometry = CacheGeometry(
-            num_sets=l1.num_sets, assoc=l1.assoc,
-            line_size=l1.line_size, index_fn=l1.index_fn,
-        )
-        self.profile = PredictProfile(
-            num_sets=l1.num_sets, line_size=l1.line_size,
-            index_fn=l1.index_fn, num_sms=config.num_sms,
-        )
-        self._expected_per_sm = expected_per_sm
-        self._insn_ids: Dict[int, int] = {}
-        # per SM: stacks[set] = blocks MRU->LRU; counters[set] = set
-        # queries so far; read_ctr[set] = reads only (reporting RDD);
-        # last[set][block] = (insn, counter, read_counter, written);
-        # seen = records consumed from this SM's stream (epoch clock)
-        self._sms: Dict[int, SmState] = {}
-        self._seen: Dict[int, int] = {}
-
-    # -- internals -----------------------------------------------------
-
-    def _epoch(self, sm_id: int) -> EpochCounts:
-        if not self._expected_per_sm:
-            index = 0
-        else:
-            expected = self._expected_per_sm.get(sm_id, 0)
-            if expected <= 0:
-                index = 0
-            else:
-                index = min(NUM_EPOCHS - 1,
-                            self._seen[sm_id] * NUM_EPOCHS // expected)
-        epochs = self.profile.epochs
+    n = columns.n
+    if not n:
+        return
+    num_sets = geometry.num_sets
+    sets = set_indices(columns.blocks, num_sets, geometry.index_fn).tolist()
+    blocks = columns.blocks.tolist()
+    insns = columns.insns.tolist()
+    writes = columns.writes.tolist()
+    stacks: List[List[int]] = [[] for _ in range(num_sets)]  # MRU first
+    counters = [0] * num_sets    # set queries, stores included
+    read_ctrs = [0] * num_sets   # reads only (the reporting RDD clock)
+    # block -> (insn, counter, read counter, written) as of its last
+    # read; a block maps to one set, so one dict serves every set
+    last: Dict[int, Tuple[int, int, int, bool]] = {}
+    read_rds: Dict[Tuple[int, int], int] = {}  # (insn, read-only rd)
+    evicted: Dict[int, int] = {}
+    epochs = profile.epochs
+    for index in range(NUM_EPOCHS):
+        # records lo..hi-1 are exactly those with i * NUM_EPOCHS // n == index
+        lo = -(-index * n // NUM_EPOCHS)
+        hi = -(-(index + 1) * n // NUM_EPOCHS)
+        if lo == hi:
+            continue
+        slice_writes = writes[lo:hi]
+        compulsory = write_evicted = 0
+        joint: Dict[Tuple[int, int, int], int] = {}
+        for block, s, insn, is_write in zip(
+            blocks[lo:hi], sets[lo:hi], insns[lo:hi], slice_writes
+        ):
+            counters[s] += 1
+            if is_write:
+                # A store evicts the line (write-evict): its next read
+                # is a write-evicted reuse, and it leaves the stack.
+                prev = last.get(block)
+                if prev is not None and not prev[3]:
+                    last[block] = (prev[0], prev[1], prev[2], True)
+                    stacks[s].remove(block)
+                continue
+            read_counter = read_ctrs[s] + 1
+            read_ctrs[s] = read_counter
+            counter = counters[s]
+            prev = last.get(block)
+            last[block] = (insn, counter, read_counter, False)
+            stack = stacks[s]
+            if prev is None:
+                compulsory += 1
+                stack.insert(0, block)
+                continue
+            prev_insn, prev_counter, prev_read_counter, written = prev
+            key = (prev_insn, read_counter - prev_read_counter)
+            read_rds[key] = read_rds.get(key, 0) + 1
+            if written:
+                write_evicted += 1
+                evicted[prev_insn] = evicted.get(prev_insn, 0) + 1
+                stack.insert(0, block)
+                continue
+            pos = stack.index(block)
+            if pos:
+                del stack[pos]
+                stack.insert(0, block)
+            rd = counter - prev_counter
+            pair = (prev_insn, pos if pos <= SD_CAP else TAIL,
+                    rd if rd <= RD_CAP else TAIL)
+            joint[pair] = joint.get(pair, 0) + 1
         while len(epochs) <= index:
             epochs.append(EpochCounts())
-        return epochs[index]
-
-    def _sm_state(self, sm_id: int) -> SmState:
-        state = self._sms.get(sm_id)
-        if state is None:
-            nsets = self.geometry.num_sets
-            state = self._sms[sm_id] = (
-                [[] for _ in range(nsets)],        # stacks
-                [0] * nsets,                        # set-query counters
-                [0] * nsets,                        # read-only counters
-                [dict() for _ in range(nsets)],     # last-touch info
-            )
-            self._seen[sm_id] = 0
-        return state
-
-    def _insn(self, pc: int) -> int:
-        cached = self._insn_ids.get(pc)
-        if cached is None:
-            cached = self._insn_ids[pc] = hash_pc(pc)
-        return cached
-
-    # -- observation ---------------------------------------------------
-
-    def observe(self, sm_id: int, block_addr: int, pc: int,
-                is_write: bool) -> None:
-        profile = self.profile
-        stacks, counters, read_ctrs, lasts = self._sm_state(sm_id)
-        epoch = self._epoch(sm_id)
-        self._seen[sm_id] += 1
-        set_idx = self.geometry.set_index(block_addr)
-        stack = stacks[set_idx]
-        last = lasts[set_idx]
-        counters[set_idx] += 1
-        epoch.accesses += 1
-
-        if is_write:
-            epoch.writes += 1
-            prev = last.get(block_addr)
-            if prev is not None:
-                last[block_addr] = (prev[0], prev[1], prev[2], True)
-            try:
-                stack.remove(block_addr)
-            except ValueError:
-                pass
-            return
-
-        epoch.reads += 1
-        read_ctrs[set_idx] += 1
-        counter = counters[set_idx]
-        read_counter = read_ctrs[set_idx]
-        insn = self._insn(pc)
-        prev = last.get(block_addr)
-        last[block_addr] = (insn, counter, read_counter, False)
-
-        if prev is None:
-            epoch.compulsory += 1
-            stack.insert(0, block_addr)
-            return
-
-        prev_insn, prev_counter, prev_read_counter, written = prev
-        read_rd = read_counter - prev_read_counter
-        profile.rdd.add(read_rd)
-        insn_hist = profile.insn_rdd.get(prev_insn)
-        if insn_hist is None:
-            insn_hist = profile.insn_rdd[prev_insn] = RddHistogram()
-        insn_hist.add(read_rd)
-        if written:
-            epoch.write_evicted += 1
-            profile.write_evicted[prev_insn] = (
-                profile.write_evicted.get(prev_insn, 0) + 1
-            )
-            stack.insert(0, block_addr)
-            return
-
-        rd = counter - prev_counter
-        try:
-            pos = stack.index(block_addr)
-            del stack[pos]
-        except ValueError:  # pragma: no cover - unwritten blocks stay
-            pos = SD_CAP + 1
-        stack.insert(0, block_addr)
-        epoch.add_reuse(prev_insn, _cap(pos, SD_CAP), _cap(rd, RD_CAP))
+        epoch = epochs[index]
+        reads = slice_writes.count(0)
+        epoch.accesses += hi - lo
+        epoch.reads += reads
+        epoch.writes += hi - lo - reads
+        epoch.compulsory += compulsory
+        epoch.write_evicted += write_evicted
+        for (insn, sd, rd), count in joint.items():
+            pairs = epoch.joint.setdefault(insn, {})
+            pairs[(sd, rd)] = pairs.get((sd, rd), 0) + count
+    rdd = profile.rdd.counts
+    for (insn, read_rd), count in read_rds.items():
+        bucket = bucket_of(read_rd)
+        rdd[bucket] += count
+        hist = profile.insn_rdd.get(insn)
+        if hist is None:
+            hist = profile.insn_rdd[insn] = RddHistogram()
+        hist.counts[bucket] += count
+    for insn, count in evicted.items():
+        profile.write_evicted[insn] = (
+            profile.write_evicted.get(insn, 0) + count
+        )
 
 
-def profile_records(records: Sequence, config: GPUConfig) -> PredictProfile:
-    """Profile an in-memory record stream (``TraceRecord`` tuples)."""
-    expected: Optional[Dict[int, int]] = None
-    if hasattr(records, "__len__"):
-        expected = {}
-        for record in records:
-            expected[record[0]] = expected.get(record[0], 0) + 1
-    profiler = PredictProfiler(config, expected_per_sm=expected)
-    for record in records:
-        profiler.observe(record[0], record[1], record[2], bool(record[3]))
-    return profiler.profile
+def profile_records(records: Iterable[TraceRecord],
+                    config: GPUConfig) -> PredictProfile:
+    """Profile an in-memory record stream (``TraceRecord`` tuples).
+
+    The stream is bucketed per SM, its SM count being the largest SM id
+    plus one, and each SM stream is split into epochs by position.  Any
+    iterable works: a generator is consumed once and epoch-resolved
+    exactly like a list.  A negative SM id raises ``ValueError``.
+    """
+    from repro.batchsim.decode import decode_records
+
+    stream = list(records)
+    num_sms = max((record[0] for record in stream), default=-1) + 1
+    profile = _empty_profile(config)
+    geometry = config.l1d.geometry()
+    for columns in decode_records(stream, num_sms):
+        _profile_sm(profile, columns, geometry)
+    return profile
 
 
 def profile_trace(reader: TraceReader,
                   config: Optional[GPUConfig] = None) -> PredictProfile:
-    """Profile a recorded ``.rptr`` trace.
+    """Profile a recorded ``.rptr`` trace, one SM section at a time.
 
     The trace header fixes the stream's own geometry (SM count, line
     size); ``config`` only overrides the *modelled* L1D geometry and
     must agree on the line size.
     """
+    from repro.batchsim.decode import decode_sm
     from repro.trace.format import TraceFormatError
 
     if config is None:
@@ -390,12 +373,10 @@ def profile_trace(reader: TraceReader,
             f"trace line size {reader.line_size} != config line size "
             f"{config.l1d.line_size}"
         )
-    expected = {sm: count
-                for sm, count in enumerate(reader.records_per_sm)}
-    profiler = PredictProfiler(config, expected_per_sm=expected)
-    for record in reader:
-        profiler.observe(record[0], record[1], record[2], bool(record[3]))
-    profile = profiler.profile
+    profile = _empty_profile(config)
+    geometry = config.l1d.geometry()
+    for sm_id in range(reader.num_sms):
+        _profile_sm(profile, decode_sm(reader, sm_id), geometry)
     profile.num_sms = reader.num_sms
     profile.meta.update(reader.meta)
     return profile

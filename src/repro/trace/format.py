@@ -35,6 +35,7 @@ import io
 import json
 import os
 import struct
+import zlib
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional
 
@@ -364,7 +365,7 @@ class TraceReader:
                     f"{expected} records the header declares — "
                     f"records_per_sm does not match the stream"
                 )
-        except (EOFError, OSError, gzip.BadGzipFile) as exc:
+        except (EOFError, OSError, zlib.error) as exc:
             raise TraceFormatError(
                 f"{self.path}: corrupt SM{sm_id} section ({exc})"
             ) from None

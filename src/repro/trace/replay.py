@@ -123,6 +123,10 @@ class ReplayEngine:
         immediately (blocking mode) or after :data:`NB_FILL_WINDOW`
         accesses (non-blocking mode) and retrying stalls in place."""
         sm_id = record[0]
+        if not 0 <= sm_id < len(self.caches):
+            raise ValueError(
+                f"sm_id {sm_id} out of range for {len(self.caches)} SMs"
+            )
         cache = self.caches[sm_id]
         acc = MemAccess(
             block_addr=record[1],

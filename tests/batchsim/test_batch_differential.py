@@ -233,6 +233,56 @@ def test_resized_lanes_share_the_pass(captured):
         assert_results_identical(solo, result, label=f"resize/{scheme}")
 
 
+#: Nasc-0 lanes at three PD widths, and Nasc-1 lanes at two as the
+#: control: with a nonzero step the width caps learned PDs, so those
+#: lanes must each run their own pass.
+NASC_LANES = [
+    (scheme, {"nasc": nasc, "pd_bits": bits})
+    for scheme in ("dlp", "global_protection")
+    for nasc, widths in ((0, (2, 4, 6)), (1, (2, 4)))
+    for bits in widths
+]
+
+
+def test_nasc0_lanes_share_one_pass(tmp_path, monkeypatch):
+    """Nasc-0 lanes that differ only in ``pd_bits`` share one kernel run
+    per policy; every lane still equals its solo reference replay.  KM
+    takes Fig. 9's increase branch, so the Nasc-1 widths diverge."""
+    import repro.batchsim.engine as engine_mod
+    from repro.trace.format import TraceReader
+
+    config = GPUConfig().scaled(2)
+    path = tmp_path / "km.rptr"
+    record_workload(make_workload("KM", 0.05), config, path)
+
+    passes = []
+    run_lane = engine_mod._run_lane
+
+    def counted(engine, parts):
+        cache = engine.caches[0]
+        passes.append((cache.policy_name, cache._nasc, cache._pl_max))
+        run_lane(engine, parts)
+
+    monkeypatch.setattr(engine_mod, "_run_lane", counted)
+    batched = replay_batch(TraceReader(path), NASC_LANES, config)
+
+    assert sorted(passes) == [
+        ("dlp", 0, 3), ("dlp", 1, 3), ("dlp", 1, 15),
+        ("global_protection", 0, 3),
+        ("global_protection", 1, 3), ("global_protection", 1, 15),
+    ]
+    for (scheme, kwargs), result in zip(NASC_LANES, batched):
+        solo = replay_trace(TraceReader(path), scheme, config,
+                            engine="reference", **kwargs)
+        assert_results_identical(solo, result,
+                                 label=f"nasc/{_label((scheme, kwargs))}")
+    by_lane = dict(zip(((s, k["nasc"], k["pd_bits"]) for s, k in NASC_LANES),
+                       batched))
+    for scheme in ("dlp", "global_protection"):
+        assert by_lane[(scheme, 1, 2)].l1d.hits != \
+            by_lane[(scheme, 1, 4)].l1d.hits
+
+
 def test_more_sms_than_trace(captured, tmp_path):
     """config.num_sms may exceed the trace's SM count; extra columns
     pad empty, mirroring replay_trace."""

@@ -154,3 +154,24 @@ class TestReplayHeaderGuard:
         doctor_header(path, cut)
         with pytest.raises(TraceFormatError):
             replay_trace(str(path), "baseline", config)
+
+
+class TestInMemorySmIds:
+    """An in-memory stream names each record's SM; an id outside the
+    engine's SM range is rejected instead of replaying into another SM."""
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    @pytest.mark.parametrize("which", ["negative", "num_sms"])
+    def test_out_of_range_sm_id_rejected(self, config, engine, which):
+        from repro.trace import replay_records
+
+        bad = -1 if which == "negative" else config.num_sms
+        records = [
+            r._replace(sm_id=bad) if r.sm_id == 1 else r
+            for r in capture_records(make_workload("MM", SCALE), config)
+        ]
+        with pytest.raises(
+            ValueError,
+            match=f"sm_id {bad} out of range for {config.num_sms} SMs",
+        ):
+            replay_records(iter(records), config, "dlp", engine=engine)
