@@ -5,17 +5,17 @@ The package decodes and partitions a recorded trace once
 policy/ablation lanes through it with per-policy specialized kernels
 (:mod:`repro.batchsim.kernels`), each lane bit-identical to a solo
 reference-engine replay.  :mod:`repro.batchsim.engine` exposes
-:class:`~repro.batchsim.engine.FastReplayEngine` — what ``--engine
-fast`` (or its other spelling, ``batch``) replays with — and the
-multi-lane :func:`~repro.batchsim.engine.replay_batch` front door;
-:mod:`repro.batchsim.grid` expands ``--grid`` axes into lanes.
+:func:`~repro.batchsim.engine.run_kernels` — how a fresh blocking
+``ReplayEngine(..., engine="fast")`` (or its other spelling, ``batch``)
+replays — and the multi-lane :func:`~repro.batchsim.engine.replay_batch`
+front door; :mod:`repro.batchsim.grid` expands ``--grid`` axes into
+lanes.
 """
 
-from repro.batchsim.engine import FastReplayEngine, Lane, replay_batch
+from repro.batchsim.engine import Lane, replay_batch
 from repro.batchsim.grid import GridAxis, cell_label, expand_grid, parse_grid_axis
 
 __all__ = [
-    "FastReplayEngine",
     "Lane",
     "replay_batch",
     "GridAxis",

@@ -1,16 +1,15 @@
 """The packed replay engine: the generated kernels behind ``--engine fast``.
 
-:class:`FastReplayEngine` is fast-engine replay (``batch`` is another
-spelling of it): constructor-compatible with
-:class:`~repro.trace.replay.ReplayEngine` and bit-identical to it, so
-its results resolve the same store entries.  A fresh blocking engine
-decodes its record stream once and advances each SM's packed
+:func:`run_kernels` is how a fresh, blocking
+:class:`~repro.trace.replay.ReplayEngine` built with ``engine="fast"``
+(``batch`` is another spelling) replays: it decodes the record stream
+once and advances each SM's packed
 :class:`~repro.fastsim.engine.FastL1DCache` through it with the
 specialized kernels in :mod:`repro.batchsim.kernels`.  A non-blocking
-or already-warmed engine runs the reference engine's per-record driver
-over the same packed caches instead: fills in flight break the
-per-window set decomposition the kernels rely on, and the kernels
-start from an empty cache.
+or already-warmed fast engine runs the per-record loop over the same
+packed caches instead: fills in flight break the per-window set
+decomposition the kernels rely on, and the kernels start from an empty
+cache.
 
 :func:`replay_batch` is the multi-lane front door: it decodes and
 partitions the trace once (:mod:`repro.batchsim.decode`), then advances
@@ -21,24 +20,21 @@ path never reads such as ``insn_sample_limit``, Nasc-0 lanes that
 differ only in ``pd_bits``) share one kernel run and the survivors get
 a state copy, so a 17-cell ablation grid costs
 ~15 kernel passes plus one decode instead of 17 full replays.
-Non-blocking lanes run the per-record driver, one private engine per
+Non-blocking lanes run the per-record loop, one private engine per
 lane (no cross-lane state by construction).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import (
-    Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple,
-    Union,
+    Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
 )
 
-from repro.core.policy import CachePolicy
-from repro.fastsim.engine import KIND_DLP, FastL1DCache, PolicySpec
+from repro.fastsim.engine import KIND_DLP, FastL1DCache
 from repro.gpu.config import GPUConfig
 from repro.gpu.simulator import SimResult
 from repro.trace.format import TraceReader, TraceRecord
-from repro.trace.replay import ReplayEngine, _resolve
+from repro.trace.replay import ReplayEngine, _resolve, check_trace
 
 from repro.batchsim.decode import (
     SmColumns,
@@ -48,73 +44,6 @@ from repro.batchsim.decode import (
     decode_records,
 )
 from repro.batchsim.kernels import DLP, GLOBAL, UNPROTECTED, get_kernel, kernel_key
-
-
-class FastReplayEngine:
-    """Per-SM packed caches consuming a record stream.
-
-    Constructor-compatible with :class:`ReplayEngine` (``config`` plus a
-    policy factory); the factory is invoked once to extract the
-    :class:`PolicySpec` every per-SM cache shares.
-    """
-
-    def __init__(self, config: GPUConfig,
-                 policy_factory: Callable[[], CachePolicy]) -> None:
-        self.config = config
-        spec = PolicySpec.from_policy(policy_factory())
-        self._insn_ids: Dict[int, int] = {}
-        self.sent_fetches = 0
-        self.sent_writes = 0
-        l1 = config.l1d
-        self.non_blocking = l1.non_blocking
-        self.caches: List[FastL1DCache] = [
-            FastL1DCache(
-                l1.geometry(),
-                spec,
-                mshr_entries=l1.mshr_entries,
-                mshr_merge=l1.mshr_merge,
-                miss_queue_depth=l1.miss_queue_depth,
-                sm_id=sm_id,
-                non_blocking=l1.non_blocking,
-            )
-            for sm_id in range(config.num_sms)
-        ]
-        self.replayed_records = 0
-        self.replayed_per_sm: List[int] = [0] * config.num_sms
-        self._nb_outstanding: List[Deque[Tuple[int, int]]] = [
-            deque() for _ in range(config.num_sms)
-        ]
-        self._nb_seq: List[int] = [0] * config.num_sms
-
-    # Per-record replay reuses the reference engine's drivers verbatim
-    # (duck-typed: FastL1DCache exposes access/fill/miss_queue/stats),
-    # so the packed protocol path is driven exactly as the reference is.
-    access = ReplayEngine.access
-    _access_blocking = ReplayEngine._access_blocking
-    _access_non_blocking = ReplayEngine._access_non_blocking
-    _insn_id = ReplayEngine._insn_id
-    flush = ReplayEngine.flush
-
-    def run(self, records: Iterable[TraceRecord]) -> SimResult:
-        """Kernel replay on a fresh blocking engine; otherwise the
-        reference engine's per-record driver over the packed caches."""
-        if self.non_blocking or any(
-            c._stamp or c.stats.loads or c.stats.stores for c in self.caches
-        ):
-            return ReplayEngine.run(self, records)  # type: ignore[arg-type]
-        columns = decode_records(list(records), len(self.caches))
-        _run_lane(self, TracePartitions(columns))
-        return self.result()
-
-    def result(self) -> SimResult:
-        # Every send in replay lands in its cache's counters (bypasses at
-        # issue, queued requests at drain), so the engine-level totals the
-        # reference accumulates are exactly the per-cache sums.
-        self.sent_fetches = sum(c.stats.sent_fetches for c in self.caches)
-        self.sent_writes = sum(c.stats.sent_writes for c in self.caches)
-        # Duck-typed reuse of the reference aggregation: self.caches
-        # expose .stats and .policy.stats(), which is all it reads.
-        return ReplayEngine.result(self)  # type: ignore[arg-type]
 
 
 #: One lane: (scheme, policy kwargs) — the same pair ``repro sweep``
@@ -181,7 +110,7 @@ def _copy_cache(src: FastL1DCache, dst: FastL1DCache) -> None:
                 dict(value) if isinstance(value, dict) else value)
 
 
-def _run_lane(engine: FastReplayEngine, parts: TracePartitions) -> None:
+def _run_lane(engine: ReplayEngine, parts: TracePartitions) -> None:
     """Drive one lane's per-SM caches through the shared partitions."""
     for sm_id, cache in enumerate(engine.caches):
         columns = parts.columns[sm_id]
@@ -194,6 +123,13 @@ def _run_lane(engine: FastReplayEngine, parts: TracePartitions) -> None:
         kernel(cache, windows, full, part.n, sm_id)
         engine.replayed_per_sm[sm_id] += columns.n
         engine.replayed_records += columns.n
+
+
+def run_kernels(engine: ReplayEngine, records: Iterable[TraceRecord]) -> None:
+    """Replay ``records`` on a fresh, blocking ``fast`` engine: one
+    decode, then one kernel pass per SM."""
+    _run_lane(engine, TracePartitions(
+        decode_records(list(records), len(engine.caches))))
 
 
 def _pad_columns(columns: List[SmColumns], num_sms: int) -> List[SmColumns]:
@@ -211,36 +147,26 @@ def replay_batch(
 
     ``source`` is a :class:`TraceReader` (decoded vectorized) or an
     in-memory record sequence; ``lanes`` are (scheme, policy_kwargs)
-    pairs.  Returns one :class:`SimResult` per lane, in order, each
-    bit-identical to a solo ``replay_trace(..., engine="fast")`` run of
-    that lane.
+    pairs.  ``config`` defaults to the trace header's machine for a
+    reader, as in :func:`~repro.trace.replay.replay_trace`, and to
+    :class:`GPUConfig` for records.  Returns one :class:`SimResult` per
+    lane, in order, each bit-identical to a solo
+    ``replay_trace(..., engine="fast")`` run of that lane.
     """
-    if config is None:
-        config = GPUConfig()
     if isinstance(source, TraceReader):
-        reader = source
-        if config.num_sms < reader.num_sms:
-            raise ValueError(
-                f"trace has {reader.num_sms} SM streams but config "
-                f"provides only {config.num_sms} SMs"
-            )
-        if config.l1d.line_size != reader.line_size:
-            raise ValueError(
-                f"line-size mismatch: trace recorded at "
-                f"{reader.line_size} B, config uses "
-                f"{config.l1d.line_size} B"
-            )
-        columns = _pad_columns(decode_reader(reader), config.num_sms)
+        config = check_trace(source, config)
+        columns = _pad_columns(decode_reader(source), config.num_sms)
     else:
+        config = config or GPUConfig()
         columns = decode_records(list(source), config.num_sms)
     parts = TracePartitions(columns)
 
-    engines: List[FastReplayEngine] = []
+    engines: List[ReplayEngine] = []
     for scheme, policy_kwargs in lanes:
         lane_config, factory = _resolve(scheme, config, **policy_kwargs)
-        engines.append(FastReplayEngine(lane_config, factory))
+        engines.append(ReplayEngine(lane_config, factory, "fast"))
 
-    done: Dict[Tuple[Any, ...], FastReplayEngine] = {}
+    done: Dict[Tuple[Any, ...], ReplayEngine] = {}
     nb_records: List[TraceRecord] = []
     for engine in engines:
         if engine.non_blocking:
@@ -265,4 +191,4 @@ def replay_batch(
     return [engine.result() for engine in engines]
 
 
-__all__ = ["FastReplayEngine", "Lane", "replay_batch"]
+__all__ = ["Lane", "replay_batch", "run_kernels"]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.cache.line import CacheLine, LineState
 from repro.cache.mshr import WORD_BYTES, MissQueue, MshrTable
@@ -123,6 +123,18 @@ class L1DStats:
 
     def record_stall(self, reason: StallReason) -> None:
         self.stalls[reason.value] = self.stalls.get(reason.value, 0) + 1
+
+    @classmethod
+    def total(cls, parts: Iterable["L1DStats"]) -> "L1DStats":
+        """Field-wise sum of per-SM counters; stall reasons keep their
+        first-seen order, so the sum serializes identically."""
+        total = cls()
+        for part in parts:
+            for f in L1D_RAW_FIELDS:
+                setattr(total, f, getattr(total, f) + getattr(part, f))
+            for reason, count in part.stalls.items():
+                total.stalls[reason] = total.stalls.get(reason, 0) + count
+        return total
 
     # -- derived metrics used by the paper's figures ----------------------
 

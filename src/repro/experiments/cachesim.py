@@ -19,7 +19,6 @@ from typing import Callable, Dict, Iterator, List, Tuple
 
 from repro.analysis.metrics import FunctionalCache, merge_functional
 from repro.analysis.reuse import ReuseProfiler
-from repro.cache.tagarray import CacheGeometry
 from repro.gpu.coalescer import coalesce
 from repro.gpu.config import GPUConfig
 from repro.gpu.isa import MemOp
@@ -136,13 +135,9 @@ def capacity_sweep(
     hierarchies per SM) so their streams are identical by construction.
     """
     config = config or GPUConfig()
-    assoc_by_kb = {16: 4, 32: 8, 64: 16}
     caches: Dict[int, List[FunctionalCache]] = {}
     for kb in sizes_kb:
-        geometry = CacheGeometry(
-            config.l1d.num_sets, assoc_by_kb[kb], config.l1d.line_size,
-            config.l1d.index_fn,
-        )
+        geometry = config.with_l1d_size_kb(kb).l1d.geometry()
         caches[kb] = [FunctionalCache(geometry) for _ in range(config.num_sms)]
     for sm, block, pc, is_write in interleaved_streams(workload, config):
         if is_write:

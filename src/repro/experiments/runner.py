@@ -18,7 +18,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.core import make_policy
 from repro.experiments.executor import Cell, SweepExecutor
 from repro.experiments.store import open_store
-from repro.gpu.config import GPUConfig
+from repro.gpu.config import GPUConfig, resolve_scheme
 from repro.gpu.simulator import GpuSimulator, SimResult
 from repro.workloads import make_workload
 
@@ -61,12 +61,7 @@ def build_simulator(
     ``fast``); results are bit-identical either way, so the choice never
     enters a cell's identity.
     """
-    config = config or harness_config()
-    if scheme in ("32kb", "64kb"):
-        config = config.with_l1d_size_kb(int(scheme[:-2]))
-        policy_name = "baseline"
-    else:
-        policy_name = scheme
+    policy_name, config = resolve_scheme(scheme, config or harness_config())
     workload = make_workload(abbr, scale, seed=seed)
     return GpuSimulator(
         workload.kernels(),

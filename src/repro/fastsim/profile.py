@@ -12,10 +12,10 @@ Answers two questions about one (app, scheme) cell:
    residue — tag scans, MSHR bookkeeping, dispatch — reports as
    ``other``.
 2. *What does the packed engine buy?*  The same stream runs through
-   :class:`~repro.batchsim.engine.FastReplayEngine` end to end; the
-   profile reports both engines' per-access cost and the speedup, and
-   raises if the results are not bit-identical (profiling a divergent
-   engine would time a different computation).
+   ``ReplayEngine(..., engine="fast")`` end to end; the profile reports
+   both engines' per-access cost and the speedup, and raises if the
+   results are not bit-identical (profiling a divergent engine would
+   time a different computation).
 
 Timer overhead inflates the reference's hook phases slightly, so the
 phase split is a map of *where the model's time goes*, not a promise of
@@ -150,7 +150,6 @@ def profile_cell(
     Raises ``RuntimeError`` if the engines disagree — a phase profile of
     a divergent engine would be timing the wrong computation.
     """
-    from repro.batchsim.engine import FastReplayEngine
     from repro.trace.record import capture_records
     from repro.trace.replay import ReplayEngine, _resolve
     from repro.workloads import make_workload
@@ -168,7 +167,7 @@ def profile_cell(
     reference_seconds = wallclock.perf() - t0
 
     t0 = wallclock.perf()
-    fast = FastReplayEngine(config, factory).run(iter(records))
+    fast = ReplayEngine(config, factory, "fast").run(iter(records))
     fast_seconds = wallclock.perf() - t0
 
     if reference.to_dict() != fast.to_dict():

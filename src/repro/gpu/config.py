@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from typing import Tuple
 
 from repro.cache.tagarray import CacheGeometry
 
@@ -162,6 +163,18 @@ class GPUConfig:
             ("DRAM Chip Model", self.dram_chip),
             ("Memory Bandwidth", f"{self.mem_bandwidth_gbps} GB/s"),
         ]
+
+
+def resolve_scheme(scheme: str, config: GPUConfig) -> Tuple[str, GPUConfig]:
+    """The policy and machine one scheme runs on.
+
+    ``32kb`` and ``64kb`` are the baseline policy on a larger L1D (the
+    capacity bars of Figs. 10 and 13); every other scheme names its
+    policy and keeps ``config``.
+    """
+    if scheme in ("32kb", "64kb"):
+        return "baseline", config.with_l1d_size_kb(int(scheme[:-2]))
+    return scheme, config
 
 
 #: The exact Table 1 machine.

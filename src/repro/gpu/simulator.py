@@ -343,28 +343,7 @@ class GpuSimulator:
     # ------------------------------------------------------------------
 
     def _collect(self, truncated: bool) -> SimResult:
-        total = L1DStats()
-        per_sm = []
-        ldst_stalls = 0
-        for sm in self.sms:
-            s = sm.l1d.stats
-            per_sm.append(s.as_dict())
-            total.loads += s.loads
-            total.stores += s.stores
-            total.hits += s.hits
-            total.hit_reserved += s.hit_reserved
-            total.misses += s.misses
-            total.bypasses += s.bypasses
-            total.write_hits += s.write_hits
-            total.write_misses += s.write_misses
-            total.evictions += s.evictions
-            total.write_evicts += s.write_evicts
-            total.fills += s.fills
-            total.sent_fetches += s.sent_fetches
-            total.sent_writes += s.sent_writes
-            for reason, count in s.stalls.items():
-                total.stalls[reason] = total.stalls.get(reason, 0) + count
-            ldst_stalls += sm.ldst.stats.stall_cycles
+        stats = [sm.l1d.stats for sm in self.sms]
 
         l2_total: Dict[str, float] = {}
         dram_total: Dict[str, float] = {}
@@ -386,12 +365,13 @@ class GpuSimulator:
             cycles=self.now,
             thread_insns=sum(sm.thread_insns for sm in self.sms),
             warp_insns=sum(sm.warp_insns for sm in self.sms),
-            l1d=total,
+            l1d=L1DStats.total(stats),
             interconnect=self.interconnect.stats.as_dict(),
             l2=l2_total,
             dram=dram_total,
             policy=policy_total,
-            per_sm_l1d=per_sm,
-            ldst_stall_cycles=ldst_stalls,
+            per_sm_l1d=[s.as_dict() for s in stats],
+            ldst_stall_cycles=sum(
+                sm.ldst.stats.stall_cycles for sm in self.sms),
             truncated=truncated,
         )

@@ -28,9 +28,8 @@ from repro.predict.calibrate import Calibration, default_calibration
 from repro.predict.model import Prediction, predict
 from repro.predict.profile import (
     PredictProfile,
-    profile_records,
     profile_trace,
-    workload_insns,
+    profile_workload,
 )
 
 _UNSET = object()
@@ -107,17 +106,7 @@ class PredictSweepExecutor:
 
             profile = profile_trace(TraceReader(trace_path), config)
         else:
-            from repro.trace.record import capture_records
-            from repro.workloads import make_workload
-
-            workload = make_workload(abbr, scale, seed=seed)
-            profile = profile_records(
-                capture_records(workload, config), config)
-            profile.insns = workload_insns(workload)
-            profile.meta.update({
-                "source": "registry", "abbr": abbr,
-                "scale": scale, "seed": seed,
-            })
+            profile = profile_workload(abbr, config, scale, seed)
         self.stats.profiled += 1
         self._profiles[key] = profile
         return profile

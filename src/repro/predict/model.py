@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 from repro.analysis.reuse import RD_LABELS, bucket_of
 from repro.core.pdpt import PD_BITS
 from repro.core.protection import pd_increment, run_global_pd_update
-from repro.gpu.config import GPUConfig
+from repro.gpu.config import GPUConfig, resolve_scheme
 from repro.predict.profile import (
     RD_CAP, SD_CAP, TAIL, EpochCounts, PredictProfile,
 )
@@ -199,12 +199,6 @@ class _EpochTable:
 # ----------------------------------------------------------------------
 # scheme estimators
 # ----------------------------------------------------------------------
-
-
-def _resolve_geometry(scheme: str, config: GPUConfig) -> Tuple[int, GPUConfig]:
-    if scheme in ("32kb", "64kb"):
-        config = config.with_l1d_size_kb(int(scheme[:-2]))
-    return config.l1d.assoc, config
 
 
 def _check_profile(profile: PredictProfile, config: GPUConfig) -> None:
@@ -435,7 +429,8 @@ def predict(profile: PredictProfile, scheme: str,
             f"{', '.join(PREDICTABLE_SCHEMES)}"
         )
     config = config or GPUConfig().scaled(profile.num_sms or 1)
-    assoc, config = _resolve_geometry(scheme, config)
+    _, config = resolve_scheme(scheme, config)
+    assoc = config.l1d.assoc
     _check_profile(profile, config)
 
     if scheme in ("global_protection", "dlp"):

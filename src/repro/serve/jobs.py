@@ -12,9 +12,9 @@ Worker entry points:
 
 * timing units reuse :func:`repro.experiments.executor.simulate_cell`
   directly (same function the sweep executor ships to its pool);
-* replay units run :func:`replay_unit`, which captures the workload's
-  access stream (record-once through an optional shared trace
-  directory, atomically published) and drives the replay engine;
+* replay units run :func:`replay_unit`, which resolves the cell
+  through the replay sweep executor (record-once through an optional
+  shared trace directory);
 * tier-0 analytical answers come from :func:`predict_unit`, which keeps
   one profile-caching :class:`~repro.predict.executor.
   PredictSweepExecutor` alive per worker process, so repeat predictions
@@ -23,9 +23,7 @@ Worker entry points:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.gpu.config import GPUConfig
@@ -99,58 +97,29 @@ def replay_unit(spec: Dict[str, Any],
                 trace_dir: Optional[str] = None) -> Dict[str, Any]:
     """Replay one ``(app, scheme)`` cell; returns the serialized result.
 
-    With a ``trace_dir``, the workload's stream is recorded at most
-    once per stream key and shared with every other scheme (and with
-    the ``repro trace``/``repro sweep --replay`` verbs).  The recording
-    is staged in a tmp file and ``os.replace``d into place, so two
-    workers racing to capture the same stream at worst record it twice
-    — a reader never observes a torn trace.
+    The cell resolves through a
+    :class:`~repro.trace.sweep.ReplaySweepExecutor`.  With a
+    ``trace_dir``, the workload's stream is recorded at most once per
+    stream key and shared with every other scheme (and with the
+    ``repro trace``/``repro sweep --replay`` verbs); the trace writer
+    publishes each recording atomically, so two workers racing to
+    capture the same stream at worst record it twice — a reader never
+    observes a torn trace.  Trace keys ignore ``non_blocking``, so one
+    recording serves both MSHR modes.
     """
-    from repro.experiments.store import trace_key
-    from repro.trace.format import TraceReader
-    from repro.trace.record import capture_records, record_workload
-    from repro.trace.replay import replay_records, replay_trace
-    from repro.workloads import make_workload
+    from repro.trace.sweep import ReplaySweepExecutor
 
-    abbr = spec["abbr"]
-    scheme = spec["scheme"]
-    scale = spec["scale"]
-    seed = spec["seed"]
-    kwargs = dict(spec["policy_kwargs"])
-    engine = spec.get("engine", "reference")
     config = GPUConfig().scaled(spec["num_sms"])
-    # Traces are mode-independent (the coalesced access stream), so the
-    # recording side always uses the blocking config and its trace key;
-    # non_blocking only changes how the *replay* services the stream.
-    replay_config = (
-        config.with_l1d(non_blocking=True)
-        if spec.get("non_blocking") else config
+    if spec.get("non_blocking"):
+        config = config.with_l1d(non_blocking=True)
+    executor = ReplaySweepExecutor(
+        trace_dir=trace_dir or None, config=config,
+        engine=spec.get("engine", "reference"),
     )
-
-    if trace_dir:
-        root = Path(trace_dir)
-        root.mkdir(parents=True, exist_ok=True)
-        key = trace_key(abbr, config, scale=scale, seed=seed)
-        path = root / f"{key}.rptr"
-        if not path.exists():
-            tmp = root / f"{key}.tmp.{os.getpid()}"
-            try:
-                record_workload(make_workload(abbr, scale, seed=seed),
-                                config, tmp)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    tmp.unlink()
-                except OSError:
-                    pass
-                raise
-        result = replay_trace(TraceReader(path), scheme, replay_config,
-                              engine=engine, **kwargs)
-    else:
-        records = capture_records(make_workload(abbr, scale, seed=seed),
-                                  config)
-        result = replay_records(iter(records), replay_config, scheme,
-                                engine=engine, **kwargs)
+    result = executor.run_cell(
+        spec["abbr"], spec["scheme"], scale=spec["scale"], seed=spec["seed"],
+        **dict(spec["policy_kwargs"]),
+    )
     return result.to_dict()
 
 

@@ -205,16 +205,20 @@ class TraceWriter:
         ).encode("utf-8")
         self.path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self.path.with_suffix(self.path.suffix + f".tmp.{os.getpid()}")
-        with open(tmp, "wb") as f:
-            f.write(MAGIC)
-            f.write(_U16.pack(FORMAT_VERSION))
-            f.write(_U32.pack(len(header)))
-            f.write(header)
-            for buf in self._bufs:
-                blob = gzip.compress(bytes(buf), compresslevel=6, mtime=0)
-                f.write(_U64.pack(len(blob)))
-                f.write(blob)
-        os.replace(tmp, self.path)
+        try:
+            with open(tmp, "wb") as f:
+                f.write(MAGIC)
+                f.write(_U16.pack(FORMAT_VERSION))
+                f.write(_U32.pack(len(header)))
+                f.write(header)
+                for buf in self._bufs:
+                    blob = gzip.compress(bytes(buf), compresslevel=6, mtime=0)
+                    f.write(_U64.pack(len(blob)))
+                    f.write(blob)
+            os.replace(tmp, self.path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         self._closed = True
         return self.path
 

@@ -1,13 +1,18 @@
 """Policy replay engine: drive an L1D policy from a recorded trace.
 
-The engine instantiates the real per-SM :class:`~repro.cache.l1d.L1DCache`
-and the real policy objects — the exact protocol path of the paper's
-Figure 1/8 flow, including PL decay on set queries, VTA insert/probe and
-PDPT sampling — but services every fetch *immediately* instead of
-through the timing machine.  Workload generation, coalescing, warp
-scheduling and the memory system are all skipped: replaying a trace is
-the functional equivalent of :func:`repro.experiments.cachesim`'s
-characterisation path, extended from plain caches to full policies.
+:class:`ReplayEngine` instantiates one L1D and policy per SM — the
+reference :class:`~repro.cache.l1d.L1DCache` with the real policy
+objects, or under ``engine="fast"`` the bit-identical packed
+:class:`~repro.fastsim.engine.FastL1DCache` — and drives the exact
+protocol path of the paper's Figure 1/8 flow, including PL decay on set
+queries, VTA insert/probe and PDPT sampling, but services every fetch
+*immediately* instead of through the timing machine.  Workload
+generation, coalescing, warp scheduling and the memory system are all
+skipped: replaying a trace is the functional equivalent of
+:func:`repro.experiments.cachesim`'s characterisation path, extended
+from plain caches to full policies.  A fresh blocking fast engine runs
+the generated kernels of :mod:`repro.batchsim` instead of the
+per-record loop.
 
 Replay semantics (and when they are valid — see EXPERIMENTS.md):
 
@@ -31,14 +36,14 @@ from __future__ import annotations
 
 from collections import deque
 from typing import (
-    Callable, Deque, Dict, Iterable, List, Optional, Tuple, Union,
+    Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple, Union,
 )
 
-from repro.cache.l1d import L1DCache, L1DStats, MemAccess
+from repro.cache.l1d import L1DStats, MemAccess
 from repro.core import make_policy
 from repro.core.policy import CachePolicy
-from repro.fastsim import validate_engine
-from repro.gpu.config import GPUConfig
+from repro.fastsim import PolicySpec, make_l1d, validate_engine
+from repro.gpu.config import GPUConfig, resolve_scheme
 from repro.gpu.simulator import SimResult
 from repro.trace.format import TraceFormatError, TraceReader, TraceRecord
 from repro.utils.hashing import hash_pc
@@ -63,52 +68,59 @@ class ReplayStallError(RuntimeError):
 
 
 class ReplayEngine:
-    """Per-SM caches + policies consuming a record stream."""
+    """Per-SM caches + policies consuming a record stream.
+
+    ``engine`` selects the L1D implementation each SM's cache is built
+    with (:func:`repro.fastsim.make_l1d`); the engines are bit-identical,
+    so the choice never changes a result.
+    """
 
     def __init__(
         self,
         config: GPUConfig,
         policy_factory,
+        engine: str = "reference",
     ) -> None:
         self.config = config
+        self.engine = validate_engine(engine)
         self._insn_ids: Dict[int, int] = {}
-        self.sent_fetches = 0
-        self.sent_writes = 0
-        self.caches: List[L1DCache] = []
         l1 = config.l1d
         self.non_blocking = l1.non_blocking
-        for sm_id in range(config.num_sms):
-            cache = L1DCache(
+        if self.engine == "fast":
+            # Packed caches read only the policy's knobs, so every SM
+            # shares one spec instead of building a policy object each.
+            spec = PolicySpec.from_policy(policy_factory())
+            policies = [spec] * config.num_sms
+        else:
+            policies = [policy_factory() for _ in range(config.num_sms)]
+        # L1DCache or FastL1DCache: both expose access/fill/miss_queue/
+        # stats/policy, which is all the per-record loop touches.
+        self.caches: List[Any] = [
+            make_l1d(
+                self.engine,
                 l1.geometry(),
-                policy_factory(),
-                send_fn=self._count_send,
+                policy,
                 mshr_entries=l1.mshr_entries,
                 mshr_merge=l1.mshr_merge,
                 miss_queue_depth=l1.miss_queue_depth,
                 sm_id=sm_id,
                 non_blocking=l1.non_blocking,
             )
-            self.caches.append(cache)
+            for sm_id, policy in enumerate(policies)
+        ]
         self.replayed_records = 0
         #: Records replayed per SM stream; :func:`replay_trace` checks
         #: this against the trace header's ``records_per_sm``.
         self.replayed_per_sm: List[int] = [0] * config.num_sms
-        # Non-blocking replay state: per-SM FIFO of (issue_seq, block)
-        # fetches awaiting their fill, plus a per-SM access counter that
-        # serves as the replay clock (fills apply NB_FILL_WINDOW accesses
-        # after issue, in issue order — deterministic wakeups).
-        self._nb_outstanding: List[Deque[Tuple[int, int]]] = [
+        # Per-SM FIFO of (issue_seq, block) fetches awaiting their fill,
+        # plus a per-SM access counter that serves as the replay clock.
+        # Only non-blocking replay ever queues a fill here.
+        self._outstanding: List[Deque[Tuple[int, int]]] = [
             deque() for _ in range(config.num_sms)
         ]
-        self._nb_seq: List[int] = [0] * config.num_sms
+        self._seq: List[int] = [0] * config.num_sms
 
     # -- plumbing ------------------------------------------------------
-
-    def _count_send(self, fetch) -> None:
-        if fetch.is_write:
-            self.sent_writes += 1
-        else:
-            self.sent_fetches += 1
 
     def _insn_id(self, pc: int) -> int:
         cached = self._insn_ids.get(pc)
@@ -119,9 +131,19 @@ class ReplayEngine:
     # -- replay --------------------------------------------------------
 
     def access(self, record: TraceRecord) -> None:
-        """Push one record through its SM's cache, servicing fetches
-        immediately (blocking mode) or after :data:`NB_FILL_WINDOW`
-        accesses (non-blocking mode) and retrying stalls in place."""
+        """Push one record through its SM's cache, retrying stalls in
+        place.
+
+        Blocking mode fills each fetch as it leaves the miss queue, so
+        no RESERVED line survives to the next access and the FIFO of
+        outstanding fills stays empty.  Non-blocking mode queues the
+        fetch instead and applies its fill :data:`NB_FILL_WINDOW`
+        accesses after issue, strictly in issue order (deterministic
+        wakeups), so RESERVED lines survive, secondary misses merge and
+        MSHR/miss-queue pressure builds; a stalled access drains the
+        oldest outstanding fill early, modelling the pipeline waiting
+        for the response that frees its resource.
+        """
         sm_id = record[0]
         if not 0 <= sm_id < len(self.caches):
             raise ValueError(
@@ -136,49 +158,8 @@ class ReplayEngine:
             warp_id=record[4] if len(record) > 4 else 0,
             sm_id=sm_id,
         )
-        if self.non_blocking:
-            self._access_non_blocking(cache, acc, sm_id)
-        else:
-            self._access_blocking(cache, acc, sm_id)
-        self.replayed_records += 1
-        self.replayed_per_sm[sm_id] += 1
-
-    def _access_blocking(self, cache: L1DCache, acc: MemAccess, sm_id: int) -> None:
-        result = cache.access(acc)
-        retries = 0
-        while result.is_stall:
-            retries += 1
-            if retries > MAX_STALL_RETRIES:
-                raise ReplayStallError(
-                    f"SM{sm_id} access to block {acc.block_addr:#x} stalled "
-                    f"{retries} times ({result.stall_reason}) without "
-                    f"converging"
-                )
-            result = cache.access(acc)
-        # Immediate service: drain queued fetches/write-throughs and fill
-        # reserved lines, so no RESERVED state survives to the next access.
-        while not cache.miss_queue.is_empty:
-            fetch = cache.miss_queue.pop()
-            if fetch.is_write:
-                cache.stats.sent_writes += 1
-                self.sent_writes += 1
-            else:
-                cache.stats.sent_fetches += 1
-                self.sent_fetches += 1
-                cache.fill(fetch.block_addr, 0)
-
-    def _access_non_blocking(
-        self, cache: L1DCache, acc: MemAccess, sm_id: int
-    ) -> None:
-        """Windowed service: fetches stay outstanding for
-        :data:`NB_FILL_WINDOW` accesses, so RESERVED lines survive,
-        secondary misses merge and MSHR/miss-queue pressure builds.
-        Fills apply strictly in issue order (FIFO), keeping wakeups
-        deterministic; a stalled access drains the oldest outstanding
-        fill early, modelling the pipeline waiting for the response
-        that frees its resource."""
-        outstanding = self._nb_outstanding[sm_id]
-        seq = self._nb_seq[sm_id]
+        outstanding = self._outstanding[sm_id]
+        seq = self._seq[sm_id]
         while outstanding and outstanding[0][0] + NB_FILL_WINDOW <= seq:
             cache.fill(outstanding.popleft()[1], 0)
         result = cache.access(acc)
@@ -198,50 +179,52 @@ class ReplayEngine:
             fetch = cache.miss_queue.pop()
             if fetch.is_write:
                 cache.stats.sent_writes += 1
-                self.sent_writes += 1
             else:
                 cache.stats.sent_fetches += 1
-                self.sent_fetches += 1
-                outstanding.append((seq, fetch.block_addr))
-        self._nb_seq[sm_id] = seq + 1
+                if self.non_blocking:
+                    outstanding.append((seq, fetch.block_addr))
+                else:
+                    cache.fill(fetch.block_addr, 0)
+        self._seq[sm_id] = seq + 1
+        self.replayed_records += 1
+        self.replayed_per_sm[sm_id] += 1
 
     def flush(self) -> None:
         """Apply every fill still outstanding (end of stream)."""
-        for sm_id, outstanding in enumerate(self._nb_outstanding):
+        for sm_id, outstanding in enumerate(self._outstanding):
             cache = self.caches[sm_id]
             while outstanding:
                 cache.fill(outstanding.popleft()[1], 0)
 
     def run(self, records: Iterable[TraceRecord]) -> SimResult:
-        for record in records:
-            self.access(record)
-        self.flush()
+        """Replay ``records`` and return the (cumulative) result.
+
+        A fresh blocking ``fast`` engine hands the whole stream to the
+        generated kernels of :mod:`repro.batchsim`, which start from an
+        empty cache and need every fill serviced at once.  Every other
+        engine — reference, non-blocking, or already warmed — runs
+        :meth:`access` record by record.
+        """
+        if self.engine == "fast" and not self.non_blocking and not any(
+            c._stamp or c.stats.loads or c.stats.stores for c in self.caches
+        ):
+            # Imported lazily: repro.batchsim.engine imports this module.
+            from repro.batchsim.engine import run_kernels
+
+            run_kernels(self, records)
+        else:
+            for record in records:
+                self.access(record)
+            self.flush()
         return self.result()
 
     # -- collection ----------------------------------------------------
 
     def result(self) -> SimResult:
-        total = L1DStats()
-        per_sm = []
-        for cache in self.caches:
-            s = cache.stats
-            per_sm.append(s.as_dict())
-            total.loads += s.loads
-            total.stores += s.stores
-            total.hits += s.hits
-            total.hit_reserved += s.hit_reserved
-            total.misses += s.misses
-            total.bypasses += s.bypasses
-            total.write_hits += s.write_hits
-            total.write_misses += s.write_misses
-            total.evictions += s.evictions
-            total.write_evicts += s.write_evicts
-            total.fills += s.fills
-            total.sent_fetches += s.sent_fetches
-            total.sent_writes += s.sent_writes
-            for reason, count in s.stalls.items():
-                total.stalls[reason] = total.stalls.get(reason, 0) + count
-
+        # Every send bumps its own cache's counters (bypasses at issue,
+        # queued requests at the drain above or in the kernels), so the
+        # per-cache sums are the replay's interconnect traffic.
+        total = L1DStats.total(cache.stats for cache in self.caches)
         policy_total: Dict[str, float] = {}
         for cache in self.caches:
             for key, value in cache.policy.stats().items():
@@ -253,14 +236,14 @@ class ReplayEngine:
             warp_insns=0,
             l1d=total,
             interconnect={
-                "total_requests": self.sent_fetches + self.sent_writes,
-                "read_requests": self.sent_fetches,
-                "write_requests": self.sent_writes,
+                "total_requests": total.sent_fetches + total.sent_writes,
+                "read_requests": total.sent_fetches,
+                "write_requests": total.sent_writes,
             },
             l2={},
             dram={},
             policy=policy_total,
-            per_sm_l1d=per_sm,
+            per_sm_l1d=[cache.stats.as_dict() for cache in self.caches],
             ldst_stall_cycles=0,
             truncated=False,
         )
@@ -272,25 +255,35 @@ class ReplayEngine:
 
 def _resolve(scheme: Union[str, CachePolicy, None], config: GPUConfig,
              **policy_kwargs) -> Tuple[GPUConfig, Callable[[], CachePolicy]]:
-    """Map a scheme name to (possibly resized config, policy factory),
-    mirroring :func:`repro.experiments.runner.build_simulator`."""
+    """Map a scheme name to (possibly resized config, policy factory)."""
     if callable(scheme) and not isinstance(scheme, str):
         return config, scheme
-    name = scheme or "baseline"
-    if name in ("32kb", "64kb"):
-        config = config.with_l1d_size_kb(int(name[:-2]))
-        name = "baseline"
+    name, config = resolve_scheme(scheme or "baseline", config)
     return config, (lambda: make_policy(name, **policy_kwargs))
 
 
-def _make_engine(engine: str, config: GPUConfig, factory) -> "ReplayEngine":
-    """Build the selected replay engine (both share run()/result())."""
-    if validate_engine(engine) == "fast":
-        # Imported lazily: repro.batchsim.engine imports this module.
-        from repro.batchsim.engine import FastReplayEngine
+def check_trace(reader: TraceReader,
+                config: Optional[GPUConfig] = None) -> GPUConfig:
+    """The machine to replay ``reader`` on.
 
-        return FastReplayEngine(config, factory)  # type: ignore[return-value]
-    return ReplayEngine(config, factory)
+    ``config`` defaults to the machine shape stored in the trace header
+    (``num_sms`` SMs of the Table 1 core); when given, it must provide
+    every recorded SM stream and match the trace's line size — block
+    addresses are line-granular.
+    """
+    if config is None:
+        return GPUConfig().scaled(reader.num_sms)
+    if config.num_sms < reader.num_sms:
+        raise ValueError(
+            f"trace has {reader.num_sms} SM streams but config provides "
+            f"only {config.num_sms} SMs"
+        )
+    if config.l1d.line_size != reader.line_size:
+        raise ValueError(
+            f"line-size mismatch: trace recorded at {reader.line_size} B, "
+            f"config uses {config.l1d.line_size} B"
+        )
+    return config
 
 
 def replay_records(
@@ -302,7 +295,7 @@ def replay_records(
 ) -> SimResult:
     """Replay an in-memory record stream through one scheme."""
     config, factory = _resolve(scheme, config, **policy_kwargs)
-    return _make_engine(engine, config, factory).run(records)
+    return ReplayEngine(config, factory, engine).run(records)
 
 
 def replay_trace(
@@ -312,27 +305,12 @@ def replay_trace(
     engine: str = "reference",
     **policy_kwargs,
 ) -> SimResult:
-    """Replay a recorded trace file through one scheme.
-
-    ``config`` defaults to the machine shape stored in the trace header
-    (``num_sms`` SMs of the Table 1 core); when given, its line size
-    must match the trace's — block addresses are line-granular.
-    """
+    """Replay a recorded trace file through one scheme, on the machine
+    :func:`check_trace` resolves for it."""
     reader = trace if isinstance(trace, TraceReader) else TraceReader(trace)
-    if config is None:
-        config = GPUConfig().scaled(reader.num_sms)
-    if config.num_sms < reader.num_sms:
-        raise ValueError(
-            f"trace has {reader.num_sms} SM streams but config provides "
-            f"only {config.num_sms} SMs"
-        )
-    if config.l1d.line_size != reader.line_size:
-        raise ValueError(
-            f"line-size mismatch: trace recorded at {reader.line_size} B, "
-            f"config uses {config.l1d.line_size} B"
-        )
-    config, factory = _resolve(scheme, config, **policy_kwargs)
-    replay_engine = _make_engine(engine, config, factory)
+    config, factory = _resolve(scheme, check_trace(reader, config),
+                               **policy_kwargs)
+    replay_engine = ReplayEngine(config, factory, engine)
     result = replay_engine.run(iter(reader))
     replayed = replay_engine.replayed_per_sm[: reader.num_sms]
     if replayed != reader.records_per_sm:

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import (
+    TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 if TYPE_CHECKING:  # pragma: no cover — typing only (lazy at runtime)
     from repro.batchsim.grid import GridAxis
@@ -37,7 +39,7 @@ from repro.gpu.config import GPUConfig
 from repro.gpu.simulator import SimResult
 from repro.trace.format import TraceReader
 from repro.trace.record import record_workload
-from repro.trace.replay import replay_trace
+from repro.trace.replay import replay_records, replay_trace
 from repro.workloads import make_workload
 
 
@@ -46,7 +48,7 @@ class ReplaySweepStats:
     """What the replay sweep actually did (the acceptance counters)."""
 
     recorded: int = 0      # traces captured this run
-    trace_hits: int = 0    # traces found already on disk
+    trace_hits: int = 0    # replayed cells whose stream was already captured
     replayed: int = 0      # cells driven through the replay engine
     store_hits: int = 0    # cells resolved from the result store
 
@@ -110,8 +112,8 @@ class ReplaySweepExecutor:
         any spelling :func:`~repro.fastsim.validate_engine` accepts).
         The engines are bit-identical, so the choice never enters trace
         keys or replay-result store keys — results computed by either
-        resolve the same entries.  Under ``fast``, sweeps and grids
-        replay each app's uncached cells as lanes of one
+        resolve the same entries.  Under ``fast``, each call replays an
+        app's uncached cells as lanes of one
         :func:`~repro.batchsim.engine.replay_batch` pass.
     """
 
@@ -131,31 +133,27 @@ class ReplaySweepExecutor:
         return self.config if self.config is not None \
             else GPUConfig().scaled(num_sms)
 
-    def _get_or_record(self, abbr: str, config: GPUConfig,
-                       scale: float, seed: int):
-        """Return something replayable for this stream, capturing it at
-        most once per key."""
+    def _stream(self, abbr: str, config: GPUConfig, scale: float,
+                seed: int) -> Tuple[Union[TraceReader, List], bool]:
+        """Something replayable for this stream, and whether this call
+        captured it (at most once per key)."""
         key = trace_key(abbr, config, scale=scale, seed=seed)
         if self.traces is not None:
             path = self.traces.path_for(key)
-            if path.exists():
-                self.stats.trace_hits += 1
-            else:
-                workload = make_workload(abbr, scale, seed=seed)
-                record_workload(workload, config, path)
-                self.stats.recorded += 1
-            return TraceReader(path)
+            captured = not path.exists()
+            if captured:
+                record_workload(make_workload(abbr, scale, seed=seed),
+                                config, path)
+            return TraceReader(path), captured
         records = self._memory_traces.get(key)
         if records is not None:
-            self.stats.trace_hits += 1
-        else:
-            from repro.trace.record import capture_records
+            return records, False
+        from repro.trace.record import capture_records
 
-            workload = make_workload(abbr, scale, seed=seed)
-            records = capture_records(workload, config)
-            self._memory_traces[key] = records
-            self.stats.recorded += 1
-        return records
+        records = capture_records(make_workload(abbr, scale, seed=seed),
+                                  config)
+        self._memory_traces[key] = records
+        return records, True
 
     def _cell_meta(self, abbr: str, scheme: str, config: GPUConfig,
                    scale: float, seed: int) -> Dict[str, object]:
@@ -176,74 +174,72 @@ class ReplaySweepExecutor:
         seed: int = 0,
         **policy_kwargs,
     ) -> SimResult:
-        abbr = abbr.upper()
-        config = self._resolved_config(num_sms)
-        key = replay_cell_key(
-            abbr, scheme, config, scale=scale, seed=seed,
-            policy_kwargs=policy_kwargs,
-        )
-        cached = self.store.get(key)
-        if cached is not None:
-            self.stats.store_hits += 1
-            return cached
-        source = self._get_or_record(abbr, config, scale, seed)
-        if isinstance(source, TraceReader):
-            result = replay_trace(source, scheme, config,
-                                  engine=self.engine, **policy_kwargs)
-        else:
-            from repro.trace.replay import replay_records
+        return self._run_cells(abbr, [(scheme, policy_kwargs)],
+                               num_sms, scale, seed)[0]
 
-            result = replay_records(iter(source), config, scheme,
-                                    engine=self.engine, **policy_kwargs)
-        self.stats.replayed += 1
-        self.store.put(key, result,
-                       meta=self._cell_meta(abbr, scheme, config, scale, seed))
-        return result
-
-    def _run_cells_batched(
+    def _run_cells(
         self,
         abbr: str,
-        cells: Sequence[tuple],
+        cells: Sequence[Tuple[str, Dict[str, Any]]],
         num_sms: int,
         scale: float,
         seed: int,
     ) -> List[SimResult]:
-        """Resolve many (scheme, policy_kwargs) cells of one app through
-        one :func:`~repro.batchsim.engine.replay_batch` pass.
+        """Resolve (scheme, policy_kwargs) cells of one app: the store
+        lookups, one capture-or-load of the app's stream for the misses,
+        the replays, then the store puts.
 
-        Store interaction is cell-for-cell identical to
-        :meth:`run_cell`: same keys, same meta, same results — a batch
-        sweep's store is byte-identical to the serial executor's, only
-        the accounting (one decode, N lanes) differs.
+        The fast engine replays the misses as lanes of one
+        :func:`~repro.batchsim.engine.replay_batch` pass (one decode,
+        shared set partitions); the reference engine replays them one
+        by one.  Keys, meta and results are the same on both engines.
+        A cell listed twice replays once, and the repeat counts as a
+        store hit.
         """
+        abbr = abbr.upper()
         config = self._resolved_config(num_sms)
-        results: Dict[int, SimResult] = {}
-        missing: List[tuple] = []
-        for idx, (scheme, policy_kwargs) in enumerate(cells):
-            key = replay_cell_key(
-                abbr, scheme, config, scale=scale, seed=seed,
-                policy_kwargs=policy_kwargs,
-            )
-            cached = self.store.get(key)
-            if cached is not None:
+        keys = [
+            replay_cell_key(abbr, scheme, config, scale=scale, seed=seed,
+                            policy_kwargs=policy_kwargs)
+            for scheme, policy_kwargs in cells
+        ]
+        results: Dict[str, SimResult] = {}
+        missing: Dict[str, Tuple[str, Dict[str, Any]]] = {}
+        for key, cell in zip(keys, cells):
+            if key in missing:
                 self.stats.store_hits += 1
-                results[idx] = cached
+                continue
+            cached = self.store.get(key)
+            if cached is None:
+                missing[key] = cell
             else:
-                missing.append((idx, key, scheme, policy_kwargs))
+                self.stats.store_hits += 1
+                results[key] = cached
         if missing:
+            source, captured = self._stream(abbr, config, scale, seed)
+            self.stats.recorded += captured
+            self.stats.trace_hits += len(missing) - captured
+            replayed = self._replay(source, list(missing.values()), config)
+            self.stats.replayed += len(missing)
+            for (key, (scheme, _)), result in zip(missing.items(), replayed):
+                self.store.put(key, result,
+                               meta=self._cell_meta(abbr, scheme, config,
+                                                    scale, seed))
+                results[key] = result
+        return [results[key] for key in keys]
+
+    def _replay(self, source: Union[TraceReader, List],
+                lanes: List[Tuple[str, Dict[str, Any]]],
+                config: GPUConfig) -> List[SimResult]:
+        if self.engine == "fast":
             from repro.batchsim.engine import replay_batch
 
-            source = self._get_or_record(abbr, config, scale, seed)
-            lanes = [(scheme, kwargs) for _, _, scheme, kwargs in missing]
-            replayed = replay_batch(source, lanes, config)
-            self.stats.replayed += len(lanes)
-            for (idx, key, scheme, _), result in zip(missing, replayed):
-                self.store.put(
-                    key, result,
-                    meta=self._cell_meta(abbr, scheme, config, scale, seed),
-                )
-                results[idx] = result
-        return [results[idx] for idx in range(len(cells))]
+            return replay_batch(source, lanes, config)
+        if isinstance(source, TraceReader):
+            return [replay_trace(source, scheme, config, **policy_kwargs)
+                    for scheme, policy_kwargs in lanes]
+        return [replay_records(iter(source), config, scheme, **policy_kwargs)
+                for scheme, policy_kwargs in lanes]
 
     def run_sweep(
         self,
@@ -257,29 +253,12 @@ class ReplaySweepExecutor:
         """The full app x scheme matrix as ``{app: {scheme: result}}``.
 
         Iteration is app-major so each app's trace is captured exactly
-        once and immediately reused by every scheme.  Under the fast
-        engine each app's uncached schemes replay as lanes of a single
-        batch pass (one decode, shared set partitions)."""
-        if self.engine != "reference":
-            return {
-                app.upper(): dict(zip(
-                    schemes,
-                    self._run_cells_batched(
-                        app.upper(),
-                        [(scheme, dict(policy_kwargs)) for scheme in schemes],
-                        num_sms, scale, seed,
-                    ),
-                ))
-                for app in apps
-            }
+        once and immediately reused by every scheme."""
         return {
-            app.upper(): {
-                scheme: self.run_cell(
-                    app, scheme, num_sms=num_sms, scale=scale, seed=seed,
-                    **policy_kwargs,
-                )
-                for scheme in schemes
-            }
+            app.upper(): dict(zip(schemes, self._run_cells(
+                app, [(scheme, dict(policy_kwargs)) for scheme in schemes],
+                num_sms, scale, seed,
+            )))
             for app in apps
         }
 
@@ -298,24 +277,13 @@ class ReplaySweepExecutor:
 
         Every grid point stores under its own replay cell key (the
         policy kwargs enter the key), so grids warm-cache incrementally
-        and across engines.  Under the fast engine all uncached points
-        replay as lanes of one batch pass; the reference engine runs
-        one :meth:`run_cell` per point.
+        and across engines.
         """
         from repro.batchsim.grid import cell_label, expand_grid
 
-        abbr = app.upper()
         combos = expand_grid(list(axes))
         cells = [(scheme, {**base_kwargs, **combo}) for combo in combos]
-        if self.engine != "reference":
-            replayed = self._run_cells_batched(
-                abbr, cells, num_sms, scale, seed)
-        else:
-            replayed = [
-                self.run_cell(abbr, scheme, num_sms=num_sms, scale=scale,
-                              seed=seed, **kwargs)
-                for scheme, kwargs in cells
-            ]
+        replayed = self._run_cells(app, cells, num_sms, scale, seed)
         return {
             cell_label(combo): result
             for combo, result in zip(combos, replayed)

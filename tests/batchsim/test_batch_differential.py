@@ -159,7 +159,6 @@ def test_warmed_reruns_match_reference(name):
     """Kernels run only on a fresh engine; each later run() continues
     per record from the state they left, VTA included.  Three
     consecutive runs on one engine must each equal the reference's."""
-    from repro.batchsim.engine import FastReplayEngine
     from repro.trace.replay import ReplayEngine, _resolve
 
     config = GPUConfig().scaled(2)
@@ -167,7 +166,7 @@ def test_warmed_reruns_match_reference(name):
     for scheme, kwargs in ABLATIONS:
         lane_config, factory = _resolve(scheme, config, **kwargs)
         reference = ReplayEngine(lane_config, factory)
-        fast = FastReplayEngine(lane_config, factory)
+        fast = ReplayEngine(lane_config, factory, "fast")
         for run in range(3):
             assert_results_identical(
                 reference.run(iter(records)), fast.run(iter(records)),
@@ -296,6 +295,22 @@ def test_more_sms_than_trace(captured, tmp_path):
     batched = replay_batch(reader, [("dlp", {})], wide)
     solo = replay_trace(TraceReader(path), "dlp", wide, engine="reference")
     assert_results_identical(solo, batched[0], label="padded-sms")
+
+
+def test_default_config_is_the_trace_machine(captured, tmp_path):
+    """Without a config a reader replays on the trace header's machine,
+    exactly as a solo replay_trace does: per_sm_l1d has one entry per
+    recorded SM, not one per SM of the full Table 1 core."""
+    config, _ = captured
+    path = tmp_path / "mm-default.rptr"
+    record_workload(make_workload("MM", 0.4), config, path)
+    from repro.trace.format import TraceReader
+
+    reader = TraceReader(path)
+    batched = replay_batch(reader, [("dlp", {})])[0]
+    solo = replay_trace(reader, "dlp", engine="fast")
+    assert len(batched.per_sm_l1d) == config.num_sms
+    assert batched.to_dict() == solo.to_dict()
 
 
 def test_sm_count_guard(captured, tmp_path):

@@ -64,15 +64,12 @@ def test_fast_replay_engine_counts_match(captured):
     config, records = captured
     scheme_config, factory = _resolve("dlp", config)
     reference = ReplayEngine(scheme_config, factory)
-    reference.run(iter(records))
-    from repro.batchsim.engine import FastReplayEngine as Fast
-
-    fast = Fast(scheme_config, factory)
-    fast.run(iter(records))
+    reference_result = reference.run(iter(records))
+    fast = ReplayEngine(scheme_config, factory, "fast")
+    fast_result = fast.run(iter(records))
     assert fast.replayed_per_sm == reference.replayed_per_sm
     assert fast.replayed_records == reference.replayed_records
-    assert fast.sent_fetches == reference.sent_fetches
-    assert fast.sent_writes == reference.sent_writes
+    assert fast_result.interconnect == reference_result.interconnect
 
 
 def test_replay_rejects_unknown_engine(captured):

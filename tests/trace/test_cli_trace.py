@@ -108,6 +108,8 @@ class TestImport:
 
 
 class TestReplaySweep:
+    #: The subclass below reruns each test under ``--engine fast`` and
+    #: expects the same counter line.
     ARGS = ["sweep", "--apps", "MM", "--replay",
             "--sms", "1", "--scale", "0.1"]
 
@@ -116,6 +118,7 @@ class TestReplaySweep:
                                  "--store", str(tmp_path / "st")]) == 0
         c = trace_counters(capsys.readouterr().out)
         assert c["recorded"] == 1
+        assert c["trace_hits"] == 3
         assert c["replayed"] == 4
         assert c["store_hits"] == 0
 
@@ -140,3 +143,7 @@ class TestReplaySweep:
         assert c["recorded"] == 0
         assert c["trace_hits"] == 4
         assert c["replayed"] == 4
+
+
+class TestReplaySweepFast(TestReplaySweep):
+    ARGS = TestReplaySweep.ARGS + ["--engine", "fast"]

@@ -22,6 +22,10 @@ SCALE = 0.1
 
 
 class TestColdEconomics:
+    #: The L1D engine every executor here replays with; the subclass
+    #: below reruns each test on the fast engine with the same counts.
+    engine = "reference"
+
     @pytest.mark.parametrize("trace_mode", ["disk", "memory"])
     def test_four_policy_sweep_is_one_capture_four_replays(
         self, tmp_path, trace_mode
@@ -29,6 +33,7 @@ class TestColdEconomics:
         RECORDER_STATS.reset()
         executor = ReplaySweepExecutor(
             trace_dir=tmp_path / "traces" if trace_mode == "disk" else None,
+            engine=self.engine,
         )
         executor.run_sweep(["MM"], SCHEMES, num_sms=1, scale=SCALE)
 
@@ -39,30 +44,55 @@ class TestColdEconomics:
         assert RECORDER_STATS.captures == 1   # the stream ran exactly once
 
     def test_capacity_scheme_shares_the_app_trace(self, tmp_path):
-        executor = ReplaySweepExecutor(trace_dir=tmp_path / "traces")
+        executor = ReplaySweepExecutor(trace_dir=tmp_path / "traces",
+                                       engine=self.engine)
         executor.run_sweep(["MM"], list(SCHEMES) + ["32kb"],
                            num_sms=1, scale=SCALE)
         assert executor.stats.recorded == 1
         assert executor.stats.replayed == 5
+        assert executor.stats.trace_hits == 4
 
     def test_traces_are_per_app(self, tmp_path):
-        executor = ReplaySweepExecutor(trace_dir=tmp_path / "traces")
+        executor = ReplaySweepExecutor(trace_dir=tmp_path / "traces",
+                                       engine=self.engine)
         executor.run_sweep(["MM", "HS"], SCHEMES, num_sms=1, scale=SCALE)
         assert executor.stats.recorded == 2
         assert executor.stats.replayed == 8
+        assert executor.stats.trace_hits == 6
         assert len(executor.traces.ls()) == 2
+
+    def test_duplicate_cell_replays_once(self, tmp_path):
+        executor = ReplaySweepExecutor(trace_dir=tmp_path / "traces",
+                                       engine=self.engine)
+        executor.run_sweep(["MM"], ("dlp", "dlp"), num_sms=1, scale=SCALE)
+        assert executor.stats.replayed == 1
+        assert executor.stats.store_hits == 1
+
+        executor = ReplaySweepExecutor(engine=self.engine)
+        first, second = executor._run_cells(
+            "MM", [("dlp", {}), ("dlp", {})], 1, SCALE, 0)
+        assert executor.stats.replayed == 1
+        assert executor.stats.store_hits == 1
+        assert_results_identical(first, second, label="MM/dlp twice")
+
+
+class TestColdEconomicsFast(TestColdEconomics):
+    engine = "fast"
 
 
 class TestWarmEconomics:
+    #: As in TestColdEconomics.
+    engine = "reference"
+
     def test_warm_rerun_is_all_store_hits(self, tmp_path):
         store_dir, trace_dir = tmp_path / "store", tmp_path / "traces"
         cold = ReplaySweepExecutor(store=ResultStore(store_dir),
-                                   trace_dir=trace_dir)
+                                   trace_dir=trace_dir, engine=self.engine)
         cold_results = cold.run_sweep(["MM"], SCHEMES, num_sms=1, scale=SCALE)
         assert cold.stats.recorded == 1 and cold.stats.replayed == 4
 
         warm = ReplaySweepExecutor(store=ResultStore(store_dir),
-                                   trace_dir=trace_dir)
+                                   trace_dir=trace_dir, engine=self.engine)
         warm_results = warm.run_sweep(["MM"], SCHEMES, num_sms=1, scale=SCALE)
         assert warm.stats.store_hits == 4
         assert warm.stats.recorded == 0
@@ -76,16 +106,20 @@ class TestWarmEconomics:
 
     def test_shared_trace_dir_skips_recording(self, tmp_path):
         trace_dir = tmp_path / "traces"
-        first = ReplaySweepExecutor(trace_dir=trace_dir)
+        first = ReplaySweepExecutor(trace_dir=trace_dir, engine=self.engine)
         first.run_sweep(["MM"], SCHEMES, num_sms=1, scale=SCALE)
 
         # Fresh executor, fresh (empty) result store, same trace dir:
         # replays re-run but the capture does not.
-        second = ReplaySweepExecutor(trace_dir=trace_dir)
+        second = ReplaySweepExecutor(trace_dir=trace_dir, engine=self.engine)
         second.run_sweep(["MM"], SCHEMES, num_sms=1, scale=SCALE)
         assert second.stats.recorded == 0
         assert second.stats.trace_hits == 4
         assert second.stats.replayed == 4
+
+
+class TestWarmEconomicsFast(TestWarmEconomics):
+    engine = "fast"
 
 
 class TestCorrectness:
