@@ -957,7 +957,7 @@ def cmd_submit(args) -> int:
             return 0
         doc = client.metrics()
         rows = [(f"{group}.{k}", str(v))
-                for group in ("jobs", "cells", "predict", "store")
+                for group in ("jobs", "cells", "predict", "http", "store")
                 for k, v in sorted(doc.get(group, {}).items())]
         rows.append(("draining", str(doc.get("draining"))))
         rows.append(("uptime_seconds", str(doc.get("uptime_seconds"))))

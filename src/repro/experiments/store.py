@@ -74,9 +74,15 @@ def cell_fingerprint(
     choice), so it stays in the fingerprint when enabled; when off it is
     dropped so every pre-existing blocking-mode key is preserved.
     """
-    config_dict = dataclasses.asdict(config)
-    if not config_dict["l1d"].get("non_blocking"):
-        config_dict["l1d"].pop("non_blocking", None)
+    # ``dataclasses.asdict`` without its deep copy: every field is a
+    # scalar but ``l1d``, and a nested config added later would fail to
+    # serialize, never hash silently.  Fresh dicts: callers edit them.
+    config_dict = {f.name: getattr(config, f.name)
+                   for f in dataclasses.fields(config)}
+    l1d = config_dict["l1d"] = {f.name: getattr(config.l1d, f.name)
+                                for f in dataclasses.fields(config.l1d)}
+    if not l1d["non_blocking"]:
+        del l1d["non_blocking"]
     return {
         "abbr": abbr.upper(),
         "scheme": scheme,

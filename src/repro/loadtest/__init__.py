@@ -6,7 +6,11 @@ latency percentiles, throughput, coalescing and throttle rates, and
 gates the run on configurable SLOs.
 """
 
-from repro.loadtest.client import AsyncServeClient, LoadClientError
+from repro.loadtest.client import (
+    AsyncServeClient,
+    ConnectionPool,
+    LoadClientError,
+)
 from repro.loadtest.harness import (
     LoadTestConfig,
     LoadTestReport,
@@ -17,6 +21,7 @@ from repro.loadtest.mix import MixConfig, build_population, build_schedule
 
 __all__ = [
     "AsyncServeClient",
+    "ConnectionPool",
     "LoadClientError",
     "LoadTestConfig",
     "LoadTestReport",

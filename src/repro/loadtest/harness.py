@@ -11,9 +11,11 @@ store.
 Each client coroutine walks its slice of the deterministic zipfian
 schedule: submit (with retry/backoff, honouring 429 Retry-After), poll
 to completion with exponential poll backoff, record the end-to-end
-latency.  Client start times ramp linearly over ``ramp_seconds`` and a
-shared semaphore bounds concurrent connections, so "1000 clients" is a
-sustained closed-loop load rather than a single connect storm.
+latency.  Client start times ramp linearly over ``ramp_seconds``, and
+every client draws its keep-alive connections from one shared
+:class:`~repro.loadtest.client.ConnectionPool` bounded by
+``max_connections``, so "1000 clients" is a sustained closed-loop load
+over reused connections rather than a connect storm.
 
 Chaos option: ``kill_worker_after=N`` SIGKILLs one worker process
 after N completed requests (self-hosted runs only) — the SLO gate then
@@ -30,7 +32,7 @@ import signal
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.loadtest.client import AsyncServeClient
+from repro.loadtest.client import AsyncServeClient, ConnectionPool
 from repro.loadtest.mix import MixConfig, build_population, build_schedule
 from repro.serve.cluster import ClusterScheduler
 from repro.serve.jobs import TERMINAL_STATES
@@ -109,6 +111,8 @@ class LoadTestReport:
     worker_restarts: int
     worker_killed: bool
     cells: Dict[str, Any] = field(default_factory=dict)
+    #: The server's HTTP counters (connections accepted, requests).
+    http: Dict[str, Any] = field(default_factory=dict)
     violations: List[str] = field(default_factory=list)
     passed: bool = True
 
@@ -137,6 +141,7 @@ class LoadTestReport:
             "worker_restarts": self.worker_restarts,
             "worker_killed": self.worker_killed,
             "cells": dict(self.cells),
+            "http": dict(self.http),
             "violations": list(self.violations),
             "passed": self.passed,
         }
@@ -247,7 +252,7 @@ async def _drive(config: LoadTestConfig, host: str, port: int,
     total = config.clients * config.requests_per_client
     population = build_population(config.mix)
     schedule = build_schedule(config.mix, total)
-    semaphore = asyncio.Semaphore(max(1, config.max_connections))
+    pool = ConnectionPool(host, port, max(1, config.max_connections))
     latencies: List[float] = []
     failures: List[str] = []
     clients: List[AsyncServeClient] = []
@@ -259,7 +264,7 @@ async def _drive(config: LoadTestConfig, host: str, port: int,
             retries=config.retries, backoff_base=config.backoff_base,
             backoff_cap=config.backoff_cap,
             rng=DeterministicRng("loadtest-backoff", salt=index),
-            semaphore=semaphore,
+            pool=pool,
         )
         clients.append(client)
         if config.ramp_seconds > 0 and config.clients > 1:
@@ -294,19 +299,24 @@ async def _drive(config: LoadTestConfig, host: str, port: int,
                     and state["completed"] >= config.kill_worker_after:
                 state["killed"] = _kill_one_worker(scheduler)
 
-    t_start = wallclock.perf()
-    await asyncio.gather(*(run_client(i) for i in range(config.clients)))
-    wall = max(1e-9, wallclock.perf() - t_start)
-
     scrape = AsyncServeClient(host, port, timeout=30.0, retries=3)
-    _status, snapshot = await scrape.request("GET", "/metrics")
+    try:
+        t_start = wallclock.perf()
+        await asyncio.gather(*(run_client(i) for i in range(config.clients)))
+        wall = max(1e-9, wallclock.perf() - t_start)
+        _status, snapshot = await scrape.request("GET", "/metrics")
+    finally:
+        await pool.close()
+        await scrape.aclose()
     cells: Dict[str, Any] = {}
     workers_doc: Dict[str, Any] = {}
     predict_doc: Dict[str, Any] = {}
+    http_doc: Dict[str, Any] = {}
     if isinstance(snapshot, dict):
         cells = dict(snapshot.get("cells", {}))
         workers_doc = dict(snapshot.get("workers", {}))
         predict_doc = dict(snapshot.get("predict", {}))
+        http_doc = dict(snapshot.get("http", {}))
     requested = max(1, int(cells.get("requested", 0)))
 
     latencies.sort()
@@ -334,6 +344,7 @@ async def _drive(config: LoadTestConfig, host: str, port: int,
         worker_restarts=int(workers_doc.get("restarts_total", 0)),
         worker_killed=bool(state["killed"]),
         cells=cells,
+        http=http_doc,
     )
     report.violations = evaluate_slos(report, config.slo)
     report.passed = not report.violations

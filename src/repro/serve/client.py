@@ -9,8 +9,10 @@ service from scripts::
     done = client.wait(job["id"])
     payload = done["results"][0]["result"]     # SimResult.to_dict shape
 
-Stdlib only (``http.client``); one connection per request, matching the
-server's ``Connection: close`` discipline.
+Stdlib only (``http.client``).  The server keeps connections open
+between requests, but this client opens one per request and sends
+``Connection: close``, so the server closes its side right after the
+response and a blocking caller never holds an idle connection.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ class ServeClient:
                                           timeout=self.timeout)
         try:
             payload = None
-            headers = {}
+            headers = {"Connection": "close"}
             if body is not None:
                 payload = json.dumps(body).encode("utf-8")
                 headers["Content-Type"] = "application/json"

@@ -9,6 +9,8 @@ scheduler as it admits, coalesces, resolves and executes units:
 * tier-0 accounting (analytical answers returned, background exact
   refinements queued, and the superseded-answer latency histogram:
   analytical answer -> exact result stored),
+* HTTP accounting (connections accepted, requests parsed: their ratio
+  is how many requests each kept connection carried),
 * a queue-wait histogram (enqueue -> worker pickup), and
 * per-policy simulation-latency histograms.
 
@@ -95,6 +97,10 @@ class ServeMetrics:
     predict_answers: int = 0        # analytical answers returned
     refinements: int = 0            # background exact refinements queued
 
+    # HTTP front end (repro.serve.server)
+    http_connections: int = 0       # connections accepted
+    http_requests: int = 0          # requests parsed and answered
+
     queue_wait: LatencyHistogram = field(default_factory=LatencyHistogram)
     sim_latency: Dict[str, LatencyHistogram] = field(default_factory=dict)
     #: Analytical answer returned -> exact result stored for that cell
@@ -150,6 +156,10 @@ class ServeMetrics:
                 "refinements_total": self.refinements,
             },
             "workers": workers_doc,
+            "http": {
+                "connections": self.http_connections,
+                "requests": self.http_requests,
+            },
             "store": dict(store_stats or {}),
             "queue_wait_seconds": self.queue_wait.snapshot(),
             "supersede_latency_seconds": self.supersede_latency.snapshot(),
@@ -172,7 +182,7 @@ def render_prometheus(snapshot: Dict[str, Any]) -> str:
     def counter(name: str, value: Any, labels: str = "") -> None:
         lines.append(f"repro_serve_{name}{labels} {value}")
 
-    for group in ("jobs", "cells", "predict", "workers", "store"):
+    for group in ("jobs", "cells", "predict", "workers", "http", "store"):
         for key, value in snapshot.get(group, {}).items():
             counter(f"{group}_{key}", value)
     counter("draining", int(bool(snapshot.get("draining"))))

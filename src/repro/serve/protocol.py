@@ -83,6 +83,10 @@ class UnitSpec:
     #: Non-blocking L1D mode.  Part of the semantics, so (unlike the
     #: engine) it flows into the cell's config and its store key.
     non_blocking: bool = False
+    #: The content address, stored by the first :meth:`key` call: a
+    #: warm request asks for it several times, and the unit is frozen.
+    _key: Optional[str] = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def _config(self) -> Optional[GPUConfig]:
         if not self.non_blocking:
@@ -109,8 +113,10 @@ class UnitSpec:
 
     def key(self) -> str:
         """Content address; the scheduler coalesces on this."""
+        if self._key is not None:
+            return self._key
         if self.mode == MODE_REPLAY:
-            return replay_cell_key(
+            key = replay_cell_key(
                 self.abbr,
                 self.scheme,
                 self.cell().resolved_config(),
@@ -118,7 +124,10 @@ class UnitSpec:
                 seed=self.seed,
                 policy_kwargs=dict(self.policy_kwargs),
             )
-        return self.cell().key()
+        else:
+            key = self.cell().key()
+        object.__setattr__(self, "_key", key)
+        return key
 
     def fingerprint(self) -> Dict[str, Any]:
         """Full content-addressed identity (failed-job payloads)."""

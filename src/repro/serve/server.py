@@ -1,8 +1,15 @@
 """Stdlib-only asyncio HTTP front end for the simulation service.
 
 A deliberately small HTTP/1.1 implementation over ``asyncio.streams``
-(no framework, no threads): one short-lived connection per request,
-JSON in, JSON out, ``Connection: close``.  Routes:
+(no framework, no threads): JSON in, JSON out, bodies framed by
+``Content-Length``.  Connections persist: one connection carries any
+number of requests, and the server closes it only after a response
+marked ``Connection: close`` — the request asked for it or was
+HTTP/1.0, its framing could not be trusted (400) or its body was too
+large (413), the handler raised (500), or the server is draining.
+There is no idle timeout: a process worker forked while a connection
+is open holds a copy of its socket, so closing an idle connection
+might never reach the client as FIN.  Routes:
 
 =======  ======================  =========================================
 method   path                    behaviour
@@ -19,7 +26,9 @@ POST     /jobs/<id>/cancel       cancel (also DELETE /jobs/<id>)
 ``serve_async`` is the long-running entry point behind ``repro serve``:
 it wires a :class:`~repro.serve.scheduler.Scheduler` to the listener,
 installs SIGTERM/SIGINT handlers, and on the first signal stops
-admitting jobs (503), drains active work, then exits cleanly.
+admitting jobs (503), drains active work, stops listening, closes every
+connection waiting for its next request, waits for every connection
+handler, then exits cleanly.
 :class:`ServerThread` runs the same stack on a background thread with
 an ephemeral port — the harness tests and benchmarks drive a real
 server in-process through it.
@@ -32,7 +41,9 @@ import json
 import signal
 import threading
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Optional, Set, Tuple, Union,
+)
 
 from repro.serve.cluster import ClusterScheduler, RetryableError
 from repro.serve.metrics import render_prometheus
@@ -57,77 +68,166 @@ _REASONS = {
 #: extra response headers (e.g. ``Retry-After`` on a 429).
 Response = Tuple[int, str, str, Dict[str, str]]
 
+#: One parsed request: method, target, whether the connection may stay
+#: open after the response, and the body.
+_Request = Tuple[str, str, bool, bytes]
+
+
+class _BadFraming(Exception):
+    """A request whose framing cannot be trusted: answer, then close."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
 
 class ServeApp:
     """Route table + request handler bound to one scheduler."""
 
     def __init__(self, scheduler: Scheduler) -> None:
         self.scheduler = scheduler
+        self._closed = False
+        #: Every live connection handler, and the writers of connections
+        #: waiting for (or still reading) their next request; both are
+        #: what :meth:`close` ends.
+        self._handlers: Set["asyncio.Task[None]"] = set()
+        self._reading: Set[asyncio.StreamWriter] = set()
 
     # -- connection handling -------------------------------------------
 
     async def handle(self, reader: asyncio.StreamReader,
                      writer: asyncio.StreamWriter) -> None:
-        extra_headers: Dict[str, str] = {}
+        """Answer requests on one connection until either side closes."""
+        task = asyncio.current_task()
+        assert task is not None, "asyncio runs every handler as a task"
+        self._handlers.add(task)
+        self.scheduler.metrics.http_connections += 1
         try:
-            status, body, content_type, extra_headers = \
-                await self._respond(reader)
-        except Exception as exc:  # a handler bug must not kill the server
-            status = 500
-            body = json.dumps({"error": f"{type(exc).__name__}: {exc}"})
-            content_type = "application/json"
-        try:
-            payload = body.encode("utf-8")
-            extra = "".join(
-                f"{name}: {value}\r\n"
-                for name, value in extra_headers.items()
-            )
-            writer.write(
-                f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-                f"Content-Type: {content_type}\r\n"
-                f"Content-Length: {len(payload)}\r\n"
-                f"{extra}"
-                f"Connection: close\r\n\r\n".encode("ascii") + payload
-            )
-            await writer.drain()
-        except (ConnectionError, BrokenPipeError):
-            pass
+            while await self._serve_next(reader, writer):
+                pass
+        except ConnectionError:
+            pass                # the peer reset or dropped the connection
         finally:
+            self._handlers.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):
+            except ConnectionError:
                 pass
 
-    async def _respond(
-        self, reader: asyncio.StreamReader
-    ) -> Response:
-        request_line = (await reader.readline()).decode("ascii", "replace")
-        parts = request_line.split()
-        if len(parts) < 2:
-            return 400, json.dumps({"error": "malformed request line"}), \
-                "application/json", {}
-        method, target = parts[0].upper(), parts[1]
-        content_length = 0
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("ascii", "replace").partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    return 400, json.dumps(
-                        {"error": "bad Content-Length"}), \
-                        "application/json", {}
-        if content_length > MAX_BODY_BYTES:
-            return 413, json.dumps(
-                {"error": "request body too large"}), "application/json", {}
-        body = await reader.readexactly(content_length) \
-            if content_length else b""
-        path, _, query = target.partition("?")
-        return self.route(method, path, query, body)
+    async def _serve_next(self, reader: asyncio.StreamReader,
+                          writer: asyncio.StreamWriter) -> bool:
+        """Read and answer one request; False once the connection is done.
+
+        A clean EOF before the request line, or :meth:`close` while the
+        request was still arriving, ends the connection with no response:
+        that request was never routed, so a client may resend it.
+        """
+        if self._closed:
+            return False
+        request: Union[None, _Request, _BadFraming]
+        self._reading.add(writer)
+        try:
+            request = await self._read_request(reader)
+        except _BadFraming as exc:
+            request = exc
+        finally:
+            self._reading.discard(writer)
+        if request is None or writer.is_closing():
+            return False
+        self.scheduler.metrics.http_requests += 1
+        if isinstance(request, _BadFraming):
+            keep_alive = False
+            response = self._error(request.status, str(request))
+        else:
+            method, target, keep_alive, body = request
+            path, _, query = target.partition("?")
+            try:
+                response = self.route(method, path, query, body)
+            except Exception as exc:  # a handler bug must not kill the server
+                keep_alive = False
+                response = self._error(500, f"{type(exc).__name__}: {exc}")
+        keep_alive = keep_alive and not (self._closed
+                                         or self.scheduler.draining)
+        status, text, content_type, extra_headers = response
+        payload = text.encode("utf-8")
+        extra = "".join(
+            f"{name}: {value}\r\n" for name, value in extra_headers.items()
+        )
+        writer.write(
+            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(payload)}\r\n"
+            f"{extra}"
+            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
+            f"\r\n".encode("ascii") + payload
+        )
+        await writer.drain()
+        return keep_alive
+
+    @staticmethod
+    async def _read_request(
+        reader: asyncio.StreamReader,
+    ) -> Optional[_Request]:
+        """The next request, or None on a clean EOF before it starts.
+
+        Raises :class:`_BadFraming` where the end of the request cannot
+        be trusted (a line over the stream's limit, a chunked body, no
+        single valid ``Content-Length``), since on a kept connection the
+        rest would be parsed as the next request.
+        """
+        try:
+            request_line = await reader.readline()
+            if not request_line:
+                return None
+            parts = request_line.decode("ascii", "replace").split()
+            if len(parts) < 2:
+                raise _BadFraming(400, "malformed request line")
+            keep_alive = len(parts) > 2 and parts[2] == "HTTP/1.1"
+            length: Optional[str] = None
+            while True:
+                line = await reader.readline()
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = \
+                    line.decode("ascii", "replace").partition(":")
+                name, value = name.strip().lower(), value.strip()
+                if name == "content-length":
+                    if not value.isdigit() or length not in (None, value):
+                        raise _BadFraming(400, "bad Content-Length")
+                    length = value
+                elif name == "transfer-encoding":
+                    raise _BadFraming(400,
+                                      "Transfer-Encoding is not supported")
+                elif name == "connection" and "close" in \
+                        (token.strip().lower() for token in value.split(",")):
+                    keep_alive = False
+        except ValueError:
+            raise _BadFraming(400, "request line or header too long") \
+                from None
+        size = int(length) if length is not None else 0
+        if size > MAX_BODY_BYTES:
+            raise _BadFraming(413, "request body too large")
+        try:
+            body = await reader.readexactly(size) if size else b""
+        except asyncio.IncompleteReadError:
+            raise _BadFraming(400, "request body ended early") from None
+        return parts[0].upper(), parts[1], keep_alive, body
+
+    async def close(self) -> None:
+        """Close every connection still waiting for a request, then wait
+        for every handler: a response in progress finishes, announcing
+        ``Connection: close``.
+
+        ``Server.wait_closed`` never closes a connection, and waits for
+        them only from Python 3.12.1; before that, handlers still
+        pending would be cancelled at loop teardown.
+        """
+        self._closed = True
+        for writer in list(self._reading):
+            writer.close()
+        while self._handlers:
+            await asyncio.wait(set(self._handlers))
 
     # -- routing -------------------------------------------------------
 
@@ -279,6 +379,7 @@ async def serve_async(
         for sig in installed:
             loop.remove_signal_handler(sig)
         server.close()
+        await app.close()
         await server.wait_closed()
     log(f"repro-serve drained {'clean' if clean else 'with stragglers'}; "
         f"bye", flush=True)

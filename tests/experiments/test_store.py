@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 
 import pytest
@@ -19,6 +21,7 @@ from repro.experiments.store import (
     replay_cell_key,
     trace_key,
 )
+from repro.gpu.config import GPUConfig
 from repro.gpu.simulator import SimResult
 
 
@@ -77,6 +80,30 @@ class TestCellKey:
         assert fp["config"]["num_sms"] == 1
         assert fp["config"]["l1d"]["assoc"] == 4
         assert fp["sim_version"] == SIM_VERSION
+
+    def test_fingerprint_config_matches_asdict_reference(self):
+        """The field-by-field config dict serializes exactly as the
+        ``dataclasses.asdict`` it replaced, so every key is unchanged."""
+        grid = itertools.product((1, 2, 4, 16), (16, 32, 64), (False, True),
+                                 ("gto", "lrr"), ("hash", "linear"))
+        for sms, kb, non_blocking, scheduler, index_fn in grid:
+            config = dataclasses.replace(
+                GPUConfig().scaled(sms).with_l1d_size_kb(kb).with_l1d(
+                    non_blocking=non_blocking, index_fn=index_fn),
+                scheduler=scheduler)
+            reference = dataclasses.asdict(config)
+            if not non_blocking:
+                del reference["l1d"]["non_blocking"]
+            fp = cell_fingerprint("MM", "dlp", config)
+            assert canonical_json(fp["config"]) == canonical_json(reference)
+
+    def test_fingerprint_dicts_are_fresh_per_call(self):
+        cfg = harness_config(1)
+        edited = cell_fingerprint("MM", "dlp", cfg)
+        edited["config"]["num_sms"] = edited["config"]["l1d"]["assoc"] = -1
+        fresh = cell_fingerprint("MM", "dlp", cfg)
+        assert fresh["config"]["num_sms"] == 1
+        assert fresh["config"]["l1d"]["assoc"] == 4
 
     def test_policy_kwarg_order_is_irrelevant(self):
         cfg = harness_config(1)

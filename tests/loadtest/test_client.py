@@ -1,9 +1,10 @@
-"""AsyncServeClient: HTTP parsing, retry/backoff, scripted servers.
+"""AsyncServeClient and ConnectionPool: HTTP parsing, retry/backoff,
+connection reuse, scripted servers.
 
 The scripted server is a real ``asyncio.start_server`` speaking raw
 bytes, so these tests cover the client's actual wire path — framing,
-``Connection: close`` handling, dropped connections — without a
-simulation service behind it.
+kept and ``Connection: close`` connections, dropped connections —
+without a simulation service behind it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,11 @@ from typing import List, Tuple
 
 import pytest
 
-from repro.loadtest.client import AsyncServeClient, LoadClientError
+from repro.loadtest.client import (
+    AsyncServeClient,
+    ConnectionPool,
+    LoadClientError,
+)
 from repro.utils.rng import DeterministicRng
 
 
@@ -22,7 +27,8 @@ def run(coro):
     return asyncio.run(asyncio.wait_for(coro, timeout=30))
 
 
-def http_bytes(status: int, doc=None, retry_after=None) -> bytes:
+def http_bytes(status: int, doc=None, retry_after=None,
+               connection: str = "close") -> bytes:
     body = json.dumps(doc).encode() if doc is not None else b""
     extra = f"Retry-After: {retry_after}\r\n" if retry_after is not None \
         else ""
@@ -30,17 +36,30 @@ def http_bytes(status: int, doc=None, retry_after=None) -> bytes:
         f"HTTP/1.1 {status} Whatever\r\n"
         f"Content-Type: application/json\r\n"
         f"Content-Length: {len(body)}\r\n"
-        f"{extra}Connection: close\r\n\r\n"
+        f"{extra}Connection: {connection}\r\n\r\n"
     )
     return head.encode("ascii") + body
 
 
+def kept(status: int, doc=None) -> bytes:
+    return http_bytes(status, doc, connection="keep-alive")
+
+
 class ScriptedServer:
-    """Serves a fixed list of canned responses; 'drop' closes early."""
+    """Serves a fixed list of canned responses, then kept 200s echoing
+    each request's path.
+
+    Requests are read by their ``Content-Length``, so one connection
+    can carry many.  'drop' closes the connection without answering;
+    a response not marked ``Connection: keep-alive`` closes it after
+    answering.  Counts connections accepted and the most open at once.
+    """
 
     def __init__(self, script: List):
         self.script = list(script)
         self.connections = 0
+        self.open = 0
+        self.peak = 0
         self._server = None
 
     async def __aenter__(self) -> Tuple[str, int]:
@@ -55,13 +74,34 @@ class ScriptedServer:
 
     async def _handle(self, reader, writer):
         self.connections += 1
-        await reader.read(65536)                  # whole request fits
+        self.open += 1
+        self.peak = max(self.peak, self.open)
+        try:
+            while await self._answer(reader, writer):
+                pass
+        except (asyncio.IncompleteReadError, ConnectionError):
+            pass                                  # the client went away
+        finally:
+            self.open -= 1
+            writer.close()
+
+    async def _answer(self, reader, writer) -> bool:
+        head = await reader.readuntil(b"\r\n\r\n")
+        path = head.split()[1].decode()
+        length = 0
+        for line in head.decode().split("\r\n")[1:]:
+            name, _, value = line.partition(":")
+            if name.strip().lower() == "content-length":
+                length = int(value)
+        await reader.readexactly(length)
         action = self.script.pop(0) if self.script \
-            else http_bytes(200, {"ok": True})
-        if action != "drop":
-            writer.write(action)
-            await writer.drain()
-        writer.close()
+            else kept(200, {"path": path})
+        if action == "drop":
+            return False
+        await asyncio.sleep(0.001)    # let concurrent requests overlap
+        writer.write(action)
+        await writer.drain()
+        return b"Connection: keep-alive" in action
 
 
 def split_head(raw: bytes) -> bytes:
@@ -156,16 +196,101 @@ class TestRetrySchedule:
                 assert client.throttled == 3
         run(body())
 
-    def test_semaphore_bounds_connections(self):
+
+class TestConnectionPool:
+    def test_sequential_requests_reuse_one_connection(self):
         async def body():
             server = ScriptedServer([])
             async with server as (host, port):
-                sem = asyncio.Semaphore(2)
-                client = AsyncServeClient(host, port, semaphore=sem)
+                client = AsyncServeClient(host, port, retries=0)
+                for i in range(3):
+                    status, doc = await client.request("GET", f"/x/{i}")
+                    assert status == 200 and doc == {"path": f"/x/{i}"}
+                await client.aclose()
+                assert server.connections == 1
+                assert client.pool.opened == 1
+        run(body())
+
+    def test_connection_close_response_is_not_reused(self):
+        async def body():
+            server = ScriptedServer([kept(200, {}), http_bytes(200, {})])
+            async with server as (host, port):
+                client = AsyncServeClient(host, port, retries=0)
+                for _ in range(3):
+                    status, _doc = await client.request("GET", "/x")
+                    assert status == 200
+                await client.aclose()
+                # first two on one connection, which the second closed
+                assert server.connections == 2
+        run(body())
+
+    def test_stale_pooled_connection_reopens_uncounted(self):
+        async def body():
+            # the server reads the second request on the kept connection,
+            # then closes it unanswered, as a drain closes an idle one
+            server = ScriptedServer([kept(200, {"n": 1}), "drop"])
+            async with server as (host, port):
+                client = AsyncServeClient(host, port, retries=0)
+                assert (await client.request("GET", "/a"))[0] == 200
+                status, doc = await client.request("GET", "/b")
+                await client.aclose()
+                assert status == 200 and doc == {"path": "/b"}
+                assert client.transport_errors == 0
+                assert server.connections == 2
+        run(body())
+
+    def test_timeout_mid_response_discards_the_connection(self):
+        async def body():
+            stalled = kept(200, {"long": "x" * 64})[:-20]
+            server = ScriptedServer([stalled])
+            async with server as (host, port):
+                client = AsyncServeClient(host, port, timeout=0.2,
+                                          retries=0)
+                with pytest.raises(LoadClientError):
+                    await client.request("GET", "/slow")
+                client.timeout = 30.0
+                status, doc = await client.request("GET", "/next")
+                await client.aclose()
+                assert status == 200 and doc == {"path": "/next"}
+                assert server.connections == 2
+                assert client.pool.opened == 2
+        run(body())
+
+    def test_pool_bounds_connections(self):
+        async def body():
+            server = ScriptedServer([])
+            async with server as (host, port):
+                pool = ConnectionPool(host, port, 2)
+                client = AsyncServeClient(host, port, pool=pool)
                 statuses = await asyncio.gather(*(
                     client.request("GET", "/x") for _ in range(8)))
+                await pool.close()
                 assert all(s == 200 for s, _ in statuses)
+                assert server.peak <= 2 and pool.opened <= 2
         run(body())
+
+    def test_shared_pool_never_hands_a_connection_to_two_requests(self):
+        """50 concurrent requests over a pool of 3: a connection shared by
+        two coroutines would cross their responses or exceed the bound."""
+        async def body():
+            server = ScriptedServer([])
+            async with server as (host, port):
+                pool = ConnectionPool(host, port, 3)
+                clients = [AsyncServeClient(host, port, retries=0, pool=pool)
+                           for _ in range(10)]
+                results = await asyncio.gather(*(
+                    clients[i % 10].request("GET", f"/echo/{i}")
+                    for i in range(50)))
+                await pool.close()
+                for i, (status, doc) in enumerate(results):
+                    assert status == 200 and doc == {"path": f"/echo/{i}"}
+                assert server.peak <= 3 and pool.opened <= 3
+                assert sum(c.transport_errors for c in clients) == 0
+        run(body())
+
+    def test_limit_must_be_positive(self):
+        with pytest.raises(ValueError):
+            ConnectionPool("h", 1, 0)
 
 
 class TestBackoff:

@@ -104,9 +104,11 @@ class TestSubmitCommands:
         assert submit(server, "metrics") == 0
         out = capsys.readouterr().out
         assert "cells.simulated" in out and "queue wait" in out
+        assert "http.connections" in out and "http.requests" in out
         assert submit(server, "metrics", "--prom") == 0
         out = capsys.readouterr().out
         assert "repro_serve_cells_simulated 1" in out
+        assert "repro_serve_http_requests" in out
 
     def test_unreachable_server_exits_2(self, capsys):
         # nothing listens on this ephemeral-range port

@@ -74,6 +74,7 @@ class TestServeMetrics:
         metrics = ServeMetrics()
         metrics.jobs_submitted = 3
         metrics.cells_coalesced = 2
+        metrics.http_connections, metrics.http_requests = 2, 7
         metrics.sim_latency_for("dlp").observe(0.2)
         doc = metrics.snapshot(
             queued=1, running=2, jobs_active=1,
@@ -84,6 +85,7 @@ class TestServeMetrics:
         assert doc["cells"]["coalesced"] == 2
         assert doc["cells"]["queued"] == 1 and doc["cells"]["running"] == 2
         assert doc["store"]["hits"] == 5
+        assert doc["http"] == {"connections": 2, "requests": 7}
         assert doc["draining"] is True
         assert doc["uptime_seconds"] == 12.5
         assert doc["sim_latency_seconds"]["dlp"]["count"] == 1
@@ -102,11 +104,14 @@ class TestPrometheusRendering:
     def test_counters_and_histograms_render(self):
         metrics = ServeMetrics()
         metrics.jobs_submitted = 2
+        metrics.http_requests = 3
         metrics.queue_wait.observe(0.004)
         metrics.sim_latency_for("dlp").observe(0.2)
         text = render_prometheus(metrics.snapshot(queued=1))
         assert "repro_serve_jobs_submitted 2" in text
         assert "repro_serve_cells_queued 1" in text
+        assert "repro_serve_http_requests 3" in text
+        assert "repro_serve_http_connections 0" in text
         assert 'repro_serve_queue_wait_seconds_bucket{le="0.005"} 1' in text
         assert ('repro_serve_sim_latency_seconds_bucket'
                 '{scheme="dlp",le="0.25"} 1') in text

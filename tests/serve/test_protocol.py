@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
+
 import pytest
 
 from repro.experiments.executor import Cell
@@ -77,6 +80,32 @@ class TestKeys:
             "MM", "dlp", GPUConfig().scaled(2), scale=1.0, seed=0,
         )
         assert unit.key() == expected
+
+    @pytest.mark.parametrize("body, key_fn", [
+        (cell_request("MM", "dlp", sms=2, seed=1),
+         "repro.experiments.executor.cell_key"),
+        (replay_request(["MM"], ["dlp"], sms=2),
+         "repro.serve.protocol.replay_cell_key"),
+    ], ids=["sim", "replay"])
+    def test_key_is_computed_once_per_unit(self, monkeypatch, body, key_fn):
+        (unit,) = parse_job_request(body).units
+        (twin,) = parse_job_request(body).units
+        unmemoized = dataclasses.replace(unit).key()
+        module, _, name = key_fn.rpartition(".")
+        compute = getattr(importlib.import_module(module), name)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return compute(*args, **kwargs)
+
+        monkeypatch.setattr(key_fn, counting)
+        assert unit.key() == unit.describe()["key"] == unit.key()
+        assert unit.key() == unmemoized
+        assert calls == [name]
+        # the stored key is no part of the unit's identity
+        assert unit == twin and hash(unit) == hash(twin)
+        assert repr(unit) == repr(twin)
 
     def test_replay_and_sim_never_collide(self):
         sim = parse_job_request(cell_request("MM", "dlp")).units[0]
