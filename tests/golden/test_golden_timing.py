@@ -1,4 +1,4 @@
-"""Timing-simulator golden: pinned end-of-run counters for five cells.
+"""Timing-simulator golden: pinned end-of-run counters for seven cells.
 
 The L1D goldens drive the cache alone; nothing else pins what the
 timing simulator (warp issue, coalescing, the LD/ST unit's blocking
@@ -15,7 +15,11 @@ Each cell exercises one retry path of the LD/ST unit:
 * KM ``dlp`` non-blocking: under-miss probing past a stalled head;
 * SS ``stall_bypass``: every stall reason turns into a bypass;
 * HS ``global_protection``: write-through stores and global PD
-  adaptation, no stalls.
+  adaptation, no stalls;
+* KM ``baseline`` and SS ``dlp`` under the LRR warp scheduler: the
+  other scheduler's pick order, with full-queue issue rejects.
+
+Every other cell runs GTO, the Table 1 scheduler.
 
 KM, SS and HS draw no random numbers, so the snapshot does not depend
 on numpy's Generator streams.  A semantic change shows up here as a
@@ -27,6 +31,7 @@ readable diff; if it is intentional, regenerate (and bump
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -41,13 +46,15 @@ SCALE = 0.1
 NUM_SMS = 2
 MAX_CYCLES = 20_000
 
-#: label -> (app, scheme, policy kwargs, non-blocking L1D)
+#: label -> (app, scheme, policy kwargs, non-blocking L1D, warp scheduler)
 CELLS = {
-    "KM/baseline": ("KM", "baseline", {}, False),
-    "KM/dlp-no-bypass": ("KM", "dlp", {"bypass_enabled": False}, False),
-    "KM/dlp-non-blocking": ("KM", "dlp", {}, True),
-    "SS/stall_bypass": ("SS", "stall_bypass", {}, False),
-    "HS/global_protection": ("HS", "global_protection", {}, False),
+    "KM/baseline": ("KM", "baseline", {}, False, "gto"),
+    "KM/dlp-no-bypass": ("KM", "dlp", {"bypass_enabled": False}, False, "gto"),
+    "KM/dlp-non-blocking": ("KM", "dlp", {}, True, "gto"),
+    "SS/stall_bypass": ("SS", "stall_bypass", {}, False, "gto"),
+    "HS/global_protection": ("HS", "global_protection", {}, False, "gto"),
+    "KM/baseline-lrr": ("KM", "baseline", {}, False, "lrr"),
+    "SS/dlp-lrr": ("SS", "dlp", {}, False, "lrr"),
 }
 
 #: Counters (dotted paths into a snapshot) that must be nonzero for a
@@ -56,6 +63,7 @@ COVERS = {
     "KM/baseline": (
         "result.l1d.stalls.mshr_full",
         "result.l1d.stalls.merge_full",
+        "ldst.queue_full_rejects",
     ),
     "KM/dlp-no-bypass": ("result.l1d.stalls.no_reservable_line",),
     "KM/dlp-non-blocking": (
@@ -71,14 +79,24 @@ COVERS = {
         "result.l1d.write_misses",
         "result.policy.pd_increase",
     ),
+    "KM/baseline-lrr": (
+        "ldst.queue_full_rejects",
+        "result.l1d.stalls.mshr_full",
+    ),
+    "SS/dlp-lrr": (
+        "result.policy.pd_increase",
+        "ldst.queue_full_rejects",
+    ),
 }
 
 
 def run_cell(label: str, engine: str) -> dict:
-    abbr, scheme, policy_kwargs, non_blocking = CELLS[label]
+    abbr, scheme, policy_kwargs, non_blocking, scheduler = CELLS[label]
     config = harness_config(NUM_SMS)
     if non_blocking:
         config = config.with_l1d(non_blocking=True)
+    if scheduler != config.scheduler:
+        config = dataclasses.replace(config, scheduler=scheduler)
     sim = build_simulator(
         abbr, scheme, config, scale=SCALE, max_cycles=MAX_CYCLES,
         engine=engine, **policy_kwargs,

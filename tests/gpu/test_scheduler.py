@@ -99,6 +99,15 @@ class TestLrr:
         a.ready_time = 100
         assert sched.pick(0) is b
 
+    def test_busy_until_blocks_issue(self):
+        sched = LrrScheduler()
+        a = make_warp(0, 0)
+        sched.add_warp(a)
+        sched.consume(a, 5, 0)
+        sched.notify_ready(a)
+        assert sched.pick(3) is None       # busy until cycle 5
+        assert sched.pick(5) is a
+
 
 class TestFactory:
     def test_names(self):
