@@ -122,7 +122,8 @@ class L1DStats:
     stalls: Dict[str, int] = field(default_factory=dict)
 
     def record_stall(self, reason: StallReason) -> None:
-        self.stalls[reason.value] = self.stalls.get(reason.value, 0) + 1
+        key = reason._value_  # a plain attribute; ``value`` is a property
+        self.stalls[key] = self.stalls.get(key, 0) + 1
 
     @classmethod
     def total(cls, parts: Iterable["L1DStats"]) -> "L1DStats":

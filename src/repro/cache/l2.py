@@ -61,8 +61,7 @@ class L2Cache:
             num_sets=64, assoc=8, line_size=128, index_fn="linear"
         )
         self.stats = L2Stats()
-        self._index_fn = get_index_fn(self.geometry.index_fn)
-        self._num_sets = self.geometry.num_sets
+        self._set_of = get_index_fn(self.geometry.index_fn, self.geometry.num_sets)
         self._assoc = self.geometry.assoc
         # per set: resident block -> None, least recently used first
         self._sets: List[Dict[int, None]] = [
@@ -74,7 +73,7 @@ class L2Cache:
     # ------------------------------------------------------------------
 
     def _set_for(self, block_addr: int) -> Dict[int, None]:
-        return self._sets[self._index_fn(block_addr, self._num_sets)]
+        return self._sets[self._set_of(block_addr)]
 
     def read(self, block_addr: int, waiter: Any = None) -> str:
         """Look up a read. Returns one of:

@@ -89,7 +89,10 @@ class MshrTable:
         self.max_merged = max_merged
         self.word_granular = word_granular
         self.words_per_line = words_per_line
-        self._entries: Dict[int, MshrEntry] = {}
+        #: block address -> in-flight entry.  The packed L1D reads its
+        #: size on every miss and retires an entry here at fill; every
+        #: other change goes through this class.
+        self.entries: Dict[int, MshrEntry] = {}
         # statistics
         self.peak_occupancy = 0
         self.total_allocations = 0
@@ -102,17 +105,17 @@ class MshrTable:
         self.bypass_absorbed = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     @property
     def is_full(self) -> bool:
-        return len(self._entries) >= self.num_entries
+        return len(self.entries) >= self.num_entries
 
     def lookup(self, block_addr: int) -> Optional[MshrEntry]:
-        return self._entries.get(block_addr)
+        return self.entries.get(block_addr)
 
     def can_merge(self, block_addr: int, word: Optional[int] = None) -> bool:
-        entry = self._entries.get(block_addr)
+        entry = self.entries.get(block_addr)
         if entry is None:
             return False
         if self.word_granular and word is not None:
@@ -140,7 +143,7 @@ class MshrTable:
         is a protocol violation, since bypass fetches never fill the
         reserved line the waiter would wake on.
         """
-        entry = self._entries[block_addr]
+        entry = self.entries[block_addr]
         if entry.is_bypass and not is_bypass:
             raise RuntimeError(
                 f"cached request cannot merge into bypass MSHR entry for "
@@ -172,28 +175,28 @@ class MshrTable:
         word: Optional[int] = None,
         is_bypass: bool = False,
     ) -> MshrEntry:
-        if self.is_full:
+        if len(self.entries) >= self.num_entries:
             raise RuntimeError("MSHR allocation while table full")
-        if block_addr in self._entries:
+        if block_addr in self.entries:
             raise RuntimeError(f"duplicate MSHR allocation for {block_addr:#x}")
         entry = MshrEntry(block_addr, insn_id, now, [waiter], is_bypass=is_bypass)
         if self.word_granular and word is not None:
             entry.word_mask = 1 << (word % self.words_per_line)
-        self._entries[block_addr] = entry
+        self.entries[block_addr] = entry
         self.total_allocations += 1
-        if len(self._entries) > self.peak_occupancy:
-            self.peak_occupancy = len(self._entries)
+        if len(self.entries) > self.peak_occupancy:
+            self.peak_occupancy = len(self.entries)
         return entry
 
     def release(self, block_addr: int) -> MshrEntry:
         """Retire an entry when its fill arrives; returns it with waiters."""
-        entry = self._entries.pop(block_addr, None)
+        entry = self.entries.pop(block_addr, None)
         if entry is None:
             raise KeyError(f"fill for block {block_addr:#x} with no MSHR entry")
         return entry
 
     def outstanding_blocks(self) -> List[int]:
-        return list(self._entries)
+        return list(self.entries)
 
 
 class MissQueue:
@@ -220,7 +223,7 @@ class MissQueue:
         return not self.entries
 
     def push(self, item: Any) -> None:
-        if self.is_full:
+        if len(self.entries) >= self.depth:
             raise RuntimeError("push to full miss queue")
         self.entries.append(item)
         self.total_enqueued += 1

@@ -51,7 +51,7 @@ class CacheGeometry:
         return byte_addr >> self.offset_bits
 
     def set_index(self, block_addr: int) -> int:
-        return get_index_fn(self.index_fn)(block_addr, self.num_sets)
+        return get_index_fn(self.index_fn, self.num_sets)(block_addr)
 
     def tag(self, block_addr: int) -> int:
         # The full block address doubles as the tag; hardware would store

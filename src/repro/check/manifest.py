@@ -6,9 +6,11 @@ any change that alters what a simulation *produces* must bump it, or
 stale store entries will replay silently wrong results.  Nothing used to
 enforce that rule.
 
-This module records a content hash of every ``core/`` and ``cache/``
-source file together with the ``SIM_VERSION`` the hash was taken at, in
-``semantics_manifest.json`` next to this file.  ``repro check`` (rule
+This module records a content hash of every source file in
+:data:`SEMANTIC_PACKAGES` (the policy/cache protocol, the fast and batch
+L1D engines, and the timing simulator's ``gpu/``, ``memory/`` and
+``workloads/``) together with the ``SIM_VERSION`` the hash was taken
+at, in ``semantics_manifest.json`` next to this file.  ``repro check`` (rule
 R005) recomputes the hashes and flags:
 
 * a changed/added/removed semantics file while ``SIM_VERSION`` is
@@ -32,10 +34,14 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 #: Packages whose sources define simulation semantics for the purposes
-#: of the SIM_VERSION rule: the policy/cache protocol plus the packed
-#: fast engine, which re-implements that protocol and must change in
-#: lockstep with it.
-SEMANTIC_PACKAGES = ("core", "cache", "fastsim", "batchsim")
+#: of the SIM_VERSION rule: the policy/cache protocol; the packed fast
+#: engine and the batch kernels, which re-implement that protocol and
+#: must change in lockstep with it; and the timing simulator (warp
+#: issue, LD/ST unit, interconnect, L2/DRAM, workload op streams),
+#: which produces every Fig. 10 result.
+SEMANTIC_PACKAGES = (
+    "core", "cache", "fastsim", "batchsim", "gpu", "memory", "workloads",
+)
 
 MANIFEST_NAME = "semantics_manifest.json"
 

@@ -180,6 +180,11 @@ class FastL1DCache:
             words_per_line=self.words_per_line,
         )
         self.miss_queue = MissQueue(miss_queue_depth)
+        # Tested or popped on every miss, fill and drain.
+        self._mshr_map = self.mshr.entries
+        self._mshr_cap = self.mshr.num_entries
+        self._mq = self.miss_queue.entries
+        self._mq_depth = self.miss_queue.depth
         self.send_fn = send_fn or (lambda req: None)
         self.sm_id = sm_id
         self.stats = L1DStats()
@@ -191,8 +196,8 @@ class FastL1DCache:
         num_sets, assoc = geometry.num_sets, geometry.assoc
         self._num_sets = num_sets
         self._assoc = assoc
-        # Hoisted once; the reference re-resolves the registry per access.
-        self._index_fn = get_index_fn(geometry.index_fn)
+        # Bound (and its set count checked) once per geometry.
+        self._set_of = get_index_fn(geometry.index_fn, num_sets)
 
         n = num_sets * assoc
         # Per-line packed fields.  Names deliberately avoid the raw
@@ -276,35 +281,25 @@ class FastL1DCache:
     # ------------------------------------------------------------------
 
     def access(self, access: MemAccess) -> AccessResult:
-        if access.is_write:
-            return self._access_write(access)
-        return self._access_load(access)
-
-    def _set_base(self, block_addr: int) -> int:
-        return self._index_fn(block_addr, self._num_sets) * self._assoc
-
-    def _access_load(self, access: MemAccess) -> AccessResult:
         block = access.block_addr
-        base = self._set_base(block)
-        end = base + self._assoc
+        assoc = self._assoc
+        base = self._set_of(block) * assoc
+        end = base + assoc
+        if access.is_write:
+            return self._access_write(access, base, end)
         st, blk = self._st, self._blk
-
-        way = -1
-        for w in range(base, end):
-            if blk[w] == block and st[w] != INVALID:
-                way = w
-                break
-
-        if way >= 0 and st[way] == VALID:
-            return self._complete_hit(base, end, way, access)
-        if way >= 0:
-            return self._merge_pending(base, end, way, access)
+        for way in range(base, end):
+            if blk[way] == block and st[way] != INVALID:
+                if st[way] == VALID:
+                    return self._complete_hit(base, end, way, access)
+                return self._merge_pending(base, end, way, access)
         return self._handle_miss(base, end, access)
 
     def _complete_hit(
         self, base: int, end: int, way: int, access: MemAccess
     ) -> AccessResult:
-        self._query(base, end)
+        if self._protected:
+            self._query(base, end)
         self.stats.loads += 1
         self.stats.hits += 1
         kind = self._kind
@@ -322,14 +317,15 @@ class FastL1DCache:
             self._pli[way] = gpd if gpd < self._pl_max else self._pl_max
         self._stamp += 1
         self._lru[way] = self._stamp
-        self._done(access, AccessOutcome.HIT)
+        if self._protected or self.access_tap is not None:
+            self._done(access, AccessOutcome.HIT)
         return HIT
 
     def _merge_pending(
         self, base: int, end: int, way: int, access: MemAccess
     ) -> AccessResult:
         block = access.block_addr
-        entry = self.mshr.lookup(block)
+        entry = self._mshr_map.get(block)
         if entry is None:
             raise RuntimeError(f"reserved line {block:#x} without MSHR entry")
         if self.non_blocking:
@@ -346,7 +342,8 @@ class FastL1DCache:
                 )
             self.stats.record_stall(StallReason.MERGE_FULL)
             return STALL_MERGE_FULL
-        self._query(base, end)
+        if self._protected:
+            self._query(base, end)
         self.stats.loads += 1
         self.stats.hit_reserved += 1
         self.mshr.merge(block, access.waiter, word=word)
@@ -355,12 +352,13 @@ class FastL1DCache:
             self._pnd[way] = access.insn_id
         elif self._kind == KIND_GLOBAL:
             self._gp_tda += 1
-        self._done(access, AccessOutcome.HIT_RESERVED)
+        if self._protected or self.access_tap is not None:
+            self._done(access, AccessOutcome.HIT_RESERVED)
         return HIT_RESERVED
 
     def _handle_miss(self, base: int, end: int, access: MemAccess) -> AccessResult:
         kind = self._kind
-        if self.mshr.is_full:
+        if len(self._mshr_map) >= self._mshr_cap:
             if kind == KIND_STALL_BYPASS:
                 self._bypassed[StallReason.MSHR_FULL.value] += 1
                 return self._do_bypass(
@@ -368,7 +366,7 @@ class FastL1DCache:
                 )
             self.stats.record_stall(StallReason.MSHR_FULL)
             return STALL_MSHR_FULL
-        if self.miss_queue.is_full:
+        if len(self._mq) >= self._mq_depth:
             if kind == KIND_STALL_BYPASS:
                 self._bypassed[StallReason.MISS_QUEUE_FULL.value] += 1
                 return self._do_bypass(
@@ -378,8 +376,8 @@ class FastL1DCache:
             return STALL_MISS_QUEUE_FULL
 
         # Query (PL decay) precedes victim selection, as in the paper.
-        self._query(base, end)
         if self._protected:
+            self._query(base, end)
             self._vta_probe_credit(base // self._assoc, access.block_addr)
 
         way = self._select_victim(base, end)
@@ -430,7 +428,8 @@ class FastL1DCache:
         )
         self.stats.loads += 1
         self.stats.misses += 1
-        self._done(access, AccessOutcome.MISS)
+        if self._protected or self.access_tap is not None:
+            self._done(access, AccessOutcome.MISS)
         return MISS
 
     def _do_bypass(
@@ -441,7 +440,7 @@ class FastL1DCache:
         count_query: bool,
         missed: bool = True,
     ) -> AccessResult:
-        if count_query:
+        if count_query and self._protected:
             self._query(base, end)
         if missed and self._protected:
             self._vta_probe_credit(base // self._assoc, access.block_addr)
@@ -454,21 +453,21 @@ class FastL1DCache:
                 access.now, access.waiter,
             )
         )
-        self._done(access, AccessOutcome.BYPASS)
+        if self._protected or self.access_tap is not None:
+            self._done(access, AccessOutcome.BYPASS)
         return BYPASS
 
-    def _access_write(self, access: MemAccess) -> AccessResult:
+    def _access_write(self, access: MemAccess, base: int, end: int) -> AccessResult:
         block = access.block_addr
-        base = self._set_base(block)
-        end = base + self._assoc
         st, blk = self._st, self._blk
 
-        if self.miss_queue.is_full:
+        if len(self._mq) >= self._mq_depth:
             if self._kind != KIND_STALL_BYPASS:
                 self.stats.record_stall(StallReason.MISS_QUEUE_FULL)
                 return STALL_MISS_QUEUE_FULL
             self._bypassed[StallReason.MISS_QUEUE_FULL.value] += 1
-            self._query(base, end)
+            if self._protected:
+                self._query(base, end)
             self.stats.stores += 1
             self.stats.write_misses += 1
             self.stats.sent_writes += 1
@@ -477,10 +476,12 @@ class FastL1DCache:
                     block, access.insn_id, self.sm_id, True, True, access.now
                 )
             )
-            self._done(access, AccessOutcome.WRITE_MISS)
+            if self._protected or self.access_tap is not None:
+                self._done(access, AccessOutcome.WRITE_MISS)
             return WRITE_MISS
 
-        self._query(base, end)
+        if self._protected:
+            self._query(base, end)
         self.stats.stores += 1
         result = WRITE_MISS
         for w in range(base, end):
@@ -499,7 +500,8 @@ class FastL1DCache:
         self.miss_queue.push(
             FetchRequest(block, access.insn_id, self.sm_id, False, True, access.now)
         )
-        self._done(access, result.outcome)
+        if self._protected or self.access_tap is not None:
+            self._done(access, result.outcome)
         return result
 
     # ------------------------------------------------------------------
@@ -507,9 +509,10 @@ class FastL1DCache:
     # ------------------------------------------------------------------
 
     def drain_miss_queue(self, max_requests: int = 1) -> int:
+        fifo = self._mq
         injected = 0
-        while injected < max_requests and not self.miss_queue.is_empty:
-            fetch: FetchRequest = self.miss_queue.pop()
+        while injected < max_requests and fifo:
+            fetch: FetchRequest = fifo.popleft()
             if fetch.is_write:
                 self.stats.sent_writes += 1
             else:
@@ -519,8 +522,10 @@ class FastL1DCache:
         return injected
 
     def fill(self, block_addr: int, now: int) -> List[Any]:
-        entry = self.mshr.release(block_addr)
-        base = self._set_base(block_addr)
+        entry = self._mshr_map.pop(block_addr, None)
+        if entry is None:
+            raise KeyError(f"fill for block {block_addr:#x} with no MSHR entry")
+        base = self._set_of(block_addr) * self._assoc
         st, blk = self._st, self._blk
         way = -1
         for w in range(base, base + self._assoc):
@@ -544,11 +549,12 @@ class FastL1DCache:
     # ------------------------------------------------------------------
 
     def _query(self, base: int, end: int) -> None:
-        if self._protected:
-            pli = self._pli
-            for w in range(base, end):
-                if pli[w] > 0:
-                    pli[w] -= 1
+        """A set query decays the set's Protected Life.  Only protecting
+        policies keep PL, so callers skip the call for the others."""
+        pli = self._pli
+        for w in range(base, end):
+            if pli[w] > 0:
+                pli[w] -= 1
 
     def _select_victim(self, base: int, end: int) -> int:
         """First invalid way, else LRU over replaceable valid lines
@@ -599,7 +605,7 @@ class FastL1DCache:
 
     def _vta_insert(self, block_addr: int, insn_id: int) -> None:
         self._vta_stamp += 1
-        vb = self._index_fn(block_addr, self._num_sets) * self._vta_assoc
+        vb = self._set_of(block_addr) * self._vta_assoc
         vend = vb + self._vta_assoc
         valid, tags, lru = self._vta_valid, self._vta_blk, self._vta_lru
         victim = -1
@@ -629,6 +635,9 @@ class FastL1DCache:
     # -- sampling ------------------------------------------------------
 
     def _done(self, access: MemAccess, outcome: AccessOutcome) -> None:
+        """Close out one access: tick the sampling window (protecting
+        policies) and feed the access tap.  Callers skip the call when
+        neither applies."""
         if self._protected:
             self._acc += 1
             if self._acc > self._acc_limit:

@@ -27,13 +27,18 @@ retry decays the set's Protected Life and probes the VTA.
 In blocking mode a head that stalled for a pure reason keeps stalling
 until the L1D fills a line or drains its miss queue: only the head
 accesses the cache, and nothing else frees an MSHR entry, a merge slot
-or a miss-queue slot.  The unit remembers the reason together with the
-L1D's fill count and miss-queue length, and while both are unchanged a
-retry counts its stall cycle and records the stall in the L1D's stats
-exactly as a probe would, without calling ``access``.  The memo checks
-itself against L1D state on every retry, so a caller that fills or
-drains the cache directly need not tell the unit.  Neither
-``NO_RESERVABLE_LINE`` nor non-blocking probing is memoized.
+or a miss-queue slot.  The unit remembers the reason's stats key
+together with the L1D's fill count and miss-queue length, and while
+both are unchanged a retry counts its stall cycle and adds the stall to
+the L1D's ``stats.stalls`` exactly as a probe would, without calling
+``access``.  The memo checks itself against L1D state on every retry,
+so a caller that fills or drains the cache directly need not tell the
+unit.  Neither ``NO_RESERVABLE_LINE`` nor non-blocking probing is
+memoized.
+
+``step`` builds the head's ``MemAccess`` and finishes a successful
+issue in its own body, so a cycle of the unit is one call into the L1D
+at most.
 """
 
 from __future__ import annotations
@@ -50,6 +55,9 @@ from repro.gpu.warp import Warp
 PURE_STALLS = frozenset(
     {StallReason.MSHR_FULL, StallReason.MISS_QUEUE_FULL, StallReason.MERGE_FULL}
 )
+
+_HIT = AccessOutcome.HIT
+_STALL = AccessOutcome.STALL
 
 
 @dataclass(slots=True)
@@ -102,18 +110,15 @@ class LdStUnit:
         self.non_blocking = non_blocking
         self.queue: Deque[MemWork] = deque()
         self.stats = LdStStats()
-        #: (head work, L1D fills, miss-queue length, reason) of the last
-        #: pure stall in blocking mode; None when the head must probe.
-        self._stall_memo: Optional[Tuple[MemWork, int, int, StallReason]] = None
+        #: (head work, L1D fills, miss-queue length, stall key) of the
+        #: last pure stall in blocking mode; None when the head must probe.
+        self._stall_memo: Optional[Tuple[MemWork, int, int, str]] = None
+        self._miss_fifo = l1d.miss_queue.entries
 
     # ------------------------------------------------------------------
 
-    @property
-    def is_full(self) -> bool:
-        return len(self.queue) >= self.queue_depth
-
     def enqueue(self, work: MemWork) -> None:
-        if self.is_full:
+        if len(self.queue) >= self.queue_depth:
             raise RuntimeError("enqueue on full LD/ST queue")
         if work.is_write:
             self.stats.issued_stores += 1
@@ -122,75 +127,84 @@ class LdStUnit:
             work.warp.begin_memory_wait(len(work.blocks))
         self.queue.append(work)
 
-    def _access_for(self, work: MemWork, now: int) -> MemAccess:
-        warp = work.warp
-        is_write = work.is_write
-        # One record per probe: the L1D's access tap may keep it.
-        return MemAccess(
-            work.blocks[work.next_index], work.pc, work.insn_id, is_write,
-            warp.gid if warp else -1, self.sm_id, now,
-            None if is_write else warp,
-        )
-
     def step(self, now: int) -> bool:
         """Process (at most) one request this cycle; True on progress."""
-        if not self.queue:
+        queue = self.queue
+        if not queue:
             return False
-        work = self.queue[0]
+        work = queue[0]
         l1d = self.l1d
         memo = self._stall_memo
         if memo is not None:
+            l1d_stats = l1d.stats
             if (
                 memo[0] is work
-                and memo[1] == l1d.stats.fills
-                and memo[2] == len(l1d.miss_queue)
+                and memo[1] == l1d_stats.fills
+                and memo[2] == len(self._miss_fifo)
             ):
                 self.stats.stall_cycles += 1
-                l1d.stats.record_stall(memo[3])
+                stalls = l1d_stats.stalls
+                key = memo[3]
+                stalls[key] = stalls.get(key, 0) + 1
                 return False
             self._stall_memo = None
-        result = l1d.access(self._access_for(work, now))
-        if result.is_stall:
+        warp = work.warp
+        is_write = work.is_write
+        # One record per probe: the L1D's access tap may keep it.
+        result = l1d.access(MemAccess(
+            work.blocks[work.next_index], work.pc, work.insn_id, is_write,
+            warp.gid if warp else -1, self.sm_id, now,
+            None if is_write else warp,
+        ))
+        outcome = result.outcome
+        if outcome is _STALL:
             self.stats.stall_cycles += 1
             if not self.non_blocking:
-                if result.stall_reason in PURE_STALLS:
+                reason = result.stall_reason
+                if reason in PURE_STALLS:
                     self._stall_memo = (
-                        work, l1d.stats.fills, len(l1d.miss_queue),
-                        result.stall_reason,
+                        work, l1d.stats.fills, len(self._miss_fifo),
+                        reason.value,
                     )
                 return False
             return self._issue_under_miss(now)
 
-        self._finish_issue(work, result.outcome, index=0)
+        self.stats.requests_sent += 1
+        if outcome is _HIT:
+            self.schedule(self.hit_latency, self.complete_request, warp)
+        # MISS / HIT_RESERVED waiters complete on fill; BYPASS waiters
+        # complete when the interconnect response arrives; writes are
+        # fire-and-forget.
+        work.next_index += 1
+        if work.next_index >= len(work.blocks):
+            queue.popleft()
         return True
 
     def _issue_under_miss(self, now: int) -> bool:
         """Head stalled: offer later queued instructions to the L1D in
         FIFO order and issue the first accepted one (non-blocking mode)."""
-        for i in range(1, len(self.queue)):
-            work = self.queue[i]
-            result = self.l1d.access(self._access_for(work, now))
-            if result.is_stall:
+        queue = self.queue
+        for i in range(1, len(queue)):
+            work = queue[i]
+            warp = work.warp
+            is_write = work.is_write
+            result = self.l1d.access(MemAccess(
+                work.blocks[work.next_index], work.pc, work.insn_id, is_write,
+                warp.gid if warp else -1, self.sm_id, now,
+                None if is_write else warp,
+            ))
+            outcome = result.outcome
+            if outcome is _STALL:
                 continue
             self.stats.under_miss_issues += 1
-            self._finish_issue(work, result.outcome, index=i)
+            self.stats.requests_sent += 1
+            if outcome is _HIT:
+                self.schedule(self.hit_latency, self.complete_request, warp)
+            work.next_index += 1
+            if work.next_index >= len(work.blocks):
+                del queue[i]
             return True
         return False
-
-    def _finish_issue(self, work: MemWork, outcome: AccessOutcome, index: int) -> None:
-        self.stats.requests_sent += 1
-        if outcome is AccessOutcome.HIT:
-            self.schedule(self.hit_latency, self.complete_request, work.warp)
-        # MISS / HIT_RESERVED waiters complete on fill; BYPASS waiters
-        # complete when the interconnect response arrives; writes are
-        # fire-and-forget.
-
-        work.next_index += 1
-        if work.next_index >= len(work.blocks):
-            if index == 0:
-                self.queue.popleft()
-            else:
-                del self.queue[index]
 
     def pending_requests(self) -> int:
         return sum(w.remaining for w in self.queue)

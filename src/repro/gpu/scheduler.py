@@ -6,10 +6,19 @@ ready, otherwise it falls back to the oldest (lowest dispatch age) ready
 warp.  A loose-round-robin (LRR) scheduler is provided for comparison
 runs.
 
-The ready set is a lazy-deletion min-heap keyed by warp age: a warp is
-pushed whenever it becomes ready, and ``push_count`` invalidates stale
-entries, keeping every scheduler operation O(log n) per the
-profiling-first performance guidance (the scheduler runs every cycle).
+Readiness is one flag, ``Warp.ready``, and it decides alone:
+:meth:`GtoScheduler.notify_ready` sets it only when the warp can issue
+in the current cycle (CTA dispatch, the completion of the warp's last
+memory request, or a held wake the SM applies at ``busy_until``), and
+:meth:`GtoScheduler.consume` clears it at issue.  A ready warp is
+therefore never done, never waiting on memory and never inside a
+compute run, and ``pick`` needs no cycle arithmetic beyond its own
+``busy_until`` guard.
+
+The GTO ready set is a lazy-deletion min-heap keyed by warp age: a warp
+is pushed whenever it becomes ready, and ``push_count`` invalidates
+stale entries, keeping every scheduler operation O(log n) (the
+scheduler runs every cycle).
 
 A compute run or a store keeps the scheduler busy until exactly the
 cycle its warp may issue again, so the scheduler holds that wake
@@ -57,37 +66,29 @@ class GtoScheduler:
             self.last_warp = None
 
     def notify_ready(self, warp: Warp) -> None:
-        """A warp became issuable (wake from memory/compute latency)."""
+        """``warp`` can issue this cycle (dispatch, memory completion or
+        an applied wake)."""
         if warp.done:
             return
         warp.ready = True
-        warp.push_count += 1
-        heapq.heappush(self._ready_heap, (warp.age, warp.push_count, warp))
-
-    def can_issue(self, now: int) -> bool:
-        return now >= self.busy_until
+        count = warp.push_count + 1
+        warp.push_count = count
+        heapq.heappush(self._ready_heap, (warp.age, count, warp))
 
     def pick(self, now: int) -> Optional[Warp]:
         """Select the warp to issue from this cycle (does not consume it;
         the SM calls :meth:`consume` once the op actually issues)."""
-        if not self.can_issue(now):
+        if now < self.busy_until:
             return None
         last = self.last_warp
-        if last is not None and last.ready and last.is_ready(now):
+        if last is not None and last.ready:
             return last
         heap = self._ready_heap
         while heap:
-            age, count, warp = heap[0]
-            if count != warp.push_count or not warp.ready or warp.done:
-                heapq.heappop(heap)  # stale entry
-                continue
-            if warp.is_ready(now):
+            _, count, warp = heap[0]
+            if count == warp.push_count and warp.ready and not warp.done:
                 return warp
-            # Ready flag set but gated by ready_time (future wake); the
-            # wake event will re-push it, so drop this entry.
-            heapq.heappop(heap)
-            warp.ready = False
-            return None
+            heapq.heappop(heap)  # stale entry
         return None
 
     def consume(self, warp: Warp, busy_cycles: int, now: int) -> None:
@@ -113,13 +114,15 @@ class LrrScheduler(GtoScheduler):
             warp.ready = True
 
     def pick(self, now: int) -> Optional[Warp]:
-        if not self.can_issue(now):
+        if now < self.busy_until:
             return None
-        n = len(self.warps)
+        warps = self.warps
+        n = len(warps)
+        start = self._next_index
         for offset in range(n):
-            warp = self.warps[(self._next_index + offset) % n]
-            if warp.is_ready(now) and not warp.done:
-                self._next_index = (self._next_index + offset + 1) % n
+            warp = warps[(start + offset) % n]
+            if warp.ready and not warp.done:
+                self._next_index = (start + offset + 1) % n
                 return warp
         return None
 

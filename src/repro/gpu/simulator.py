@@ -300,6 +300,7 @@ class GpuSimulator:
         heap = self._heap
         heappop = heapq.heappop
         sms = self.sms
+        num_kernels = len(self.kernels)
         work_remaining = self._work_remaining
         max_cycles = self.max_cycles
         now = self.now
@@ -312,7 +313,8 @@ class GpuSimulator:
             for sm in sms:
                 if sm.step(now):
                     progress = True
-            if not work_remaining():
+            # A kernel left to dispatch is work; test it without a call.
+            if self._kernel_index >= num_kernels and not work_remaining():
                 break
             if max_cycles is not None and now >= max_cycles:
                 truncated = True
@@ -325,7 +327,7 @@ class GpuSimulator:
                     target = heap[0][0]
                 if target is None:
                     self._raise_deadlock()
-                now = max(now + 1, target)
+                now = target if target > now else now + 1
             self.now = now
         return self._collect(truncated)
 

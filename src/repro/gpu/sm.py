@@ -9,14 +9,19 @@ interleaved by the schedulers.
 warp op (compute runs occupy the scheduler for their whole length, the
 GTO greedy behaviour), the LD/ST unit feeds one request into the L1D,
 and the L1D's miss queue injects one packet into the interconnect.
+The wake, the pick and the issue happen in ``step``'s own body; each
+piece of state is still changed by its owner (``Scheduler.consume``
+and ``notify_ready``, ``Warp.advance``, ``LdStUnit.enqueue``).
 
 Wakes: a load's warp wakes when its last request completes
 (:meth:`StreamingMultiprocessor.complete_request`, an event).  After a
 compute run or a store the warp may issue again exactly when its
 scheduler stops being busy, so the scheduler holds that wake
-(``wake_at`` / ``wake_warp``) and ``step`` applies it, with the same
+(``wake_at`` / ``wake_warp``) and ``step`` applies it, with a
 ``not done and outstanding == 0`` check, before the scheduler's next
-pick.  No event is scheduled for it.
+pick.  No event is scheduled for it.  Either way the scheduler's
+``notify_ready`` sets the warp's ``ready`` flag, which is the whole of
+its readiness (see :mod:`repro.gpu.scheduler`).
 """
 
 from __future__ import annotations
@@ -88,6 +93,8 @@ class StreamingMultiprocessor:
         self.cta_slots = [CtaSlot(i) for i in range(config.max_ctas_per_sm)]
         # Tested every cycle before draining the miss queue.
         self._miss_fifo = self.l1d.miss_queue.entries
+        self._warp_size = config.warp_size
+        self._line_size = config.l1d.line_size
         self.active_warps = 0
         self.thread_insns = 0
         self.warp_insns = 0
@@ -158,87 +165,75 @@ class StreamingMultiprocessor:
 
     def step(self, now: int) -> bool:
         progress = False
+        ldst = self.ldst
         # Runs for every SM every cycle: a busy scheduler, an empty LD/ST
         # queue and an empty miss queue cost an attribute test, not a call.
         for scheduler in self.schedulers:
-            if now >= scheduler.busy_until:
-                woken = scheduler.wake_warp
-                if woken is not None:
-                    scheduler.wake_warp = None
-                    self._wake(woken)
-                warp = scheduler.pick(now)
-                if warp is not None and self._issue(scheduler, warp, now):
-                    progress = True
-        ldst = self.ldst
+            if now < scheduler.busy_until:
+                continue
+            woken = scheduler.wake_warp
+            if woken is not None:
+                scheduler.wake_warp = None
+                if not woken.done and woken.outstanding == 0:
+                    scheduler.notify_ready(woken)
+            warp = scheduler.pick(now)
+            if warp is None:
+                continue
+            op = warp.current_op
+            if type(op) is ComputeOp:
+                n = op.count
+                scheduler.consume(warp, n, now)
+                warp.insns_issued += n
+                count = n * self._warp_size
+                warp.thread_insns += count
+                self.thread_insns += count
+                self.warp_insns += n
+                self.policy.notify_instructions(count)
+                warp.advance()
+                if warp.done and warp.outstanding == 0:
+                    self._warp_finished(warp)
+                # The wake of a finished warp wakes nothing, but it still
+                # keeps the run going until the scheduler's busy window ends.
+                scheduler.wake_at = now + n
+                scheduler.wake_warp = warp
+                progress = True
+                continue
+
+            # memory op
+            if len(ldst.queue) >= ldst.queue_depth:
+                ldst.stats.queue_full_rejects += 1
+                continue
+            blocks = coalesce(op.addrs, self._line_size)
+            scheduler.consume(warp, 1, now)
+            warp.insns_issued += 1
+            lanes = op.active_lanes
+            warp.thread_insns += lanes
+            self.thread_insns += lanes
+            self.warp_insns += 1
+            self.policy.notify_instructions(lanes)
+            warp.advance()
+            is_write = op.is_write
+            ldst.enqueue(MemWork(warp, blocks, is_write, op.pc, op.insn_id))
+            if is_write:
+                # stores are fire-and-forget for the warp
+                if warp.done:
+                    self._warp_finished(warp)
+                else:
+                    scheduler.wake_at = now + 1
+                    scheduler.wake_warp = warp
+            # loads: begin_memory_wait ran inside enqueue; the warp wakes
+            # (or finishes) via complete_request
+            progress = True
         if ldst.queue and ldst.step(now):
             progress = True
         if self._miss_fifo and self.l1d.drain_miss_queue(1):
             progress = True
         return progress
 
-    def _issue(self, scheduler, warp: Warp, now: int) -> bool:
-        """Issue ``warp``'s next op, just picked from ``scheduler``."""
-        op = warp.current_op
-        if type(op) is ComputeOp:
-            n = op.count
-            scheduler.consume(warp, n, now)
-            warp.insns_issued += n
-            count = n * self.config.warp_size
-            warp.thread_insns += count
-            self.thread_insns += count
-            self.warp_insns += n
-            self.policy.notify_instructions(count)
-            warp.advance()
-            if warp.done:
-                if warp.outstanding == 0:
-                    self._warp_finished(warp)
-                # else: the LD/ST completion path finishes it.
-            else:
-                warp.ready_time = now + n
-            # The wake of a finished warp wakes nothing, but it still
-            # keeps the run going until the scheduler's busy window ends.
-            scheduler.wake_at = now + n
-            scheduler.wake_warp = warp
-            return True
-
-        # memory op
-        ldst = self.ldst
-        if len(ldst.queue) >= ldst.queue_depth:
-            ldst.stats.queue_full_rejects += 1
-            return False
-        blocks = coalesce(op.addrs, self.config.l1d.line_size)
-        scheduler.consume(warp, 1, now)
-        warp.insns_issued += 1
-        lanes = op.active_lanes
-        warp.thread_insns += lanes
-        self.thread_insns += lanes
-        self.warp_insns += 1
-        self.policy.notify_instructions(lanes)
-        warp.advance()
-        ldst.enqueue(MemWork(warp, blocks, op.is_write, op.pc, op.insn_id))
-        if op.is_write:
-            # stores are fire-and-forget for the warp
-            if warp.done:
-                self._warp_finished(warp)
-            else:
-                warp.ready_time = now + 1
-                scheduler.wake_at = now + 1
-                scheduler.wake_warp = warp
-        # loads: begin_memory_wait ran inside enqueue; the warp wakes (or
-        # finishes) via complete_request
-        return True
-
-    def _wake(self, warp: Warp) -> None:
-        if not warp.done and warp.outstanding == 0:
-            warp.scheduler.notify_ready(warp)
-
     def complete_request(self, warp: Optional[Warp]) -> None:
         """One memory request of a warp finished (hit latency elapsed,
         MSHR fill, or bypass response)."""
-        if warp is None:
-            return
-        woke = warp.complete_request(0)
-        if not woke:
+        if warp is None or not warp.complete_request():
             return
         if warp.done:
             self._warp_finished(warp)

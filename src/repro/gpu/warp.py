@@ -1,10 +1,12 @@
 """Warp execution state.
 
-A warp walks its instruction trace in order.  It is *ready* when the
-scheduler may issue its next op: not done, not waiting on outstanding
-memory requests, and past any compute-latency window.  ``age`` is the
-global dispatch sequence number the GTO scheduler uses for its
-oldest-first tiebreak.
+A warp walks its instruction trace in order.  ``ready`` is the whole
+of its readiness: the warp's scheduler sets it only when the warp can
+issue in the current cycle (CTA dispatch, the completion of its last
+outstanding memory request, or the wake the SM applies when a compute
+run or a store ends), and issue clears it.  ``outstanding`` counts the
+requests of a load still in flight.  ``age`` is the global dispatch
+sequence number the GTO scheduler uses for its oldest-first tiebreak.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from repro.gpu.isa import WarpOp
-
-_NEVER = float("inf")
 
 
 class Warp:
@@ -23,7 +23,6 @@ class Warp:
         "age",
         "_trace",
         "current_op",
-        "ready_time",
         "outstanding",
         "done",
         "ready",
@@ -39,55 +38,44 @@ class Warp:
         self.cta_slot = cta_slot
         self.age = age
         self._trace = trace
-        self.current_op: Optional[WarpOp] = None
-        self.ready_time: float = 0
+        self.current_op: Optional[WarpOp] = next(trace, None)
         self.outstanding = 0
-        self.done = False
-        self.ready = False  # scheduler bookkeeping flag
+        self.done = self.current_op is None
+        self.ready = False  # may issue this cycle; set and cleared by the scheduler
         self.push_count = 0  # invalidates stale ready-heap entries
         self.insns_issued = 0
         self.thread_insns = 0
         self.sm = None
         self.scheduler = None
-        self._advance()
-
-    def _advance(self) -> None:
-        self.current_op = next(self._trace, None)
-        if self.current_op is None:
-            self.done = True
 
     def peek(self) -> Optional[WarpOp]:
         return self.current_op
 
     def advance(self) -> None:
-        """Move past the current op (called by the scheduler at issue)."""
+        """Move past the current op (called by the SM at issue)."""
         if self.done:
             raise RuntimeError(f"advance on finished warp {self.gid}")
-        self._advance()
+        op = next(self._trace, None)
+        self.current_op = op
+        if op is None:
+            self.done = True
 
     def begin_memory_wait(self, num_requests: int) -> None:
         if num_requests < 1:
             raise ValueError("memory wait needs at least one request")
         self.outstanding = num_requests
-        self.ready_time = _NEVER
 
-    def complete_request(self, now: int) -> bool:
-        """One memory request finished; True when the warp woke up."""
+    def complete_request(self) -> bool:
+        """One memory request finished; True when it was the last."""
         if self.outstanding <= 0:
             raise RuntimeError(f"spurious completion for warp {self.gid}")
         self.outstanding -= 1
-        if self.outstanding == 0:
-            self.ready_time = now
-            return True
-        return False
-
-    def is_ready(self, now: int) -> bool:
-        return not self.done and self.outstanding == 0 and self.ready_time <= now
+        return self.outstanding == 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = (
             "done"
             if self.done
-            else f"out={self.outstanding} rt={self.ready_time}"
+            else f"out={self.outstanding} ready={self.ready}"
         )
         return f"<Warp {self.gid} age={self.age} {state}>"

@@ -238,10 +238,19 @@ class AsyncServeClient:
 
     @staticmethod
     async def _send(conn: _Connection, message: bytes) -> bytes:
-        """Write one request; returns the response head."""
+        """Write one request; returns the response head.
+
+        A head longer than the stream limit is a malformed response,
+        like a bad status line: ``OSError``, so it is retried and the
+        connection is closed.
+        """
         conn.writer.write(message)
         await conn.writer.drain()
-        return await conn.reader.readuntil(b"\r\n\r\n")
+        try:
+            return await conn.reader.readuntil(b"\r\n\r\n")
+        except asyncio.LimitOverrunError as exc:
+            raise OSError(
+                f"response head exceeds the stream limit: {exc}") from exc
 
     @staticmethod
     def _parse_head(raw: bytes) -> Tuple[int, Dict[str, str],

@@ -69,19 +69,19 @@ class Interconnect:
         self.stats = InterconnectStats()
         self._next_free: dict = {}
 
-    def _injection_delay(self, src: int) -> int:
-        now = self.clock()
-        start = max(now, self._next_free.get(src, 0))
-        self._next_free[src] = start + self.injection_interval
-        return start - now
-
     def send_request(
         self, src: int, is_write: bool, deliver: Callable[[Any], None], arg: Any
     ) -> None:
         """SM -> memory partition direction."""
-        self.stats.request_packets += 1
-        self.stats.bytes_to_mem += CONTROL_BYTES + (LINE_BYTES if is_write else 0)
-        self.schedule(self._injection_delay(src) + self.latency, deliver, arg)
+        stats = self.stats
+        stats.request_packets += 1
+        stats.bytes_to_mem += CONTROL_BYTES + (LINE_BYTES if is_write else 0)
+        # Injection: the source's port takes one packet per interval.
+        now = self.clock()
+        next_free = self._next_free.get(src, 0)
+        start = next_free if next_free > now else now
+        self._next_free[src] = start + self.injection_interval
+        self.schedule(start - now + self.latency, deliver, arg)
 
     def send_response(self, deliver: Callable[[Any], None], arg: Any) -> None:
         """Memory partition -> SM direction (read data).  Return-path

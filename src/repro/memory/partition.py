@@ -61,23 +61,23 @@ class MemoryPartition:
 
     # ------------------------------------------------------------------
 
-    def _l2_slot(self, now: int) -> int:
-        """Admission time of the next L2 access (slice bandwidth)."""
-        start = max(now, self._l2_next_free)
-        self._l2_next_free = start + self.l2_service_interval
-        self.l2_queue_delay += start - now
-        return start
-
     def _respond_later(self, fetch: FetchRequest, ready: int, now: int) -> None:
         """Serialise the response onto the return link."""
-        start = max(ready, self._resp_next_free)
+        start = self._resp_next_free
+        if start < ready:
+            start = ready
         self._resp_next_free = start + self.response_interval
         self.resp_queue_delay += start - ready
         self.schedule(start - now, self.respond, fetch)
 
     def receive(self, fetch: FetchRequest, now: int) -> None:
         """A request delivered by the interconnect."""
-        start = self._l2_slot(now)
+        # Admission to the slice: one access per service interval.
+        start = self._l2_next_free
+        if start < now:
+            start = now
+        self._l2_next_free = start + self.l2_service_interval
+        self.l2_queue_delay += start - now
         if fetch.is_write:
             self.l2.write(fetch.block_addr)
             self.dram.schedule_write(start + self.l2_latency)

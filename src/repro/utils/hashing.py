@@ -11,6 +11,8 @@ Two uses in the reproduced design:
 
 from __future__ import annotations
 
+from typing import Callable
+
 _FNV_OFFSET_32 = 0x811C9DC5
 _FNV_PRIME_32 = 0x01000193
 
@@ -52,28 +54,49 @@ def hash_pc(pc: int, bits: int = 7) -> int:
     return _fmix32(fnv1a_32(pc)) & ((1 << bits) - 1)
 
 
-def xor_set_index(block_addr: int, num_sets: int) -> int:
-    """XOR-hash set index: fold higher block-address bits into the index.
-
-    ``block_addr`` is the line address (byte address >> log2(line size)).
-    Folding the address in ``log2(num_sets)``-wide slices breaks up
-    power-of-two strides that would otherwise all map to one set.
-    """
+def _check_num_sets(num_sets: int) -> None:
     if num_sets <= 0 or num_sets & (num_sets - 1):
         raise ValueError(f"num_sets must be a power of two, got {num_sets}")
-    bits = num_sets.bit_length() - 1
+
+
+def xor_index_fn(num_sets: int) -> Callable[[int], int]:
+    """The XOR-hash set index of a cache with ``num_sets`` sets, checked
+    once: ``fn(block_addr)`` folds the line address (byte address >>
+    log2(line size)) in ``log2(num_sets)``-wide slices, which breaks up
+    power-of-two strides that would otherwise all map to one set."""
+    _check_num_sets(num_sets)
+    mask = num_sets - 1
+    bits = mask.bit_length()
     if bits == 0:
-        return 0
-    index = 0
-    addr = block_addr
-    while addr:
-        index ^= addr & (num_sets - 1)
-        addr >>= bits
+        return lambda block_addr: 0
+
+    def index(block_addr: int) -> int:
+        result = 0
+        while block_addr:
+            result ^= block_addr & mask
+            block_addr >>= bits
+        return result
+
     return index
 
 
+def linear_index_fn(num_sets: int) -> Callable[[int], int]:
+    """The modulo set index of a cache with ``num_sets`` sets, checked
+    once (the paper's L2 uses "Linear index")."""
+    _check_num_sets(num_sets)
+    mask = num_sets - 1
+
+    def index(block_addr: int) -> int:
+        return block_addr & mask
+
+    return index
+
+
+def xor_set_index(block_addr: int, num_sets: int) -> int:
+    """XOR-hash set index of one block (see :func:`xor_index_fn`)."""
+    return xor_index_fn(num_sets)(block_addr)
+
+
 def linear_set_index(block_addr: int, num_sets: int) -> int:
-    """Plain modulo set index (the paper's L2 uses "Linear index")."""
-    if num_sets <= 0 or num_sets & (num_sets - 1):
-        raise ValueError(f"num_sets must be a power of two, got {num_sets}")
-    return block_addr & (num_sets - 1)
+    """Plain modulo set index of one block (see :func:`linear_index_fn`)."""
+    return linear_index_fn(num_sets)(block_addr)

@@ -120,6 +120,17 @@ class TestSimVersionManifest:
         messages = manifest.diff_manifest(fake_root)
         assert messages and "cache/mshr.py" in messages[0]
 
+    def test_timing_simulator_edit_without_bump_flagged(self, fake_root):
+        (fake_root / "gpu").mkdir()
+        ldst = fake_root / "gpu" / "ldst.py"
+        ldst.write_text("QUEUE_DEPTH = 4\n", encoding="utf-8")
+        manifest.write_manifest(fake_root)
+        ldst.write_text("QUEUE_DEPTH = 8\n", encoding="utf-8")
+        messages = manifest.diff_manifest(fake_root)
+        assert len(messages) == 1
+        assert "bump SIM_VERSION" in messages[0]
+        assert "gpu/ldst.py" in messages[0]
+
     def test_bumped_version_with_stale_manifest_flagged(self, fake_root):
         manifest.write_manifest(fake_root)
         (fake_root / "experiments" / "store.py").write_text(
@@ -140,7 +151,7 @@ class TestSimVersionManifest:
 
     def test_repo_manifest_is_current(self):
         # The committed manifest must match the committed sources; if this
-        # fails, someone edited core/ or cache/ without the bump workflow.
+        # fails, someone edited a semantic package without the bump workflow.
         assert manifest.diff_manifest() == []
 
 

@@ -88,7 +88,7 @@ class TestPacing:
     def test_queue_depth_enforced(self):
         h = Harness(queue_depth=1)
         h.ldst.enqueue(work(warp_with_load(0), [0]))
-        assert h.ldst.is_full
+        assert len(h.ldst.queue) == h.ldst.queue_depth
         with pytest.raises(RuntimeError):
             h.ldst.enqueue(work(warp_with_load(1), [1]))
 
@@ -139,7 +139,7 @@ class TestWrites:
 
 
 def _fast_way(l1d, block):
-    base = l1d._set_base(block)
+    base = l1d.geometry.set_index(block) * l1d._assoc
     return next(w for w in range(base, base + l1d._assoc) if l1d._blk[w] == block)
 
 

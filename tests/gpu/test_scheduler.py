@@ -96,8 +96,8 @@ class TestLrr:
         a, b = make_warp(0, 0), make_warp(1, 1)
         sched.add_warp(a)
         sched.add_warp(b)
-        a.ready_time = 100
-        assert sched.pick(0) is b
+        sched.consume(a, 1, 0)  # a issued and was not re-notified
+        assert sched.pick(1) is b
 
     def test_busy_until_blocks_issue(self):
         sched = LrrScheduler()

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import make_policy
 from repro.gpu import GPUConfig, GpuSimulator, Kernel, compute, load, store
+from repro.gpu.scheduler import SCHEDULERS
 from repro.gpu.simulator import DeadlockError
 
 
@@ -202,6 +203,35 @@ class TestEndOfRunCycle:
         config = dataclasses.replace(GPUConfig().scaled(2), scheduler=scheduler)
         result = run(Kernel("k", 3, 5, trace), config, policy="dlp", engine=engine)
         assert result.cycles == self.EXPECTED[trace][scheduler == "lrr"]
+
+
+class TestReadinessFlag:
+    @pytest.mark.parametrize("scheduler", ("gto", "lrr"))
+    @pytest.mark.parametrize(
+        "trace", (load_between_runs, load_store_run, run_then_store),
+        ids=lambda f: f.__name__,
+    )
+    def test_picked_warps_can_issue(self, monkeypatch, trace, scheduler):
+        """The ready flag is the whole of readiness: every warp a
+        scheduler picks is unfinished and waits on no memory request."""
+        cls = SCHEDULERS[scheduler]
+        pick = cls.pick
+        bad = []
+        picks = 0
+
+        def checked(self, now):
+            nonlocal picks
+            warp = pick(self, now)
+            if warp is not None:
+                picks += 1
+                if warp.done or warp.outstanding or not warp.ready:
+                    bad.append((now, warp))
+            return warp
+
+        monkeypatch.setattr(cls, "pick", checked)
+        config = dataclasses.replace(GPUConfig().scaled(2), scheduler=scheduler)
+        run(Kernel("k", 3, 5, trace), config, policy="dlp")
+        assert picks and not bad
 
 
 class TestDeadlock:

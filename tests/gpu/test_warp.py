@@ -3,6 +3,7 @@
 import pytest
 
 from repro.gpu.isa import compute, load
+from repro.gpu.scheduler import GtoScheduler
 from repro.gpu.warp import Warp
 
 
@@ -33,17 +34,17 @@ class TestMemoryWait:
     def test_wait_and_complete(self):
         w = make_warp([load(0, [0]), compute(1)])
         w.begin_memory_wait(3)
-        assert not w.is_ready(100)
-        assert not w.complete_request(5)
-        assert not w.complete_request(6)
-        assert w.complete_request(7)   # last one wakes the warp
-        assert w.is_ready(7)
-        assert w.ready_time == 7
+        assert w.outstanding == 3
+        assert not w.complete_request()
+        assert not w.complete_request()
+        assert w.complete_request()    # the last one reports the wake
+        assert w.outstanding == 0
+        assert not w.ready             # the scheduler sets the flag
 
     def test_spurious_completion_raises(self):
         w = make_warp([compute(1)])
         with pytest.raises(RuntimeError):
-            w.complete_request(0)
+            w.complete_request()
 
     def test_zero_requests_rejected(self):
         w = make_warp([compute(1)])
@@ -53,11 +54,20 @@ class TestMemoryWait:
 
 class TestReadiness:
     def test_ready_time_gates(self):
-        w = make_warp([compute(1)])
-        w.ready_time = 10
-        assert not w.is_ready(9)
-        assert w.is_ready(10)
+        # Readiness is the scheduler's flag: set on notify, cleared at
+        # issue, and a busy scheduler picks nothing until busy_until.
+        sched = GtoScheduler()
+        w = make_warp([compute(1), compute(1)])
+        assert not w.ready
+        sched.add_warp(w)
+        assert w.ready
+        sched.consume(w, 10, 0)
+        assert not w.ready
+        sched.notify_ready(w)
+        assert sched.pick(9) is None
+        assert sched.pick(10) is w
 
     def test_done_warp_never_ready(self):
         w = make_warp([])
-        assert not w.is_ready(0)
+        GtoScheduler().notify_ready(w)
+        assert not w.ready

@@ -182,6 +182,38 @@ class TestRetrySchedule:
                 assert server.connections == 3
         run(body())
 
+    def test_oversized_response_head_raises_load_client_error(self):
+        async def body():
+            # one header line past the client's 64 KiB stream limit
+            oversized = kept(200, {}).replace(
+                b"Connection:", b"X-Filler: " + b"x" * 70_000
+                + b"\r\nConnection:")
+            server = ScriptedServer([oversized])
+            async with server as (host, port):
+                client = AsyncServeClient(host, port, retries=0)
+                with pytest.raises(LoadClientError):
+                    await client.request("GET", "/big")
+                assert not client.pool._idle    # closed, not pooled
+                await client.aclose()
+        run(body())
+
+    def test_oversized_response_head_is_retried(self):
+        async def body():
+            oversized = kept(200, {}).replace(
+                b"Connection:", b"X-Filler: " + b"x" * 70_000
+                + b"\r\nConnection:")
+            server = ScriptedServer([oversized])
+            async with server as (host, port):
+                client = AsyncServeClient(
+                    host, port, retries=1, backoff_base=0.01,
+                    backoff_cap=0.02, rng=DeterministicRng("test"))
+                status, doc = await client.request("GET", "/big")
+                await client.aclose()
+                assert status == 200 and doc == {"path": "/big"}
+                assert client.transport_errors == 1
+                assert server.connections == 2
+        run(body())
+
     def test_exhausted_429s_surface_final_status(self):
         async def body():
             script = [http_bytes(429, {"error": "full"},
