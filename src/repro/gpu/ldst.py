@@ -36,9 +36,10 @@ so a caller that fills or drains the cache directly need not tell the
 unit.  Neither ``NO_RESERVABLE_LINE`` nor non-blocking probing is
 memoized.
 
-``step`` builds the head's ``MemAccess`` and finishes a successful
-issue in its own body, so a cycle of the unit is one call into the L1D
-at most.
+``step`` builds each ``MemAccess``, scans past a stalled head in
+non-blocking mode and finishes a successful issue in its own body, so
+in blocking mode a cycle of the unit makes one call into the L1D at
+most.
 """
 
 from __future__ import annotations
@@ -148,28 +149,40 @@ class LdStUnit:
                 stalls[key] = stalls.get(key, 0) + 1
                 return False
             self._stall_memo = None
-        warp = work.warp
-        is_write = work.is_write
-        # One record per probe: the L1D's access tap may keep it.
-        result = l1d.access(MemAccess(
-            work.blocks[work.next_index], work.pc, work.insn_id, is_write,
-            warp.gid if warp else -1, self.sm_id, now,
-            None if is_write else warp,
-        ))
-        outcome = result.outcome
-        if outcome is _STALL:
-            self.stats.stall_cycles += 1
-            if not self.non_blocking:
-                reason = result.stall_reason
-                if reason in PURE_STALLS:
-                    self._stall_memo = (
-                        work, l1d.stats.fills, len(self._miss_fifo),
-                        reason.value,
-                    )
+        # Offer the head; in non-blocking mode a stalled head is followed
+        # by the later queued instructions, in FIFO order, until the L1D
+        # accepts one (hit-under-miss / miss-under-miss).
+        index = 0
+        while True:
+            warp = work.warp
+            is_write = work.is_write
+            # One record per probe: the L1D's access tap may keep it.
+            result = l1d.access(MemAccess(
+                work.blocks[work.next_index], work.pc, work.insn_id, is_write,
+                warp.gid if warp else -1, self.sm_id, now,
+                None if is_write else warp,
+            ))
+            outcome = result.outcome
+            if outcome is not _STALL:
+                break
+            if not index:
+                self.stats.stall_cycles += 1
+                if not self.non_blocking:
+                    reason = result.stall_reason
+                    if reason in PURE_STALLS:
+                        self._stall_memo = (
+                            work, l1d.stats.fills, len(self._miss_fifo),
+                            reason.value,
+                        )
+                    return False
+            index += 1
+            if index == len(queue):
                 return False
-            return self._issue_under_miss(now)
+            work = queue[index]
 
         self.stats.requests_sent += 1
+        if index:
+            self.stats.under_miss_issues += 1
         if outcome is _HIT:
             self.schedule(self.hit_latency, self.complete_request, warp)
         # MISS / HIT_RESERVED waiters complete on fill; BYPASS waiters
@@ -177,34 +190,8 @@ class LdStUnit:
         # fire-and-forget.
         work.next_index += 1
         if work.next_index >= len(work.blocks):
-            queue.popleft()
+            del queue[index]
         return True
-
-    def _issue_under_miss(self, now: int) -> bool:
-        """Head stalled: offer later queued instructions to the L1D in
-        FIFO order and issue the first accepted one (non-blocking mode)."""
-        queue = self.queue
-        for i in range(1, len(queue)):
-            work = queue[i]
-            warp = work.warp
-            is_write = work.is_write
-            result = self.l1d.access(MemAccess(
-                work.blocks[work.next_index], work.pc, work.insn_id, is_write,
-                warp.gid if warp else -1, self.sm_id, now,
-                None if is_write else warp,
-            ))
-            outcome = result.outcome
-            if outcome is _STALL:
-                continue
-            self.stats.under_miss_issues += 1
-            self.stats.requests_sent += 1
-            if outcome is _HIT:
-                self.schedule(self.hit_latency, self.complete_request, warp)
-            work.next_index += 1
-            if work.next_index >= len(work.blocks):
-                del queue[i]
-            return True
-        return False
 
     def pending_requests(self) -> int:
         return sum(w.remaining for w in self.queue)

@@ -205,10 +205,17 @@ class TestEndOfRunCycle:
         assert result.cycles == self.EXPECTED[trace][scheduler == "lrr"]
 
 
+def divergent_load_run(cta, w):
+    """A load of eight lines per warp, then a store and a compute run."""
+    yield load(0x100, np.arange(32) * 32 + (cta * 64 + w) * 4096)
+    yield store(0x108, lanes_of(cta, w))
+    yield compute(3)
+
+
 class TestReadinessFlag:
     @pytest.mark.parametrize("scheduler", ("gto", "lrr"))
     @pytest.mark.parametrize(
-        "trace", (load_between_runs, load_store_run, run_then_store),
+        "trace", (load_between_runs, divergent_load_run, run_then_store),
         ids=lambda f: f.__name__,
     )
     def test_picked_warps_can_issue(self, monkeypatch, trace, scheduler):
