@@ -174,7 +174,12 @@ def decode_reader(reader: TraceReader) -> List[SmColumns]:
 def decode_records(
     records: Sequence[TraceRecord], num_sms: int
 ) -> List[SmColumns]:
-    """Bucket an in-memory record stream per SM and build columns."""
+    """Bucket an in-memory record stream per SM and build columns.
+
+    A record outside the SM range, or with a negative block, PC or warp
+    (which :class:`~repro.trace.format.TraceWriter` would refuse, and
+    whose set-index fold would never terminate), raises ``ValueError``.
+    """
     blocks: List[List[int]] = [[] for _ in range(num_sms)]
     pcs: List[List[int]] = [[] for _ in range(num_sms)]
     writes: List[List[int]] = [[] for _ in range(num_sms)]
@@ -185,10 +190,17 @@ def decode_records(
             raise ValueError(
                 f"sm_id {sm_id} out of range for {num_sms} SMs"
             )
-        blocks[sm_id].append(record[1])
-        pcs[sm_id].append(record[2])
+        block, pc = record[1], record[2]
+        warp = record[4] if len(record) > 4 else 0
+        if block < 0 or pc < 0 or warp < 0:
+            raise ValueError(
+                f"record {record!r} has a negative field: block, pc "
+                f"and warp must be non-negative"
+            )
+        blocks[sm_id].append(block)
+        pcs[sm_id].append(pc)
         writes[sm_id].append(int(record[3]))
-        warps[sm_id].append(record[4] if len(record) > 4 else 0)
+        warps[sm_id].append(warp)
     return [
         _columns_from_lists(sm, blocks[sm], pcs[sm], writes[sm], warps[sm])
         for sm in range(num_sms)

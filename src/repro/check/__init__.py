@@ -14,13 +14,15 @@ package makes both checkable:
   :class:`HardwareContractViolation` on any out-of-range or non-integer
   write when enabled.
 * :mod:`repro.check.lint` — an AST linter with repo-specific rules
-  (R001 nondeterminism, R002 float contamination, R003 unmasked
-  bit-field arithmetic, R004 cross-process hazards, R005 missing
-  ``SIM_VERSION`` bump, R006 abstract-interpretation bit-width proofs,
-  R007 reference/fastsim engine parity, R008 store-key purity, R009
-  async hygiene, R010 strict-mode marker hygiene), statement-scoped
-  allow-markers, a baseline-suppression file, ``--strict`` mode and
-  JSON/SARIF output.
+  (R001 nondeterminism, R002 float contamination, R004 cross-process
+  hazards, R005 missing ``SIM_VERSION`` bump, R006
+  abstract-interpretation bit-width proofs, R007 reference/fastsim
+  engine parity, R008 store-key purity, R009 async hygiene, R010
+  strict-mode marker hygiene), statement-scoped allow-markers, a
+  baseline-suppression file, ``--strict`` mode and JSON/SARIF output.
+  The simulator imports this package for its contracts, so the linter
+  is imported from :mod:`repro.check.lint` directly, never re-exported
+  here.
 * :mod:`repro.check.analysis` — the static engines behind R006/R007:
   an integer-interval abstract interpreter over the AST and the
   engine-parity extractor with its committed ``parity_manifest.json``.
@@ -43,7 +45,6 @@ from repro.check.contracts import (
     instrument,
     set_field_width,
 )
-from repro.check.lint import Finding, Linter, run_check
 
 __all__ = [
     "BitField",
@@ -53,7 +54,4 @@ __all__ = [
     "hw_checked",
     "instrument",
     "set_field_width",
-    "Finding",
-    "Linter",
-    "run_check",
 ]

@@ -4,8 +4,8 @@ Two engines live here, both pure-AST (no imports of the analyzed code):
 
 * :mod:`repro.check.analysis.intervals` — an abstract-interpretation
   value-range analyzer over integer intervals.  Rule R006 drives it over
-  ``repro.core``/``repro.cache``/``repro.fastsim`` to prove that every
-  write into a declared hardware bit-field fits its width.
+  every module that names a declared hardware field to prove that each
+  write into such a field fits its width.
 * :mod:`repro.check.analysis.parity` — AST extraction of policy knob
   defaults, override-guard styles, width constants and ``@hw_checked``
   declarations from the reference policies and the packed fast engine.

@@ -24,8 +24,9 @@ intra-procedural with depth-limited cross-module call summaries:
   loops are analyzed against the same widths as the reference model;
 * calls to functions defined in the same module or imported from a
   sibling ``repro`` module are summarized (their return interval is
-  computed from the callee's body, depth-limited); everything else is
-  conservatively unknown.
+  computed from the callee's body, depth-limited), also through aliases
+  and ``lru_cache(...)(f)`` wrappers; everything else is conservatively
+  unknown.
 
 A *violation* is any store into a declared field whose interval may
 leave ``[0, 2**bits - 1]``.  The analysis is deliberately unsound in
@@ -288,6 +289,8 @@ class ModuleContext:
         self.functions: Dict[str, ast.FunctionDef] = {}
         self.imports: Dict[str, Tuple[str, str]] = {}  # name -> (module, orig)
         self.constants: Dict[str, int] = {}
+        # module-level function aliases (``_iid = lru_cache()(hash_pc)``)
+        self.aliases: Dict[str, str] = {}
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
                 self.functions[node.name] = node
@@ -304,6 +307,9 @@ class ModuleContext:
                         node.value.value, int
                     ) and not isinstance(node.value.value, bool):
                         self.constants[target.id] = node.value.value
+                    aliased = _function_named_by(node.value)
+                    if aliased is not None:
+                        self.aliases[target.id] = aliased
 
     def qualified(self, name: str) -> Optional[str]:
         """Dotted origin of an imported name, or None for locals."""
@@ -337,10 +343,12 @@ class ValueRangeAnalyzer:
     # -- public entry points -------------------------------------------
 
     def analyze_module(self, tree: ast.Module) -> List[WidthViolation]:
-        """Every width violation in every function (and class body) of
-        one parsed module."""
+        """Every width violation in one parsed module: its top-level
+        statements, every function and every class body's defaults."""
         ctx = ModuleContext(tree, self.package_root)
-        violations: List[WidthViolation] = []
+        runner = _FunctionRunner(self, ctx, collect=True)
+        runner.run_block(tree.body, {})
+        violations = runner.violations
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 violations.extend(self._analyze_function(node, ctx))
@@ -575,14 +583,13 @@ class _FunctionRunner:
             if isinstance(value_node, ast.Attribute):
                 if value_node.attr in table.packed_fields:
                     self.array_aliases[target.id] = value_node.attr
-            elif isinstance(value_node, ast.Name):
-                origin = self._callable_origin(value_node.id)
+            aliased = _function_named_by(value_node)
+            if aliased is not None:
+                origin = self._callable_origin(aliased)
                 if origin is not None:
                     self.func_aliases[target.id] = origin
-                if value_node.id in self.array_aliases:
-                    self.array_aliases[target.id] = (
-                        self.array_aliases[value_node.id]
-                    )
+                if aliased in self.array_aliases:
+                    self.array_aliases[target.id] = self.array_aliases[aliased]
             env[target.id] = _as_interval(value)
         elif isinstance(target, ast.Attribute):
             bits = table.scalar_fields.get(target.attr)
@@ -820,6 +827,7 @@ class _FunctionRunner:
         """Dotted origin for a name that refers to a known function."""
         if name in self.func_aliases:
             return self.func_aliases[name]
+        name = self.ctx.aliases.get(name, name)
         qualified = self.ctx.qualified(name)
         if qualified is not None:
             return qualified
@@ -945,6 +953,19 @@ class _FunctionRunner:
 def _key(node: ast.expr) -> str:
     """Canonical environment key for a storable expression."""
     return ast.unparse(node)
+
+
+def _function_named_by(node: Optional[ast.expr]) -> Optional[str]:
+    """The name ``node`` evaluates to, seen through ``lru_cache(...)(f)``
+    wrappers, which return what ``f`` returns."""
+    while (
+        isinstance(node, ast.Call)
+        and len(node.args) == 1
+        and isinstance(node.func, ast.Call)
+        and _key(node.func.func) in ("lru_cache", "functools.lru_cache")
+    ):
+        node = node.args[0]
+    return node.id if isinstance(node, ast.Name) else None
 
 
 def _as_interval(value: object) -> Interval:

@@ -10,16 +10,9 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.check.rules.base import (
-    HW_FIELD_NAMES,
-    Finding,
-    ModuleSource,
-    RepoRule,
-    Rule,
-)
+from repro.check.rules.base import Finding, ModuleSource, RepoRule, Rule
 from repro.check.rules.async_hygiene import AsyncHygieneRule
 from repro.check.rules.bit_widths import BitWidthProofRule
-from repro.check.rules.bitfield_masking import BitfieldMaskingRule
 from repro.check.rules.engine_parity import EngineParityRule, OverrideGuardRule
 from repro.check.rules.float_contamination import FloatContaminationRule
 from repro.check.rules.key_purity import KeyPurityRule
@@ -33,7 +26,6 @@ def ast_rules() -> List[Rule]:
     return [
         NondeterminismRule(),
         FloatContaminationRule(),
-        BitfieldMaskingRule(),
         ProcessHazardRule(),
         BitWidthProofRule(),
         OverrideGuardRule(),
@@ -52,12 +44,10 @@ __all__ = [
     "ModuleSource",
     "Rule",
     "RepoRule",
-    "HW_FIELD_NAMES",
     "ast_rules",
     "repo_rules",
     "NondeterminismRule",
     "FloatContaminationRule",
-    "BitfieldMaskingRule",
     "ProcessHazardRule",
     "BitWidthProofRule",
     "OverrideGuardRule",

@@ -96,17 +96,6 @@ class RepoRule:
         raise NotImplementedError
 
 
-def walk_with_ancestors(tree: ast.AST) -> Iterator[tuple[ast.AST, List[ast.AST]]]:
-    """Depth-first walk yielding ``(node, ancestors)`` pairs."""
-    stack: List[tuple[ast.AST, List[ast.AST]]] = [(tree, [])]
-    while stack:
-        node, ancestors = stack.pop()
-        yield node, ancestors
-        child_ancestors = ancestors + [node]
-        for child in ast.iter_child_nodes(node):
-            stack.append((child, child_ancestors))
-
-
 def attr_chain(node: ast.AST) -> Optional[str]:
     """Dotted name of an attribute chain (``np.random.seed``) or None."""
     parts: List[str] = []
@@ -117,21 +106,3 @@ def attr_chain(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-#: Attribute names of modeled hardware bit-fields — the write targets
-#: rules R002/R003 protect.  Global (program-level) hit accumulators are
-#: deliberately absent: they are kept unbounded so per-entry saturation
-#: cannot distort the Figure 9 global comparison.
-HW_FIELD_NAMES = frozenset(
-    {
-        "pd",  # PdptEntry.pd (4-bit Protection Distance)
-        "protected_life",  # CacheLine.protected_life (4-bit PL)
-        "tda_hits",  # PdptEntry.tda_hits (8-bit saturating)
-        "vta_hits",  # PdptEntry.vta_hits (10-bit saturating)
-        "insn_id",  # CacheLine/VictimEntry/PdptEntry (7-bit hashed iid)
-        "pending_insn_id",  # CacheLine (7-bit)
-        "first_insn_id",  # MshrEntry (7-bit)
-        "global_pd",  # GlobalProtectionPolicy (4-bit)
-    }
-)

@@ -1,112 +1,133 @@
 """Rule R006: statically prove bit-field writes fit their widths.
 
-R003 pattern-matches individual arithmetic expressions; this rule runs
-the abstract-interpretation value-range analyzer
-(:mod:`repro.check.analysis.intervals`) over every function in the
-simulation packages and reports each store into a declared hardware
-field whose value interval may leave ``[0, 2**bits - 1]``.  The runtime
-``REPRO_CHECK=1`` contracts remain as a backstop for code paths the
-analysis cannot see (constructor calls, ablation-widened fields), but
-the widths themselves are proven here, at lint time, on every path.
+This rule runs the abstract-interpretation value-range analyzer
+(:mod:`repro.check.analysis.intervals`) over every module that names a
+declared hardware field and reports each store into such a field (in
+a function, a class-body default or at module level) whose value
+interval may leave ``[0, 2**bits - 1]``.  The runtime ``REPRO_CHECK=1``
+contracts remain as a backstop for code paths the analysis cannot see
+(constructor calls, ablation-widened fields), but the widths themselves
+are proven here, at lint time, on every path.
 
-The field tables mirror the ``@hw_checked`` declarations (R007 keeps
-them honest against the extracted parity manifest):
+The field table is derived, not mirrored: :func:`field_table` reads it
+off the engine-parity extraction that R007 checks
+(:func:`repro.check.analysis.parity.compute_parity`), so the
+``@hw_checked`` declarations are the one place a width is written:
 
-* scalar fields — reference-model object fields and the fast engine's
-  scalar global-PD;
-* packed fields — the fast engine's struct-of-arrays encodings, tracked
-  through local aliases (``pdl = self._pdl``);
-* bound tokens — ``*_max`` attributes that hold a field's declared
-  maximum, evaluated as exact constants so clamps prove.
+* scalar fields — every declared field, plus the fast engine's scalar
+  global PD (``_gpd``);
+* packed fields — the fast engine's struct-of-arrays encodings, each as
+  wide as the reference field it encodes, tracked through local aliases
+  (``pdl = self._pdl``);
+* bound tokens — ``*_max`` attributes that hold a field's maximum,
+  ``(1 << BITS) - 1`` of its width constant, evaluated exactly so
+  clamps prove;
+* constants — the width constants, resolvable by bare name.
 
 Sites that are correct only because of a *data* invariant the analyzer
-cannot see (e.g. dict values that were all produced by ``hash_pc``)
-carry ``# repro-check: allow(R006)`` markers with a justification.
+cannot see carry ``# repro-check: allow(R006)`` markers with a
+justification.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import ast
+from functools import lru_cache
+from typing import Dict, FrozenSet, Iterator
 
+from repro.check.analysis import parity
 from repro.check.analysis.intervals import FieldTable, ValueRangeAnalyzer
 from repro.check.manifest import package_root
 from repro.check.rules.base import Finding, ModuleSource, Rule
 
-#: Widths of the reference model's object fields (paper Figure 8) plus
-#: the fast engine's scalar global PD.  Must agree with the
-#: ``@hw_checked`` declarations — R007 cross-checks.
-SCALAR_FIELDS = {
-    "pd": 4,
-    "protected_life": 4,
-    "tda_hits": 8,
-    "vta_hits": 10,
-    "insn_id": 7,
-    "pending_insn_id": 7,
-    "first_insn_id": 7,
-    "global_pd": 4,
-    "_gpd": 4,
+#: The packed engine's one scalar field: a plain attribute, not an array.
+_SCALAR_PACKED = "_gpd"
+
+#: Bound token -> the width constant whose maximum it holds; the
+#: ``_``-prefixed attribute form holds the same maximum.
+_BOUND_CONSTANTS = {
+    "pd_max": "PD_BITS",
+    "pl_max": "PL_BITS",
+    "tda_hit_max": "TDA_HIT_BITS",
+    "vta_hit_max": "VTA_HIT_BITS",
 }
 
-#: Widths of the fast engine's packed arrays (element-wise).
-PACKED_FIELDS = {
-    "_pli": 4,
-    "_iid": 7,
-    "_pnd": 7,
-    "_pdt": 8,
-    "_pdv": 10,
-    "_pdl": 4,
-    "_vta_iid": 7,
-}
 
-#: Attributes/parameters that hold a field's declared maximum value.
-BOUND_TOKENS = {
-    "pd_max": 15,
-    "pl_max": 15,
-    "_pd_max": 15,
-    "_pl_max": 15,
-    "tda_hit_max": 255,
-    "_tda_hit_max": 255,
-    "vta_hit_max": 1023,
-    "_vta_hit_max": 1023,
-}
-
-#: Module-level width constants resolvable by bare name.
-CONST_NAMES = {
-    "INSN_ID_BITS": 7,
-    "TDA_HIT_BITS": 8,
-    "VTA_HIT_BITS": 10,
-    "PD_BITS": 4,
-    "PL_BITS": 4,
-    "PDPT_ENTRIES": 128,
-}
-
-#: Path fragments of the packages whose writes the rule proves.
-_SCOPED_PACKAGES = ("repro/core/", "repro/cache/", "repro/fastsim/")
+def _ints(table: object) -> Dict[str, int]:
+    """The integer entries of one extracted ``{name: value}`` table."""
+    if not isinstance(table, dict):
+        return {}
+    return {
+        name: value for name, value in table.items()
+        if isinstance(value, int) and not isinstance(value, bool)
+    }
 
 
-def default_field_table() -> FieldTable:
+def field_table(extraction: Dict[str, object]) -> FieldTable:
+    """R006's field table read off one parity extraction.  Widths that
+    did not resolve to integers and packed arrays that claim an
+    undeclared field are left out; R007 reports both."""
+    declared: Dict[str, int] = {}
+    hw_widths = extraction.get("hw_widths")
+    if isinstance(hw_widths, dict):
+        for fields in hw_widths.values():
+            declared.update(_ints(fields))
+    scalar = dict(declared)
+    packed: Dict[str, int] = {}
+    correspondence = extraction.get("packed_correspondence")
+    if isinstance(correspondence, dict):
+        for array, ref_field in correspondence.items():
+            if ref_field in declared:
+                target = scalar if array == _SCALAR_PACKED else packed
+                target[array] = declared[ref_field]
+    constants = _ints(extraction.get("width_constants"))
+    bounds: Dict[str, int] = {}
+    for token, constant in _BOUND_CONSTANTS.items():
+        if constant in constants:
+            maximum = (1 << constants[constant]) - 1
+            bounds[token] = bounds["_" + token] = maximum
     return FieldTable(
-        scalar_fields=dict(SCALAR_FIELDS),
-        packed_fields=dict(PACKED_FIELDS),
-        bound_tokens=dict(BOUND_TOKENS),
-        const_names=dict(CONST_NAMES),
+        scalar_fields=scalar,
+        packed_fields=packed,
+        bound_tokens=bounds,
+        const_names=constants,
     )
+
+
+@lru_cache(maxsize=None)
+def default_field_table() -> FieldTable:
+    """The live package's field table, extracted on first use."""
+    return field_table(parity.compute_parity(package_root()))
+
+
+def hw_field_names() -> FrozenSet[str]:
+    """The ``@hw_checked`` field names (R002's write targets)."""
+    return frozenset(default_field_table().scalar_fields) - {_SCALAR_PACKED}
+
+
+def _names_a_field(tree: ast.Module, table: FieldTable) -> bool:
+    """Whether a module can store into a table field: one of its names
+    appears as an attribute or as an annotated name (a dataclass
+    field)."""
+    names = table.scalar_fields.keys() | table.packed_fields.keys()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            return True
+        if isinstance(node, ast.AnnAssign) and isinstance(
+            node.target, ast.Name
+        ) and node.target.id in names:
+            return True
+    return False
 
 
 class BitWidthProofRule(Rule):
     rule_id = "R006"
     title = "bit-field write may exceed its hardware width"
 
-    def __init__(self) -> None:
-        self._table = default_field_table()
-
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        if not module.relpath.startswith(_SCOPED_PACKAGES):
+        table = default_field_table()
+        if not _names_a_field(module.tree, table):
             return
-        try:
-            root = package_root()
-        except Exception:  # pragma: no cover - package layout is fixed
-            root = None
-        analyzer = ValueRangeAnalyzer(self._table, package_root=root)
+        analyzer = ValueRangeAnalyzer(table, package_root())
         for violation in analyzer.analyze_module(module.tree):
             yield self.finding(module, violation.node, violation.describe())

@@ -14,11 +14,11 @@ Two pieces, one rule id:
   declarations from both engines (:mod:`repro.check.analysis.parity`),
   enforces the cross-engine laws (defaults equal on all three surfaces,
   constants imported not redefined, one width per hardware field, every
-  packed array backed by a declared field), verifies the packed-array
-  width table used by R006 against the extracted declarations, and
-  finally diffs the extraction against the committed
-  ``parity_manifest.json`` so any intentional change is a
-  reviewer-visible ``repro check --update-parity`` refresh.
+  packed array backed by a declared field), and finally diffs the
+  extraction against the committed ``parity_manifest.json`` so any
+  intentional change shows in the diff as a ``repro check
+  --update-parity`` refresh.  R006 derives its field table from the
+  same extraction, so no second copy of the widths exists to drift.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ class EngineParityRule(RepoRule):
             parity.parity_path(pkg_root).relative_to(pkg_root.parent).as_posix()
         )
         messages = parity.check_consistency(current)
-        messages.extend(self._width_table_problems(current))
         messages.extend(
             parity.diff_parity(parity.load_parity(pkg_root), current)
         )
@@ -91,47 +90,3 @@ class EngineParityRule(RepoRule):
                 message=message,
                 snippet="",
             )
-
-    @staticmethod
-    def _width_table_problems(current: dict) -> Iterator[str]:
-        """R006's packed/scalar width tables must match the extracted
-        ``@hw_checked`` declarations — a width changed in the contracts
-        but not in the static tables would silently weaken the proof."""
-        # imported here: bit_widths imports the analysis package too and
-        # rule modules load before the registry ties them together
-        from repro.check.rules.bit_widths import PACKED_FIELDS, SCALAR_FIELDS
-
-        declared: dict = {}
-        hw_widths = current.get("hw_widths", {})
-        if isinstance(hw_widths, dict):
-            for fields in hw_widths.values():
-                if isinstance(fields, dict):
-                    declared.update(fields)
-        correspondence = current.get("packed_correspondence", {})
-        if isinstance(correspondence, dict):
-            for packed, ref_field in sorted(correspondence.items()):
-                if packed == "_gpd":
-                    table_bits = SCALAR_FIELDS.get(packed)
-                else:
-                    table_bits = PACKED_FIELDS.get(packed)
-                hw_bits = declared.get(ref_field)
-                if table_bits is None:
-                    yield (
-                        f"packed array {packed!r} has no width in the R006 "
-                        f"field table — add it so its writes are proven"
-                    )
-                elif hw_bits is not None and table_bits != hw_bits:
-                    yield (
-                        f"R006 width table says {packed!r} is "
-                        f"{table_bits}-bit but its reference field "
-                        f"{ref_field!r} is declared @hw_checked "
-                        f"{hw_bits}-bit — update rules/bit_widths.py"
-                    )
-        for field_name, hw_bits in sorted(declared.items()):
-            table_bits = SCALAR_FIELDS.get(field_name)
-            if table_bits is not None and table_bits != hw_bits:
-                yield (
-                    f"R006 width table says field {field_name!r} is "
-                    f"{table_bits}-bit but @hw_checked declares "
-                    f"{hw_bits}-bit — update rules/bit_widths.py"
-                )

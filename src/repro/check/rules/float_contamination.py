@@ -1,12 +1,12 @@
 """R002 — float contamination of integer hardware counters.
 
-Every modeled hardware field (see
-:data:`repro.check.rules.base.HW_FIELD_NAMES`) is an unsigned integer
-register.  A single true division or float literal reaching one of them
-turns exact counter comparisons into epsilon comparisons and breaks
-bit-identical replay.  The Figure 9 flow exists precisely to avoid a
-divider — shift-based step comparison (``nasc >> 1``) instead of
-``nasc / 2``.
+Every modeled hardware field (each ``@hw_checked`` declaration, derived
+for R006 by :func:`repro.check.rules.bit_widths.hw_field_names`) is an
+unsigned integer register.  A single true division or float literal
+reaching one of them turns exact counter comparisons into epsilon
+comparisons and breaks bit-identical replay.  The Figure 9 flow exists
+precisely to avoid a divider — shift-based step comparison
+(``nasc >> 1``) instead of ``nasc / 2``.
 
 Flagged: any assignment (plain or augmented) to a hardware field whose
 right-hand side contains a float literal, a true division ``/``, or a
@@ -17,14 +17,10 @@ spellings and pass.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import FrozenSet, Iterator, Optional
 
-from repro.check.rules.base import (
-    HW_FIELD_NAMES,
-    Finding,
-    ModuleSource,
-    Rule,
-)
+from repro.check.rules.base import Finding, ModuleSource, Rule
+from repro.check.rules.bit_widths import hw_field_names
 
 
 class FloatContaminationRule(Rule):
@@ -32,16 +28,17 @@ class FloatContaminationRule(Rule):
     title = "float contamination of integer hardware counters"
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
+        names = hw_field_names()
         for node in ast.walk(module.tree):
             target_attr: Optional[str] = None
             value: Optional[ast.expr] = None
             if isinstance(node, ast.Assign):
                 for target in node.targets:
-                    if _hw_attr(target):
-                        target_attr = _hw_attr(target)
+                    if _hw_attr(target, names):
+                        target_attr = _hw_attr(target, names)
                 value = node.value
             elif isinstance(node, ast.AugAssign):
-                target_attr = _hw_attr(node.target)
+                target_attr = _hw_attr(node.target, names)
                 value = node.value
                 if target_attr and isinstance(node.op, ast.Div):
                     yield self.finding(
@@ -64,8 +61,8 @@ class FloatContaminationRule(Rule):
                 )
 
 
-def _hw_attr(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.Attribute) and node.attr in HW_FIELD_NAMES:
+def _hw_attr(node: ast.AST, names: FrozenSet[str]) -> Optional[str]:
+    if isinstance(node, ast.Attribute) and node.attr in names:
         return node.attr
     return None
 

@@ -29,7 +29,6 @@ from repro.trace.format import (
     TraceReader,
     TraceRecord,
     TraceWriter,
-    read_trace,
     write_trace,
 )
 from repro.trace.record import (
@@ -61,7 +60,6 @@ __all__ = [
     "TraceReader",
     "TraceRecord",
     "TraceWriter",
-    "read_trace",
     "write_trace",
     "RECORDER_STATS",
     "TimingTapRecorder",

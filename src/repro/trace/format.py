@@ -357,9 +357,16 @@ class TraceReader:
             stream = _VarintStream(gz)
             prev_block = 0
             prev_pc = 0
-            for _ in range(expected):
+            for index in range(expected):
                 block = prev_block + _unzigzag(stream.read_uvarint())
                 pc = prev_pc + _unzigzag(stream.read_uvarint())
+                if block < 0 or pc < 0:
+                    # the writer never emits one, and replay's set-index
+                    # fold would never terminate on a negative block
+                    raise TraceFormatError(
+                        f"{self.path}: SM{sm_id} record {index} decodes "
+                        f"to a negative address (block {block}, pc {pc})"
+                    )
                 packed = stream.read_uvarint()
                 prev_block, prev_pc = block, pc
                 yield TraceRecord(sm_id, block, pc, bool(packed & 1), packed >> 1)
@@ -402,7 +409,3 @@ def write_trace(
     with TraceWriter(path, num_sms, line_size, meta=meta, stream=stream) as w:
         w.extend(records)
     return Path(path)
-
-
-def read_trace(path) -> TraceReader:
-    return TraceReader(path)

@@ -29,7 +29,7 @@ from typing import Any, Dict, Iterator, List, Optional
 from repro.experiments.cachesim import interleaved_accesses
 from repro.experiments.store import stream_fingerprint, trace_key
 from repro.gpu.config import GPUConfig
-from repro.trace.format import TraceReader, TraceRecord, TraceWriter
+from repro.trace.format import TraceRecord, TraceWriter
 from repro.workloads import make_workload
 from repro.workloads.base import Workload
 
@@ -185,8 +185,3 @@ class TimingTapRecorder:
         RECORDER_STATS.captures += 1
         RECORDER_STATS.records += self.total_records
         return Path(path)
-
-
-def open_trace(path) -> TraceReader:
-    """Alias kept next to the recorder for symmetric import sites."""
-    return TraceReader(path)

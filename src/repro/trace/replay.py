@@ -149,13 +149,21 @@ class ReplayEngine:
             raise ValueError(
                 f"sm_id {sm_id} out of range for {len(self.caches)} SMs"
             )
+        block, pc = record[1], record[2]
+        warp = record[4] if len(record) > 4 else 0
+        if block < 0 or pc < 0 or warp < 0:
+            # the set-index fold of a negative block never terminates
+            raise ValueError(
+                f"record {record!r} has a negative field: block, pc "
+                f"and warp must be non-negative"
+            )
         cache = self.caches[sm_id]
         acc = MemAccess(
-            block_addr=record[1],
-            pc=record[2],
-            insn_id=self._insn_id(record[2]),
+            block_addr=block,
+            pc=pc,
+            insn_id=self._insn_id(pc),
             is_write=record[3],
-            warp_id=record[4] if len(record) > 4 else 0,
+            warp_id=warp,
             sm_id=sm_id,
         )
         outstanding = self._outstanding[sm_id]

@@ -1,7 +1,7 @@
 """End-to-end tests for the ``repro check`` CLI verb.
 
 Covers the acceptance contract: exit 0 on the clean repo with no
-baseline, non-zero on an injected R001/R003 violation, JSON output,
+baseline, non-zero on an injected R001/R006 violation, JSON output,
 baseline suppression, and the R005 SIM_VERSION manifest drift cases.
 """
 
@@ -17,7 +17,7 @@ from repro.check.lint import run_check
 from repro.cli import main
 
 R001_SNIPPET = "import random\n\n\ndef roll():\n    return random.random()\n"
-R003_SNIPPET = textwrap.dedent(
+R006_SNIPPET = textwrap.dedent(
     """
     def bump(entry):
         entry.pd = entry.pd + 4
@@ -28,7 +28,7 @@ R003_SNIPPET = textwrap.dedent(
 @pytest.fixture()
 def violating_file(tmp_path):
     path = tmp_path / "injected.py"
-    path.write_text(R001_SNIPPET + R003_SNIPPET, encoding="utf-8")
+    path.write_text(R001_SNIPPET + R006_SNIPPET, encoding="utf-8")
     return path
 
 
@@ -40,13 +40,13 @@ class TestCheckCommand:
     def test_injected_violations_fail(self, violating_file, capsys):
         assert main(["check", str(violating_file)]) == 1
         out = capsys.readouterr().out
-        assert "R001" in out and "R003" in out
+        assert "R001" in out and "R006" in out
 
     def test_json_output(self, violating_file, capsys):
         assert main(["check", "--json", str(violating_file)]) == 1
         payload = json.loads(capsys.readouterr().out)
         rules = {f["rule"] for f in payload["findings"]}
-        assert {"R001", "R003"} <= rules
+        assert {"R001", "R006"} <= rules
         assert payload["suppressed"] == 0
         assert "R005" in payload["checked_rules"]
         for f in payload["findings"]:

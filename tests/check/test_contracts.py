@@ -5,6 +5,11 @@ force-checked subclasses, so they enforce contracts regardless of the
 ``REPRO_CHECK`` environment the suite runs under.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cache.line import CacheLine
@@ -224,3 +229,25 @@ class TestSaturatingCounterKind:
         with pytest.raises(HardwareContractViolation) as exc:
             entry.insn_id = 1 << INSN_ID_BITS
         assert "bit-field" in str(exc.value)
+
+
+class TestImportFootprint:
+    def test_simulator_import_does_not_load_the_linter(self):
+        # repro.core imports repro.check for the contracts; the linter
+        # and its analyzers must stay out of every simulation process
+        src = Path(__file__).resolve().parents[2] / "src"
+        script = (
+            "import sys\n"
+            "import repro.core\n"
+            "assert 'repro.check.contracts' in sys.modules\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith("
+            "('repro.check.lint', 'repro.check.rules', "
+            "'repro.check.analysis')))\n"
+            "assert not loaded, loaded\n"
+        )
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            check=True,
+            timeout=60,
+        )

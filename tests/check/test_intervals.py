@@ -277,6 +277,19 @@ class TestAnalyzerSummaries:
             """
         ) == []
 
+    def test_local_lru_cache_alias_returns_what_it_wraps(self):
+        assert violations_in(
+            """
+            from functools import lru_cache
+
+            from repro.utils.hashing import hash_pc
+
+            def f(line, pc):
+                fold = lru_cache(maxsize=8)(hash_pc)
+                line.insn_id = fold(pc)
+            """
+        ) == []
+
     def test_recursion_degrades_to_unknown(self):
         vs = violations_in(
             """

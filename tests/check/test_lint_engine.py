@@ -36,7 +36,7 @@ class TestAllowMarkers:
             linter,
             """
             def bump(entry):
-                entry.pd = entry.pd + 4  # repro-check: allow(R003,R006) seeded fixture
+                entry.pd = entry.pd + 0.5  # repro-check: allow(R002,R006) seeded fixture
             """,
         )
         assert fs == []
@@ -46,7 +46,7 @@ class TestAllowMarkers:
             linter,
             """
             def bump(entry):
-                entry.pd = entry.pd + 4  # repro-check: allow(R003) fixture # repro-check: allow(R006) fixture
+                entry.pd = entry.pd + 0.5  # repro-check: allow(R002) fixture # repro-check: allow(R006) fixture
             """,
         )
         assert fs == []
@@ -60,7 +60,7 @@ class TestAllowMarkers:
             def bump(entry, a, b):
                 entry.pd = (
                     entry.pd
-                    + a  # repro-check: allow(R003,R006) exercised bound elsewhere
+                    + a  # repro-check: allow(R006) exercised bound elsewhere
                     + b
                 )
             """,
@@ -86,7 +86,7 @@ class TestAllowMarkers:
             linter,
             """
             def bump(entry):
-                # repro-check: allow(R003,R006) fixture
+                # repro-check: allow(R006) fixture
                 entry.pd = entry.pd + 4
             """,
         )
@@ -97,11 +97,11 @@ class TestAllowMarkers:
             linter,
             '''
             def bump(entry):
-                """Mark with ``# repro-check: allow(R003)`` to accept."""
+                """Mark with ``# repro-check: allow(R006)`` to accept."""
                 entry.pd = entry.pd + 4
             ''',
         )
-        assert "R003" in {f.rule for f in fs}
+        assert "R006" in {f.rule for f in fs}
         assert linter.markers == []
 
     def test_marker_does_not_leak_to_other_statements(self, linter):
@@ -109,11 +109,11 @@ class TestAllowMarkers:
             linter,
             """
             def bump(entry):
-                entry.pd = entry.pd + 4  # repro-check: allow(R003,R006) fixture
+                entry.pd = entry.pd + 4  # repro-check: allow(R006) fixture
                 entry.pd = entry.pd + 8
             """,
         )
-        assert "R003" in {f.rule for f in fs}
+        assert [f.line for f in fs if f.rule == "R006"] == [4]
 
 
 class TestMarkerHygieneR010:
@@ -188,12 +188,12 @@ class TestSarif:
         bad = tmp_path / "bad.py"
         bad.write_text(R001_LINE, encoding="utf-8")
         findings = Linter().lint_file(bad)
-        doc = sarif_payload(findings, ["R001", "R003"])
+        doc = sarif_payload(findings, ["R001", "R006"])
         assert doc["version"] == "2.1.0"
         run = doc["runs"][0]
         assert run["tool"]["driver"]["name"] == "repro-check"
         assert [r["id"] for r in run["tool"]["driver"]["rules"]] == \
-            ["R001", "R003"]
+            ["R001", "R006"]
         result = run["results"][0]
         assert result["ruleId"] == findings[0].rule
         assert result["partialFingerprints"]["reproCheck/v1"] == \

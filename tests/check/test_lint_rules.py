@@ -137,13 +137,17 @@ class TestR002FloatContamination:
             linter,
             """
             def f(entry, nasc):
-                entry.pd = min(entry.pd + (nasc >> 1), 15)
+                entry.pd = min(max(entry.pd + (nasc >> 1), 0), 15)
             """,
         )
         assert fs == []
 
 
 class TestR003BitfieldMasking:
+    """The fixtures of the retired syntactic rule R003, each now proven
+    (or refuted) by R006's interval analysis outside the simulation
+    packages too."""
+
     def test_unclamped_increment_fires(self, linter):
         fs = findings_for(
             linter,
@@ -152,7 +156,7 @@ class TestR003BitfieldMasking:
                 entry.pd = entry.pd + 4
             """,
         )
-        assert "R003" in rules_of(fs)
+        assert rules_of(fs) == ["R006"]
 
     def test_augassign_fires(self, linter):
         fs = findings_for(
@@ -162,7 +166,34 @@ class TestR003BitfieldMasking:
                 line.protected_life += 1
             """,
         )
-        assert "R003" in rules_of(fs)
+        assert rules_of(fs) == ["R006"]
+
+    def test_module_level_store_fires(self, linter):
+        fs = findings_for(
+            linter,
+            """
+            from repro.core.pdpt import PdptEntry
+
+            ENTRY = PdptEntry()
+            ENTRY.pd = ENTRY.pd + 4
+            """,
+        )
+        assert rules_of(fs) == ["R006"]
+        assert fs[0].line == 5
+
+    def test_out_of_range_dataclass_default_fires(self, linter):
+        fs = findings_for(
+            linter,
+            """
+            from dataclasses import dataclass
+
+            @dataclass
+            class Fetch:
+                first_insn_id: int = 200
+            """,
+        )
+        assert rules_of(fs) == ["R006"]
+        assert "first_insn_id" in fs[0].message
 
     def test_min_max_clamp_is_fine(self, linter):
         fs = findings_for(
@@ -260,7 +291,7 @@ class TestEngineBehaviour:
             linter,
             """
             def f(entry):
-                entry.pd = entry.pd + 4  # repro-check: allow(R003)
+                entry.pd = entry.pd + 4  # repro-check: allow(R006)
             """,
         )
         assert fs == []
@@ -283,7 +314,7 @@ class TestEngineBehaviour:
                 entry.pd = entry.pd + 4  # repro-check: allow(R001)
             """,
         )
-        assert "R003" in rules_of(fs)
+        assert "R006" in rules_of(fs)
 
     def test_nested_attribute_chain_reports_once(self, linter):
         fs = findings_for(

@@ -3,15 +3,21 @@
 The live extraction must satisfy the cross-engine laws and match the
 committed ``parity_manifest.json`` byte-for-byte; mutated copies must be
 flagged with actionable messages.  ``classify_guard`` — the heart of
-R007 — is unit-tested on expression fixtures directly.
+R007 — is unit-tested on expression fixtures directly, and R006's field
+table is checked against the extraction it is derived from.
 """
 
 import ast
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro.check.analysis.intervals import ValueRangeAnalyzer
 from repro.check.analysis.parity import (
     check_consistency,
     classify_guard,
@@ -19,7 +25,7 @@ from repro.check.analysis.parity import (
     diff_parity,
     load_parity,
 )
-from repro.check.rules.engine_parity import EngineParityRule
+from repro.check.rules.bit_widths import default_field_table, field_table
 
 
 @pytest.fixture(scope="module")
@@ -45,9 +51,6 @@ class TestLiveExtraction:
         assert all(isinstance(t, dict) for t in defaults.values())
         assert current["hw_widths"], "no @hw_checked declarations extracted"
         assert current["fastsim_constant_redefinitions"] == []
-
-    def test_width_table_matches_contracts(self, current):
-        assert list(EngineParityRule._width_table_problems(current)) == []
 
 
 class TestConsistencyOnDrift:
@@ -92,6 +95,95 @@ class TestConsistencyOnDrift:
         problems = check_consistency(mutated)
         assert any("must share its width" in p for p in problems)
 
+    def test_packed_array_claiming_an_undeclared_field_is_flagged(
+        self, current
+    ):
+        mutated = copy.deepcopy(current)
+        mutated["packed_correspondence"]["_zzz"] = "zzz_hits"
+        problems = check_consistency(mutated)
+        assert any(
+            "'_zzz'" in p and "no @hw_checked declaration" in p
+            for p in problems
+        )
+        # R006 builds its table from the same extraction without the
+        # orphan, and still proves the declared fields
+        table = field_table(mutated)
+        assert "_zzz" not in table.packed_fields
+        tree = ast.parse(
+            "def f(self, i, v):\n"
+            "    self._zzz[i] = v\n"
+            "    self._pdl[i] = v\n"
+        )
+        violations = ValueRangeAnalyzer(table).analyze_module(tree)
+        assert [v.field_name for v in violations] == ["_pdl"]
+
+
+class TestDerivedFieldTable:
+    """R006's field table is read off the extraction; these are the
+    widths its hand-written tables used to hold."""
+
+    def test_committed_manifest_gives_the_paper_widths(self):
+        table = field_table(load_parity())
+        assert table.scalar_fields == {
+            "pd": 4, "protected_life": 4, "tda_hits": 8, "vta_hits": 10,
+            "insn_id": 7, "pending_insn_id": 7, "first_insn_id": 7,
+            "global_pd": 4, "_gpd": 4,
+        }
+        assert table.packed_fields == {
+            "_pli": 4, "_iid": 7, "_pnd": 7, "_pdt": 8, "_pdv": 10,
+            "_pdl": 4, "_vta_iid": 7,
+        }
+        assert table.bound_tokens == {
+            "pd_max": 15, "_pd_max": 15, "pl_max": 15, "_pl_max": 15,
+            "tda_hit_max": 255, "_tda_hit_max": 255,
+            "vta_hit_max": 1023, "_vta_hit_max": 1023,
+        }
+        assert table.const_names == {
+            "INSN_ID_BITS": 7, "TDA_HIT_BITS": 8, "VTA_HIT_BITS": 10,
+            "PD_BITS": 4, "PL_BITS": 4, "PDPT_ENTRIES": 128,
+        }
+
+    def test_live_table_matches_the_manifest(self):
+        assert default_field_table() == field_table(load_parity())
+
+    def test_import_and_linter_set_up_run_no_extraction(self):
+        # the table is extracted on the first check, so importing the
+        # rules and building a linter parse no source file
+        src = Path(__file__).resolve().parents[2] / "src"
+        script = (
+            "from repro.check.lint import Linter\n"
+            "from repro.check.rules.bit_widths import default_field_table\n"
+            "Linter()\n"
+            "assert default_field_table.cache_info().currsize == 0\n"
+        )
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            check=True,
+            timeout=60,
+        )
+
+    def test_a_wider_declaration_widens_its_packed_array(self, current):
+        mutated = copy.deepcopy(current)
+        for fields in mutated["hw_widths"].values():
+            if "pd" in fields:
+                fields["pd"] = 5
+        table = field_table(mutated)
+        assert table.scalar_fields["pd"] == 5
+        assert table.packed_fields["_pdl"] == 5
+        assert table.scalar_fields["protected_life"] == 4
+
+    def test_unresolved_width_is_left_out(self, current):
+        mutated = copy.deepcopy(current)
+        for fields in mutated["hw_widths"].values():
+            if "vta_hits" in fields:
+                fields["vta_hits"] = "<unresolved:VTA_BITS>"
+        mutated["width_constants"]["VTA_HIT_BITS"] = "<unresolved:X>"
+        table = field_table(mutated)
+        assert "vta_hits" not in table.scalar_fields
+        assert "_pdv" not in table.packed_fields
+        assert "vta_hit_max" not in table.bound_tokens
+
 
 class TestDiff:
     def test_missing_manifest_points_at_update_parity(self, current):
@@ -105,22 +197,6 @@ class TestDiff:
         assert messages
         assert all("--update-parity" in m for m in messages)
         assert any("width_constants.PD_BITS" in m for m in messages)
-
-
-class TestWidthTableProblems:
-    def test_contract_vs_table_drift(self, current):
-        mutated = copy.deepcopy(current)
-        for fields in mutated["hw_widths"].values():
-            if "pd" in fields:
-                fields["pd"] = 5
-        problems = list(EngineParityRule._width_table_problems(mutated))
-        assert any("update rules/bit_widths.py" in p for p in problems)
-
-    def test_unknown_packed_array_is_flagged(self, current):
-        mutated = copy.deepcopy(current)
-        mutated["packed_correspondence"]["_zzz"] = "pd"
-        problems = list(EngineParityRule._width_table_problems(mutated))
-        assert any("'_zzz'" in p and "no width" in p for p in problems)
 
 
 def guard_of(expr):

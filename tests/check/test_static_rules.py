@@ -61,7 +61,8 @@ class TestR006BitWidthProof:
         )
         assert "R006" in rules_of(fs)
 
-    def test_outside_scoped_packages_is_quiet(self, linter):
+    def test_outside_simulation_packages_fires(self, linter):
+        # the field table, not the package path, decides what is proven
         fs = findings_for(
             linter,
             """
@@ -70,7 +71,43 @@ class TestR006BitWidthProof:
             """,
             relpath="repro/analysis/seeded.py",
         )
-        assert "R006" not in rules_of(fs)
+        assert "R006" in rules_of(fs)
+
+    def test_lru_cached_hash_pc_alias_proves(self, linter):
+        fs = findings_for(
+            linter,
+            """
+            from functools import lru_cache
+
+            from repro.utils.hashing import hash_pc
+
+            _insn_id = lru_cache(maxsize=1024)(hash_pc)
+
+
+            class Op:
+                def __init__(self, pc):
+                    self.insn_id = _insn_id(pc)
+            """,
+            relpath="repro/gpu/seeded.py",
+        )
+        assert fs == []
+
+    def test_lru_cached_unknown_function_fires(self, linter):
+        fs = findings_for(
+            linter,
+            """
+            from functools import lru_cache
+
+            _insn_id = lru_cache(maxsize=1024)(int)
+
+
+            class Op:
+                def __init__(self, pc):
+                    self.insn_id = _insn_id(pc)
+            """,
+            relpath="repro/gpu/seeded.py",
+        )
+        assert "R006" in rules_of(fs)
 
     def test_allow_marker_with_justification_suppresses(self, linter):
         fs = findings_for(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import signal
+
 import pytest
 
 from repro.cache.tagarray import CacheGeometry
@@ -23,6 +25,23 @@ def pytest_addoption(parser):
         help="rewrite tests/fuzz/corpus.json from the current simulator "
              "instead of comparing against it",
     )
+
+
+@pytest.fixture
+def deadline():
+    """Fail the test after 10 s instead of hanging the suite: for cases
+    whose bug was an endless loop (pytest-timeout is not a dependency)."""
+
+    def expire(signum, frame):
+        raise TimeoutError("test did not finish within its 10 s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

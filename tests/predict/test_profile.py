@@ -366,6 +366,13 @@ class TestColumnarProfiler:
         with pytest.raises(ValueError, match="sm_id -1 out of range"):
             profile_records(records, config)
 
+    @pytest.mark.parametrize("field", ["block_addr", "pc", "warp_id"])
+    def test_negative_field_rejected(self, deadline, field):
+        # a negative block used to spin forever in the set-index fold
+        record = TraceRecord(0, 0x40, 0x100, False, 1)._replace(**{field: -3})
+        with pytest.raises(ValueError, match="negative field"):
+            profile_records([record], GPUConfig().scaled(1))
+
 
 class TestSerialization:
     def test_profile_round_trips_through_json_dict(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gzip
 import json
 import struct
 
@@ -14,6 +15,8 @@ from repro.trace.format import (
     TraceReader,
     TraceRecord,
     TraceWriter,
+    _append_uvarint,
+    _zigzag,
     write_trace,
 )
 
@@ -149,6 +152,31 @@ class TestCorruption:
         reader = TraceReader(path)    # header still parses...
         with pytest.raises(TraceFormatError, match="truncated trace"):
             list(reader)              # ...but record access fails loudly
+
+    def test_negative_decoded_address_rejected(self, tmp_path, deadline):
+        # a hand-made section whose one record has block -3, which the
+        # writer refuses to emit; the bulk decoders fall back to the
+        # record stream, and a negative block used to hang them
+        from repro.batchsim import replay_batch
+        from repro.predict.profile import profile_trace
+
+        path = tmp_path / "t.rptr"
+        write_trace(path, [TraceRecord(0, 3, 0x100, False)], num_sms=1)
+        payload = bytearray()
+        for value in (_zigzag(-3), _zigzag(0x100), 0):
+            _append_uvarint(payload, value)
+        section = gzip.compress(bytes(payload))
+        body = TraceReader(path)._body_offset
+        path.write_bytes(
+            path.read_bytes()[:body] + struct.pack("<Q", len(section))
+            + section
+        )
+        with pytest.raises(TraceFormatError, match="negative address"):
+            list(TraceReader(path))
+        with pytest.raises(TraceFormatError, match="negative address"):
+            profile_trace(TraceReader(path))
+        with pytest.raises(TraceFormatError, match="negative address"):
+            replay_batch(TraceReader(path), [("dlp", {})])
 
     def test_corrupt_header_json(self, tmp_path):
         path = tmp_path / "t.rptr"

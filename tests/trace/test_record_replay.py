@@ -18,6 +18,7 @@ from repro.trace import (
     RECORDER_STATS,
     TimingTapRecorder,
     TraceReader,
+    TraceRecord,
     capture_records,
     record_app,
     record_workload,
@@ -175,3 +176,27 @@ class TestInMemorySmIds:
             match=f"sm_id {bad} out of range for {config.num_sms} SMs",
         ):
             replay_records(iter(records), config, "dlp", engine=engine)
+
+
+class TestInMemoryNegativeFields:
+    """A negative block, PC or warp is rejected, as the trace writer
+    rejects it; a negative block used to hang replay in the XOR
+    set-index fold, where ``>>`` keeps -1 at -1."""
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    @pytest.mark.parametrize("field", ["block_addr", "pc", "warp_id"])
+    def test_replay_rejects_a_negative_field(
+        self, config, deadline, engine, field
+    ):
+        from repro.trace import replay_records
+
+        record = TraceRecord(0, 0x40, 0x100, False, 1)._replace(**{field: -3})
+        with pytest.raises(ValueError, match="negative field"):
+            replay_records([record], config, "dlp", engine=engine)
+
+    def test_batch_replay_rejects_a_negative_block(self, config, deadline):
+        from repro.batchsim import replay_batch
+
+        with pytest.raises(ValueError, match="negative field"):
+            replay_batch([TraceRecord(0, -3, 0x100, False)],
+                         [("dlp", {})], config)
