@@ -215,13 +215,16 @@ def set_indices(blocks: "np.ndarray", num_sets: int,
                 index_fn: str) -> "np.ndarray":
     """Set index of every block, vectorized: the modulo mask for the
     ``linear`` index function, else the XOR fold of
-    :func:`~repro.utils.hashing.xor_set_index`."""
+    :func:`~repro.utils.hashing.xor_set_index`, which raises
+    ``ValueError`` for a negative block as that function does."""
     mask = num_sets - 1
     bits = mask.bit_length()
     sets: "np.ndarray"
     if index_fn == "linear" or bits == 0:
         sets = blocks & mask
     else:
+        if blocks.size and blocks.min() < 0:
+            raise ValueError(f"negative block address {blocks.min()}")
         sets = np.zeros_like(blocks)
         rest = blocks.copy()
         while rest.any():

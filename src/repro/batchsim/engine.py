@@ -77,9 +77,10 @@ def _lane_key(cache: FastL1DCache) -> Tuple[Any, ...]:
     Global-Protection lanes that differ only in ``pd_bits`` share a run:
 
     * every PD starts at 0, and ``policy_reset`` zeroes it;
-    * the increase path adds ``_pd_increment(0, ...)``, a multiple of
-      Nasc and so 0, and the decrease path subtracts 0, so no PDPT entry
-      and no global PD ever leaves 0;
+    * the increase path adds
+      :func:`~repro.core.protection.pd_increment` of Nasc 0, a
+      multiple of Nasc and so 0, and the decrease path subtracts 0, so
+      no PDPT entry and no global PD ever leaves 0;
     * a line's Protected Life is ``min(PD, pl_max)`` = 0, so no line is
       ever protected and neither ``pl_max`` nor ``pd_max`` ever binds;
     * ``policy_stats`` reports no width, and :func:`_copy_cache` copies

@@ -1,7 +1,7 @@
 """Ablation-grid expansion for ``repro sweep --grid``.
 
 A grid axis is one policy knob swept over explicit values
-(``nasc=0,2,4``) or an integer range (``nasc=0:8`` or ``pl=2:14:4``);
+(``nasc=0,2,4``) or an integer range (``nasc=0:8`` or ``pd_bits=2:6:2``);
 :func:`expand_grid` crosses the axes into one policy-kwargs dict per
 cell, which the fast engine then replays as one lane each.  This is
 the Fig. 9-style frontier map: hundreds of (Nasc, PD-bits,

@@ -27,8 +27,11 @@ package makes both checkable:
   an integer-interval abstract interpreter over the AST and the
   engine-parity extractor with its committed ``parity_manifest.json``.
 * :mod:`repro.check.manifest` — the semantics manifest backing R005: a
-  content hash of every ``core/`` and ``cache/`` source file, bound to
-  the :data:`~repro.experiments.store.SIM_VERSION` it was recorded at.
+  content hash of every source file in the simulation packages
+  (:data:`~repro.check.manifest.SEMANTIC_PACKAGES`: ``core/``,
+  ``cache/``, ``fastsim/``, ``batchsim/``, ``gpu/``, ``memory/`` and
+  ``workloads/``), bound to the
+  :data:`~repro.experiments.store.SIM_VERSION` it was recorded at.
 
 ``python -m repro check`` is the CLI front door; CI runs it with
 ``--strict`` plus the full test suite under ``REPRO_CHECK=1``.  The

@@ -1,30 +1,25 @@
 """Engine-parity extraction: reference policies vs the packed fast engine.
 
 The fast engine (:mod:`repro.fastsim`) re-implements the reference
-policies (:mod:`repro.core`) with every knob, constant and override
-guard *copied inline*.  The copies must track the originals exactly —
-the historical ``nasc=0`` bug was precisely this class of drift: the
-reference grew an ``is not None`` override guard while a truthiness
-``or`` survived elsewhere, silently turning the ``nasc=0`` freeze
-ablation into ``nasc=vta_assoc``.
+policies (:mod:`repro.core`) as packed arrays.  Their knobs need no
+comparison: both engines and the analytical model read one declaration,
+:class:`repro.core.protected.ProtectionKnobs`, so a knob default or a
+``None`` fallback exists once.  What the engines still hold separately
+is hardware widths, and this module extracts them, by AST only (the
+analyzed code is never imported):
 
-This module extracts, by AST only (the analyzed code is never
-imported):
-
-* **knob defaults** — ``DlpPolicy.__init__`` / ``GlobalProtectionPolicy.
-  __init__`` keyword defaults vs the ``PolicySpec`` dataclass field
-  defaults, with ``Name`` defaults resolved through module constants and
-  one level of ``repro`` imports (``pd_bits=PD_BITS`` → 4);
-* **override-guard styles** — every conditional that selects between an
-  Optional knob and its fallback, classified ``is_not_none`` (correct),
-  ``truthiness`` (an ``A if A else B`` conditional) or ``or_truthiness``
-  (``A or B``, the historical bug shape);
 * **width constants** — the declared field-width constants, plus proof
-  that the fast engine *imports* them from ``repro.core.pdpt`` rather
-  than redefining its own copies;
+  that the fast engine *imports* the ones it reads from
+  ``repro.core.pdpt`` rather than redefining its own copies;
 * **hardware widths** — every ``@hw_checked`` declaration's resolved
   bit width, keyed by class, against which the packed arrays' declared
   correspondence is checked.
+
+R006 derives its field table from the same extraction
+(:func:`live_parity` computes it once per process).
+:func:`classify_guard` recognises an Optional-knob fallback and its
+style; R007's AST rule uses it to refuse a truthiness fallback, the
+historical ``nasc=0`` bug shape, anywhere in ``core/`` or ``fastsim/``.
 
 :func:`check_consistency` enforces the cross-engine laws on one
 extraction; :func:`diff_parity` compares an extraction against the
@@ -37,6 +32,7 @@ from __future__ import annotations
 
 import ast
 import json
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -44,26 +40,20 @@ from repro.check.manifest import package_root
 
 PARITY_MANIFEST_NAME = "parity_manifest.json"
 
-#: The knobs shared verbatim between the reference policies and
-#: ``PolicySpec`` — defaults must be equal on all three surfaces.
-SHARED_KNOBS = (
-    "sample_limit",
-    "insn_sample_limit",
-    "vta_assoc",
-    "pd_bits",
-    "nasc",
-    "bypass_enabled",
-)
-
 #: Optional-knob terminal names whose fallback selection must use an
 #: ``is not None`` guard.  Matching is on the trailing identifier of the
 #: guarded expression with leading underscores stripped and an
 #: ``_override`` suffix dropped (``self._nasc_override`` → ``nasc``).
 OVERRIDE_KNOBS = ("nasc", "vta_assoc")
 
-#: Width constants the fast engine must import from the reference model,
-#: never shadow with its own literals.
-SHARED_CONSTANTS = ("PDPT_ENTRIES", "PD_BITS", "TDA_HIT_BITS", "VTA_HIT_BITS")
+#: The declared field-width constants of ``repro.core.pdpt``.
+WIDTH_CONSTANTS = ("PDPT_ENTRIES", "INSN_ID_BITS", "PD_BITS",
+                   "TDA_HIT_BITS", "VTA_HIT_BITS")
+
+#: Width constants the fast engine reads and must import from the
+#: reference model.  It redefines none of :data:`WIDTH_CONSTANTS`; its
+#: PD width comes from the policy's knob declaration.
+SHARED_CONSTANTS = ("PDPT_ENTRIES", "TDA_HIT_BITS", "VTA_HIT_BITS")
 
 #: Packed array -> the reference ``@hw_checked`` field it encodes.  The
 #: packed engine has no contract descriptors of its own; its widths are
@@ -79,18 +69,9 @@ PACKED_CORRESPONDENCE = {
     "_gpd": "global_pd",
 }
 
-#: (relpath, class) pairs whose ``__init__`` keyword defaults form the
-#: reference side of the knob table.
-_REFERENCE_POLICIES = (
-    ("core/dlp.py", "DlpPolicy", "reference.dlp"),
-    ("core/global_protection.py", "GlobalProtectionPolicy",
-     "reference.global_protection"),
-)
+_FASTSIM_FILE = "fastsim/engine.py"
 
-_SPEC_FILE = "fastsim/engine.py"
-_SPEC_CLASS = "PolicySpec"
-
-#: Files scanned for ``@hw_checked`` declarations and override guards.
+#: Files scanned for ``@hw_checked`` declarations.
 _SCANNED_FILES = (
     "core/pdpt.py",
     "core/vta.py",
@@ -196,44 +177,6 @@ class _ConstantResolver:
 # extraction passes
 # ----------------------------------------------------------------------
 
-def _find_class(tree: ast.Module, name: str) -> Optional[ast.ClassDef]:
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == name:
-            return node
-    return None
-
-
-def _init_defaults(
-    resolver: _ConstantResolver, path: Path, cls: ast.ClassDef
-) -> Dict[str, object]:
-    for node in cls.body:
-        if isinstance(node, ast.FunctionDef) and node.name == "__init__":
-            args = node.args
-            params = (args.posonlyargs + args.args)[1:]  # drop self
-            defaults = list(args.defaults)
-            out: Dict[str, object] = {}
-            # defaults align with the tail of the parameter list
-            for param, default in zip(params[len(params) - len(defaults):],
-                                      defaults):
-                out[param.arg] = resolver.literal(path, default)
-            for kwarg, kwdefault in zip(args.kwonlyargs, args.kw_defaults):
-                if kwdefault is not None:
-                    out[kwarg.arg] = resolver.literal(path, kwdefault)
-            return out
-    return {}
-
-
-def _dataclass_defaults(
-    resolver: _ConstantResolver, path: Path, cls: ast.ClassDef
-) -> Dict[str, object]:
-    out: Dict[str, object] = {}
-    for node in cls.body:
-        if isinstance(node, ast.AnnAssign) and node.value is not None:
-            if isinstance(node.target, ast.Name):
-                out[node.target.id] = resolver.literal(path, node.value)
-    return out
-
-
 def _terminal_name(node: ast.expr) -> Optional[str]:
     if isinstance(node, ast.Attribute):
         return node.attr
@@ -288,17 +231,6 @@ def classify_guard(node: ast.expr) -> Optional[Tuple[str, str]]:
     return None
 
 
-def _override_guards(tree: ast.Module) -> Dict[str, List[str]]:
-    """knob -> sorted unique guard styles found anywhere in the module."""
-    styles: Dict[str, set] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.IfExp, ast.BoolOp)):
-            hit = classify_guard(node)
-            if hit is not None:
-                styles.setdefault(hit[0], set()).add(hit[1])
-    return {knob: sorted(found) for knob, found in sorted(styles.items())}
-
-
 def _hw_widths(
     resolver: _ConstantResolver, path: Path, tree: ast.Module
 ) -> Dict[str, Dict[str, object]]:
@@ -330,13 +262,13 @@ def _fastsim_constant_usage(
     tree: ast.Module,
 ) -> Tuple[List[str], List[str]]:
     """(imported-from-core names, locally-redefined names) for the
-    shared width constants in the fast engine module."""
+    width constants in the fast engine module."""
     imported: List[str] = []
     redefined: List[str] = []
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.module == "repro.core.pdpt":
             for alias in node.names:
-                if alias.name in SHARED_CONSTANTS:
+                if alias.name in WIDTH_CONSTANTS:
                     imported.append(alias.name)
         elif isinstance(node, ast.Assign):
             for target in node.targets:
@@ -347,7 +279,7 @@ def _fastsim_constant_usage(
                 )
                 for name in names:
                     if isinstance(name, ast.Name) and (
-                        name.id in SHARED_CONSTANTS
+                        name.id in WIDTH_CONSTANTS
                     ):
                         redefined.append(name.id)
     return sorted(set(imported)), sorted(set(redefined))
@@ -361,53 +293,30 @@ def compute_parity(root: Optional[Path] = None) -> Dict[str, object]:
     root = root or package_root()
     resolver = _ConstantResolver(root)
 
-    knob_defaults: Dict[str, object] = {}
-    for relpath, class_name, key in _REFERENCE_POLICIES:
-        path = root / relpath
-        tree = resolver.tree(path)
-        cls = _find_class(tree, class_name) if tree is not None else None
-        knob_defaults[key] = (
-            _init_defaults(resolver, path, cls) if cls is not None
-            else f"<missing:{class_name}>"
-        )
-    spec_path = root / _SPEC_FILE
-    spec_tree = resolver.tree(spec_path)
-    spec_cls = _find_class(spec_tree, _SPEC_CLASS) if spec_tree else None
-    knob_defaults["fastsim.spec"] = (
-        _dataclass_defaults(resolver, spec_path, spec_cls)
-        if spec_cls is not None else f"<missing:{_SPEC_CLASS}>"
-    )
-
-    override_guards: Dict[str, object] = {}
     hw_widths: Dict[str, object] = {}
     for relpath in _SCANNED_FILES:
         path = root / relpath
         tree = resolver.tree(path)
         if tree is None:
             continue
-        guards = _override_guards(tree)
-        if guards:
-            override_guards[f"repro/{relpath}"] = guards
         for class_name, fields in _hw_widths(resolver, path, tree).items():
             hw_widths[f"repro/{relpath}:{class_name}"] = fields
 
     width_constants = {
         name: resolver.lookup(root / "core" / "pdpt.py", name)
-        for name in ("PDPT_ENTRIES", "INSN_ID_BITS", "PD_BITS",
-                     "TDA_HIT_BITS", "VTA_HIT_BITS")
+        for name in WIDTH_CONSTANTS
     }
     width_constants["PL_BITS"] = resolver.lookup(
         root / "cache" / "line.py", "PL_BITS"
     )
 
     imported, redefined = ([], [])
-    if spec_tree is not None:
-        imported, redefined = _fastsim_constant_usage(spec_tree)
+    fastsim_tree = resolver.tree(root / _FASTSIM_FILE)
+    if fastsim_tree is not None:
+        imported, redefined = _fastsim_constant_usage(fastsim_tree)
 
     return {
-        "version": 1,
-        "knob_defaults": knob_defaults,
-        "override_guards": override_guards,
+        "version": 2,
         "width_constants": width_constants,
         "fastsim_constant_imports": imported,
         "fastsim_constant_redefinitions": redefined,
@@ -421,9 +330,16 @@ def load_parity(root: Optional[Path] = None) -> Optional[Dict[str, object]]:
         data = json.loads(parity_path(root).read_text(encoding="utf-8"))
     except (FileNotFoundError, json.JSONDecodeError):
         return None
-    if not isinstance(data, dict) or "knob_defaults" not in data:
+    if not isinstance(data, dict) or "hw_widths" not in data:
         return None
     return data
+
+
+@lru_cache(maxsize=None)
+def live_parity(root: Path) -> Dict[str, object]:
+    """The extraction of the package at ``root``, computed once per
+    process: R006's field table and R007's checks read the same one."""
+    return compute_parity(root)
 
 
 def write_parity(root: Optional[Path] = None) -> Path:
@@ -444,43 +360,6 @@ def check_consistency(parity: Dict[str, object]) -> List[str]:
     not manifest-relative, so regenerating the manifest cannot launder a
     violation."""
     problems: List[str] = []
-
-    defaults = parity.get("knob_defaults", {})
-    surfaces = ("reference.dlp", "reference.global_protection", "fastsim.spec")
-    tables = {}
-    for surface in surfaces:
-        table = defaults.get(surface) if isinstance(defaults, dict) else None
-        if not isinstance(table, dict):
-            problems.append(f"knob defaults missing for {surface}: {table!r}")
-            continue
-        tables[surface] = table
-    if len(tables) == len(surfaces):
-        for knob in SHARED_KNOBS:
-            values = {s: t.get(knob, "<absent>") for s, t in tables.items()}
-            distinct = {json.dumps(v, sort_keys=True) for v in values.values()}
-            if len(distinct) != 1:
-                listing = ", ".join(
-                    f"{s}={values[s]!r}" for s in surfaces
-                )
-                problems.append(
-                    f"knob default drift for {knob!r}: {listing} — the "
-                    f"reference policies and PolicySpec must agree"
-                )
-
-    guards = parity.get("override_guards", {})
-    if isinstance(guards, dict):
-        for relpath, knobs in sorted(guards.items()):
-            if not isinstance(knobs, dict):
-                continue
-            for knob, styles in sorted(knobs.items()):
-                bad = [s for s in styles if s != "is_not_none"]
-                if bad:
-                    problems.append(
-                        f"{relpath}: override fallback for {knob!r} uses "
-                        f"{'/'.join(bad)} — an explicit 0 would be dropped "
-                        f"(the historical nasc bug); guard with "
-                        f"`is not None`"
-                    )
 
     redefined = parity.get("fastsim_constant_redefinitions", [])
     if redefined:

@@ -10,9 +10,9 @@ contracts remain as a backstop for code paths the analysis cannot see
 are proven here, at lint time, on every path.
 
 The field table is derived, not mirrored: :func:`field_table` reads it
-off the engine-parity extraction that R007 checks
-(:func:`repro.check.analysis.parity.compute_parity`), so the
-``@hw_checked`` declarations are the one place a width is written:
+off the engine-parity extraction that R007 checks, the one
+:func:`repro.check.analysis.parity.live_parity` makes per process, so
+the ``@hw_checked`` declarations are the one place a width is written:
 
 * scalar fields — every declared field, plus the fast engine's scalar
   global PD (``_gpd``);
@@ -32,6 +32,7 @@ justification.
 from __future__ import annotations
 
 import ast
+import re
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterator
 
@@ -97,7 +98,7 @@ def field_table(extraction: Dict[str, object]) -> FieldTable:
 @lru_cache(maxsize=None)
 def default_field_table() -> FieldTable:
     """The live package's field table, extracted on first use."""
-    return field_table(parity.compute_parity(package_root()))
+    return field_table(parity.live_parity(package_root()))
 
 
 def hw_field_names() -> FrozenSet[str]:
@@ -105,12 +106,21 @@ def hw_field_names() -> FrozenSet[str]:
     return frozenset(default_field_table().scalar_fields) - {_SCALAR_PACKED}
 
 
-def _names_a_field(tree: ast.Module, table: FieldTable) -> bool:
+@lru_cache(maxsize=None)
+def _field_name_re(names: FrozenSet[str]) -> "re.Pattern[str]":
+    alternatives = "|".join(re.escape(name) for name in sorted(names))
+    return re.compile(rf"\b(?:{alternatives})\b")
+
+
+def _names_a_field(module: ModuleSource, table: FieldTable) -> bool:
     """Whether a module can store into a table field: one of its names
     appears as an attribute or as an annotated name (a dataclass
-    field)."""
-    names = table.scalar_fields.keys() | table.packed_fields.keys()
-    for node in ast.walk(tree):
+    field).  A module whose text never spells a field name as a word is
+    skipped without walking its tree."""
+    names = frozenset(table.scalar_fields.keys() | table.packed_fields.keys())
+    if not _field_name_re(names).search(module.text):
+        return False
+    for node in ast.walk(module.tree):
         if isinstance(node, ast.Attribute) and node.attr in names:
             return True
         if isinstance(node, ast.AnnAssign) and isinstance(
@@ -126,7 +136,7 @@ class BitWidthProofRule(Rule):
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
         table = default_field_table()
-        if not _names_a_field(module.tree, table):
+        if not _names_a_field(module, table):
             return
         analyzer = ValueRangeAnalyzer(table, package_root())
         for violation in analyzer.analyze_module(module.tree):

@@ -7,18 +7,21 @@ Two pieces, one rule id:
   the exact shape of the historical nasc bug: ``nasc or vta_assoc``
   silently turns the valid ablation value ``nasc=0`` into
   ``vta_assoc``, freezing nothing.  The rule is scoped to the policy
-  packages (``core/``, ``fastsim/``) where these knobs live.
+  packages (``core/``, ``fastsim/``) where these knobs live; today the
+  only fallbacks are in :meth:`repro.core.protected.ProtectionKnobs.resolve`.
 
-* :class:`EngineParityRule` (repo-level) — extracts knob defaults,
-  override-guard styles, width-constant usage and ``@hw_checked``
-  declarations from both engines (:mod:`repro.check.analysis.parity`),
-  enforces the cross-engine laws (defaults equal on all three surfaces,
-  constants imported not redefined, one width per hardware field, every
-  packed array backed by a declared field), and finally diffs the
-  extraction against the committed ``parity_manifest.json`` so any
-  intentional change shows in the diff as a ``repro check
-  --update-parity`` refresh.  R006 derives its field table from the
-  same extraction, so no second copy of the widths exists to drift.
+* :class:`EngineParityRule` (repo-level) — reads the process's one
+  extraction of width constants, fast-engine constant imports,
+  ``@hw_checked`` declarations and the packed correspondence
+  (:mod:`repro.check.analysis.parity`), enforces the cross-engine laws
+  (constants imported not redefined, one width per hardware field,
+  every packed array backed by a declared field, PL as wide as PD), and
+  finally diffs the extraction against the committed
+  ``parity_manifest.json`` so any intentional change shows in the diff
+  as a ``repro check --update-parity`` refresh.  R006 derives its field
+  table from the same extraction, so no second copy of the widths
+  exists to drift.  The knobs need no such check: both engines read one
+  declaration, :class:`repro.core.protected.ProtectionKnobs`.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ class EngineParityRule(RepoRule):
 
     def check_repo(self, root: Optional[Path] = None) -> Iterator[Finding]:
         pkg_root = root or package_root()
-        current = parity.compute_parity(pkg_root)
+        current = parity.live_parity(pkg_root)
         manifest_rel = (
             parity.parity_path(pkg_root).relative_to(pkg_root.parent).as_posix()
         )

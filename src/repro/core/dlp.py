@@ -9,84 +9,42 @@ The policy composes the three structures of Figure 8:
   instruction TDA/VTA hits and is recomputed by the Figure 9 flow at the
   end of every sampling period.
 
-Protocol behaviour:
+DLP's own protocol behaviour sits on
+:class:`~repro.core.protected.ProtectedPolicy`, which it shares with
+Global-Protection (knobs, VTA, sampler, PL decay, protected-LRU victim
+choice, bypass and sampling tick):
 
-* every set query decrements the PL of all lines in the set (bypassed
-  requests too, so protected sets drain and are eventually released);
 * a hit credits the PDPT's TDA-hit counter of the *previous* instruction
   recorded on the line, then re-tags the line with the accessing
   instruction and rewrites its PL from that instruction's current PD;
 * a miss probes the VTA and credits a hit to the instruction stored in
   the victim entry;
-* victim selection is LRU over valid, unprotected lines; when none
-  exists, the request is bypassed rather than stalled.
-
-Constructor knobs exist for the ablation benches (sampling period, VTA
-associativity, PL width, bypass on/off); defaults are the paper's.
+* an allocated line's PL is the allocating instruction's PD;
+* at a sample's end, :func:`~repro.core.protection.run_pd_update`
+  recomputes the per-instruction PDs.
 """
 
 from __future__ import annotations
 
-import enum
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict
 
-from repro.cache.replacement import protected_lru_victim
-from repro.check.contracts import set_field_width
-from repro.core.pdpt import PD_BITS, PredictionTable
-from repro.core.policy import CachePolicy
+from repro.core.pdpt import PredictionTable
+from repro.core.protected import ProtectedPolicy
 from repro.core.protection import run_pd_update
-from repro.core.sampler import SampleWindow
-from repro.core.vta import VictimTagArray
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cache.l1d import L1DCache, MemAccess
+    from repro.cache.l1d import MemAccess
     from repro.cache.line import CacheLine
-    from repro.cache.tagarray import CacheSet
 
 
-class DlpPolicy(CachePolicy):
+class DlpPolicy(ProtectedPolicy):
     name = "dlp"
 
-    def __init__(
-        self,
-        sample_limit: int = 200,
-        insn_sample_limit: int = 100_000,
-        vta_assoc: Optional[int] = None,
-        pd_bits: int = PD_BITS,
-        nasc: Optional[int] = None,
-        bypass_enabled: bool = True,
-    ) -> None:
-        super().__init__()
-        self._vta_assoc = vta_assoc
-        self._nasc_override = nasc
-        self.pd_bits = pd_bits
-        self.bypass_enabled = bypass_enabled
-        self.pdpt = PredictionTable(pd_bits=pd_bits)
-        self.sampler = SampleWindow(sample_limit, insn_sample_limit)
-        self.vta: Optional[VictimTagArray] = None
-        self.nasc = 0
-        self.pl_max = (1 << pd_bits) - 1
-        # policy-level statistics
-        self.protected_bypasses = 0
-        self.pd_updates = {"increase": 0, "decrease": 0, "hold": 0}
+    def __init__(self, **knobs: Any) -> None:
+        super().__init__(**knobs)
+        self.pdpt = PredictionTable(pd_bits=self.knobs.pd_bits)
 
     # -- lifecycle -------------------------------------------------------
-
-    def attach(self, cache: "L1DCache") -> None:
-        super().attach(cache)
-        self.vta = VictimTagArray(cache.geometry, self._vta_assoc)
-        # Nasc is the VTA associativity (Section 4.2, footnote 2: set to
-        # the cache associativity in the paper's configuration).  An
-        # explicit 0 is a valid ablation value (freeze all PD updates),
-        # so only a missing override falls back to the VTA associativity.
-        self.nasc = (
-            self._nasc_override if self._nasc_override is not None else self.vta.assoc
-        )
-        if self.pd_bits != PD_BITS:
-            # Ablation PL widths: widen (or narrow) the per-line Protected
-            # Life contract to match (no-op unless REPRO_CHECK is set).
-            for line in cache.tags.lines():
-                set_field_width(line, "protected_life", self.pd_bits)
 
     def reset(self) -> None:
         # In-place PDPT reset: the base-class contract says statistics
@@ -94,16 +52,9 @@ class DlpPolicy(CachePolicy):
         # PDPT's lifetime activity markers (and any ablation contract
         # widths installed on its entries) must survive too.
         self.pdpt.reset()
-        self.sampler.reset()
-        if self.vta is not None:
-            self.vta.reset()
+        super().reset()
 
     # -- protocol hooks ---------------------------------------------------
-
-    def on_set_query(self, cache_set: "CacheSet", access: "MemAccess") -> None:
-        for line in cache_set.lines:
-            if line.protected_life > 0:
-                line.protected_life -= 1
 
     def on_hit(self, line: "CacheLine", access: "MemAccess", reserved: bool) -> None:
         if access.is_write:
@@ -127,31 +78,8 @@ class DlpPolicy(CachePolicy):
         if owner is not None:
             self.pdpt.record_vta_hit(owner)
 
-    def select_victim(
-        self, cache_set: "CacheSet", access: "MemAccess"
-    ) -> Optional["CacheLine"]:
-        return protected_lru_victim(cache_set)
-
-    def bypass_on_no_victim(self, access: "MemAccess") -> bool:
-        if self.bypass_enabled:
-            self.protected_bypasses += 1
-            return True
-        return False
-
     def on_allocate(self, line: "CacheLine", access: "MemAccess") -> None:
         line.grant_protection(self.pdpt.pd(access.insn_id), self.pl_max)
-
-    def on_evict(self, line: "CacheLine") -> None:
-        assert self.vta is not None, "policy used before attach()"
-        self.vta.insert(line.block_addr, line.insn_id)
-
-    def on_access_done(self, access: "MemAccess", outcome: enum.Enum) -> None:
-        if self.sampler.tick_access():
-            self._end_sample()
-
-    def notify_instructions(self, count: int) -> None:
-        if self.sampler.tick_instructions(count):
-            self._end_sample()
 
     # -- internals ---------------------------------------------------------
 

@@ -4,84 +4,44 @@ An emulation of PDP [Duong et al., MICRO'12] on the GPU L1D: the same
 VTA, the same sampling window and the same Figure 9 decision structure as
 DLP, but with a *single* Protection Distance applied to every line —
 "instead of an instruction-based PD like the left-most path in Figure 9,
-this scheme computes a global PD for all cache entries."
+this scheme computes a global PD for all cache entries."  Everything but
+that PD source, the program-level hit crediting and the update at a
+sample's end comes from :class:`~repro.core.protected.ProtectedPolicy`.
 """
 
 from __future__ import annotations
 
-import enum
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict
 
-from repro.cache.replacement import protected_lru_victim
 from repro.check.contracts import BitField, hw_checked, set_field_width
 from repro.core.pdpt import PD_BITS
-from repro.core.policy import CachePolicy
+from repro.core.protected import ProtectedPolicy
 from repro.core.protection import run_global_pd_update
-from repro.core.sampler import SampleWindow
-from repro.core.vta import VictimTagArray
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cache.l1d import L1DCache, MemAccess
+    from repro.cache.l1d import MemAccess
     from repro.cache.line import CacheLine
-    from repro.cache.tagarray import CacheSet
 
 
 @hw_checked(global_pd=BitField(PD_BITS))
-class GlobalProtectionPolicy(CachePolicy):
+class GlobalProtectionPolicy(ProtectedPolicy):
     name = "global_protection"
 
-    def __init__(
-        self,
-        sample_limit: int = 200,
-        insn_sample_limit: int = 100_000,
-        vta_assoc: Optional[int] = None,
-        pd_bits: int = PD_BITS,
-        nasc: Optional[int] = None,
-        bypass_enabled: bool = True,
-    ) -> None:
-        super().__init__()
-        self._vta_assoc = vta_assoc
-        self._nasc_override = nasc
-        self.bypass_enabled = bypass_enabled
-        self.pd_bits = pd_bits
-        self.pl_max = (1 << pd_bits) - 1
-        self.sampler = SampleWindow(sample_limit, insn_sample_limit)
-        self.vta: Optional[VictimTagArray] = None
-        self.nasc = 0
-        if pd_bits != PD_BITS:
-            set_field_width(self, "global_pd", pd_bits)
+    def __init__(self, **knobs: Any) -> None:
+        super().__init__(**knobs)
+        if self.knobs.pd_bits != PD_BITS:
+            set_field_width(self, "global_pd", self.knobs.pd_bits)
         self.global_pd = 0
         self.global_tda_hits = 0
         self.global_vta_hits = 0
-        self.protected_bypasses = 0
-        self.pd_updates = {"increase": 0, "decrease": 0, "hold": 0}
-
-    def attach(self, cache: "L1DCache") -> None:
-        super().attach(cache)
-        self.vta = VictimTagArray(cache.geometry, self._vta_assoc)
-        self.nasc = (
-            self._nasc_override if self._nasc_override is not None else self.vta.assoc
-        )
-        if self.pd_bits != PD_BITS:
-            # Non-default PD width: the per-line PL field must hold it too
-            # (no-op unless REPRO_CHECK is set).
-            for line in cache.tags.lines():
-                set_field_width(line, "protected_life", self.pd_bits)
 
     def reset(self) -> None:
-        self.sampler.reset()
+        super().reset()
         self.global_pd = 0
         self.global_tda_hits = 0
         self.global_vta_hits = 0
-        if self.vta is not None:
-            self.vta.reset()
 
     # -- protocol hooks ---------------------------------------------------
-
-    def on_set_query(self, cache_set: "CacheSet", access: "MemAccess") -> None:
-        for line in cache_set.lines:
-            if line.protected_life > 0:
-                line.protected_life -= 1
 
     def on_hit(self, line: "CacheLine", access: "MemAccess", reserved: bool) -> None:
         if access.is_write:
@@ -97,31 +57,8 @@ class GlobalProtectionPolicy(CachePolicy):
         if self.vta.probe(access.block_addr) is not None:
             self.global_vta_hits += 1
 
-    def select_victim(
-        self, cache_set: "CacheSet", access: "MemAccess"
-    ) -> Optional["CacheLine"]:
-        return protected_lru_victim(cache_set)
-
-    def bypass_on_no_victim(self, access: "MemAccess") -> bool:
-        if self.bypass_enabled:
-            self.protected_bypasses += 1
-            return True
-        return False
-
     def on_allocate(self, line: "CacheLine", access: "MemAccess") -> None:
         line.grant_protection(self.global_pd, self.pl_max)
-
-    def on_evict(self, line: "CacheLine") -> None:
-        assert self.vta is not None, "policy used before attach()"
-        self.vta.insert(line.block_addr, line.insn_id)
-
-    def on_access_done(self, access: "MemAccess", outcome: enum.Enum) -> None:
-        if self.sampler.tick_access():
-            self._end_sample()
-
-    def notify_instructions(self, count: int) -> None:
-        if self.sampler.tick_instructions(count):
-            self._end_sample()
 
     def _end_sample(self) -> None:
         self.global_pd, path = run_global_pd_update(

@@ -14,6 +14,7 @@ from typing import List, Tuple
 
 from repro.cache.tagarray import CacheGeometry
 from repro.core.pdpt import INSN_ID_BITS, PD_BITS, PDPT_ENTRIES, TDA_HIT_BITS, VTA_HIT_BITS
+from repro.core.protected import ProtectionKnobs
 
 TAG_BITS = 32  # address tag width used by the paper's VTA costing
 
@@ -72,9 +73,8 @@ def compute_overhead(
     """
     geometry = geometry or CacheGeometry(num_sets=32, assoc=4, line_size=128)
     num_lines = geometry.num_sets * geometry.assoc
-    vta_entries = geometry.num_sets * (
-        vta_assoc if vta_assoc is not None else geometry.assoc
-    )
+    vta_ways, _ = ProtectionKnobs(vta_assoc=vta_assoc).resolve(geometry.assoc)
+    vta_entries = geometry.num_sets * vta_ways
 
     tda_ext_bits = (insn_id_bits + pl_bits) * num_lines
     vta_bits = (tag_bits + insn_id_bits) * vta_entries

@@ -14,20 +14,16 @@ from dataclasses import dataclass, field
 
 @dataclass
 class SampleWindow:
-    """Tracks progress through one sampling period."""
+    """Tracks progress through one sampling period.  The limits are
+    resolved :class:`~repro.core.protected.ProtectionKnobs` values,
+    range-checked there."""
 
-    access_limit: int = 200
-    insn_limit: int = 100_000
+    access_limit: int
+    insn_limit: int
     accesses: int = 0
     instructions: int = 0
     samples_completed: int = 0
     closed_by: dict = field(default_factory=lambda: {"accesses": 0, "instructions": 0})
-
-    def __post_init__(self) -> None:
-        if self.access_limit < 1:
-            raise ValueError("sample access limit must be positive")
-        if self.insn_limit < 1:
-            raise ValueError("sample instruction limit must be positive")
 
     def tick_access(self) -> bool:
         """Count one cache access; True when the sample just completed."""

@@ -33,13 +33,12 @@ class VictimEntry:
 
 
 class VictimTagArray:
-    """Set-associative array of evicted-line tags."""
+    """Set-associative array of evicted-line tags; ``assoc`` is the
+    resolved :class:`~repro.core.protected.ProtectionKnobs` value."""
 
-    def __init__(self, geometry: CacheGeometry, assoc: Optional[int] = None) -> None:
+    def __init__(self, geometry: CacheGeometry, assoc: int) -> None:
         self.geometry = geometry
-        self.assoc = assoc if assoc is not None else geometry.assoc
-        if self.assoc < 1:
-            raise ValueError(f"VTA associativity must be positive, got {self.assoc}")
+        self.assoc = assoc
         self.sets: List[List[VictimEntry]] = [
             [VictimEntry() for _ in range(self.assoc)]
             for _ in range(geometry.num_sets)

@@ -18,7 +18,13 @@ proves this differentially across policies, ablation knobs, golden
 streams and fuzzed streams).  Anything observable therefore follows the
 reference's exact orderings — stamp allocation, PL decay before victim
 selection, VTA consume-on-probe, first-wins LRU tie-breaks, and the
-sampling-window close conditions.
+sampling-window close conditions.  Nothing of a policy's definition is
+copied here: the knobs are the policy's
+:class:`~repro.core.protected.ProtectionKnobs`, resolved against this
+cache's geometry, and a sample's end applies the reference Figure 9
+rules (:func:`~repro.core.protection.pd_increment`,
+:func:`~repro.core.protection.run_global_pd_update`) to the packed
+counters.
 
 Public protocol mirrors ``L1DCache``: ``access`` / ``fill`` /
 ``drain_miss_queue`` / ``reset_stats`` / ``stats`` / ``access_tap`` /
@@ -54,12 +60,9 @@ from repro.cache.l1d import (
 from repro.cache.mshr import WORD_BYTES, MissQueue, MshrTable
 from repro.cache.tagarray import CacheGeometry
 from repro.core.policy import CachePolicy, StallReason
-from repro.core.pdpt import (
-    PDPT_ENTRIES,
-    PD_BITS,
-    TDA_HIT_BITS,
-    VTA_HIT_BITS,
-)
+from repro.core.pdpt import PDPT_ENTRIES, TDA_HIT_BITS, VTA_HIT_BITS
+from repro.core.protected import ProtectedPolicy, ProtectionKnobs
+from repro.core.protection import pd_increment, run_global_pd_update
 
 #: Line states, numeric for the packed arrays (mirrors
 #: :class:`repro.cache.line.LineState` semantics).
@@ -75,28 +78,19 @@ _KIND_BY_NAME = {
     "dlp": KIND_DLP,
 }
 
-#: Sampling-window defaults (paper Section 4.2), matching
-#: :class:`repro.core.sampler.SampleWindow`.
-_DEFAULT_SAMPLE_LIMIT = 200
-_DEFAULT_INSN_LIMIT = 100_000
-
 
 @dataclass(frozen=True)
 class PolicySpec:
-    """Everything the packed engine needs to know about a policy.
+    """Everything the packed engine needs to know about a policy: its
+    kind and its knob declaration (the default declaration for the
+    unprotected kinds, which read none of it).
 
-    Extracted from a reference policy instance (so ``make_policy`` and
-    every existing ``policy_factory`` keep working unchanged) or built
-    directly for the replay fast path.
+    Extracted from a reference policy instance, so ``make_policy`` and
+    every existing ``policy_factory`` keep working unchanged.
     """
 
-    kind: int = KIND_BASELINE
-    sample_limit: int = _DEFAULT_SAMPLE_LIMIT
-    insn_sample_limit: int = _DEFAULT_INSN_LIMIT
-    vta_assoc: Optional[int] = None
-    pd_bits: int = PD_BITS
-    nasc: Optional[int] = None
-    bypass_enabled: bool = True
+    kind: int
+    knobs: ProtectionKnobs
 
     @classmethod
     def from_policy(cls, policy: CachePolicy) -> "PolicySpec":
@@ -106,17 +100,9 @@ class PolicySpec:
                 f"fast engine does not support custom policy {policy.name!r}; "
                 f"use engine='reference'"
             )
-        if kind < KIND_GLOBAL:
-            return cls(kind=kind)
-        return cls(
-            kind=kind,
-            sample_limit=policy.sampler.access_limit,
-            insn_sample_limit=policy.sampler.insn_limit,
-            vta_assoc=policy._vta_assoc,
-            pd_bits=policy.pd_bits,
-            nasc=policy._nasc_override,
-            bypass_enabled=policy.bypass_enabled,
-        )
+        if isinstance(policy, ProtectedPolicy):
+            return cls(kind, policy.knobs)
+        return cls(kind, ProtectionKnobs())
 
 
 class _FastPolicyFacade:
@@ -212,20 +198,18 @@ class FastL1DCache:
         self._pnd = [0] * n           # pending instruction ID (RESERVED)
         self._stamp = 0               # shared stamp counter (TagArray._stamp)
 
+        knobs = spec.knobs
         protected = spec.kind >= KIND_GLOBAL
         self._protected = protected
-        self._bypass_enabled = spec.bypass_enabled if protected else False
-        self._pl_max = (1 << spec.pd_bits) - 1 if protected else 0
+        self._bypass_enabled = knobs.bypass_enabled if protected else False
+        self._pl_max = knobs.pl_max if protected else 0
 
         # Stall-Bypass per-reason counters, in StallReason declaration
         # order (matches StallBypassPolicy.bypassed_by_reason).
         self._bypassed = {reason.value: 0 for reason in StallReason}
 
         # VTA (packed), DLP/GP only.
-        vta_assoc = spec.vta_assoc if spec.vta_assoc is not None else assoc
-        if protected and vta_assoc < 1:
-            # Same contract as VictimTagArray.
-            raise ValueError("VTA associativity must be >= 1")
+        vta_assoc, self._nasc = knobs.resolve(assoc)
         self._vta_assoc = vta_assoc
         vn = num_sets * vta_assoc if protected else 0
         self._vta_valid = [False] * vn
@@ -238,17 +222,12 @@ class FastL1DCache:
         self._vta_probe_count = 0
 
         # Sampling window (SampleWindow semantics, inlined).
-        if protected and (spec.sample_limit <= 0 or spec.insn_sample_limit <= 0):
-            raise ValueError("sampling limits must be positive")
-        self._acc_limit = spec.sample_limit
-        self._ins_limit = spec.insn_sample_limit
+        self._acc_limit = knobs.sample_limit
+        self._ins_limit = knobs.insn_sample_limit
         self._acc = 0
         self._ins = 0
         self.samples_completed = 0
         self.closed_by = {"accesses": 0, "instructions": 0}
-
-        # Nasc: explicit override wins, including 0; else VTA assoc.
-        self._nasc = spec.nasc if spec.nasc is not None else vta_assoc
 
         # PDPT (packed), DLP only.
         pn = PDPT_ENTRIES if spec.kind == KIND_DLP else 0
@@ -668,9 +647,9 @@ class FastL1DCache:
     def _end_sample(self) -> None:
         nasc = self._nasc
         if nasc < 0:
-            # Hoisted above the path split (mirrors run_pd_update /
-            # run_global_pd_update): a negative Nasc on the decrease path
-            # would silently *raise* PDs past the 4-bit field.
+            # ProtectionKnobs already refuses a negative Nasc.  This
+            # guard lets R006 prove the decrease path's PD stores: a
+            # negative Nasc there would *raise* PDs past their field.
             raise ValueError(f"Nasc must be non-negative, got {nasc}")
         if self._kind == KIND_DLP:
             g_tda, g_vta = self._g_tda, self._g_vta
@@ -681,7 +660,7 @@ class FastL1DCache:
                 for i in range(self._pdpt_n):
                     t, v = pdt[i], pdv[i]
                     if t or v:
-                        delta = _pd_increment(nasc, v, t)
+                        delta = pd_increment(nasc, v, t)
                         if delta:
                             npd = pdl[i] + delta
                             pdl[i] = npd if npd < pd_max else pd_max
@@ -699,17 +678,9 @@ class FastL1DCache:
             self._g_tda = 0
             self._g_vta = 0
         else:  # KIND_GLOBAL
-            g_tda, g_vta = self._gp_tda, self._gp_vta
-            if g_vta > g_tda:
-                path = "increase"
-                npd = self._gpd + _pd_increment(nasc, g_vta, g_tda)
-                self._gpd = npd if npd < self._pd_max else self._pd_max
-            elif 2 * g_vta < g_tda:
-                path = "decrease"
-                npd = self._gpd - nasc
-                self._gpd = npd if npd > 0 else 0
-            else:
-                path = "hold"
+            self._gpd, path = run_global_pd_update(
+                self._gpd, self._pd_max, nasc, self._gp_tda, self._gp_vta
+            )
             self._gp_tda = 0
             self._gp_vta = 0
         self.pd_updates[path] += 1
@@ -770,20 +741,3 @@ class FastL1DCache:
             self._gpd = 0
             self._gp_tda = 0
             self._gp_vta = 0
-
-
-def _pd_increment(nasc: int, hit_vta: int, hit_tda: int) -> int:
-    """Figure 9 step ladder (mirrors
-    :func:`repro.core.protection.pd_increment`, minus the per-call
-    negative-nasc guard, which the caller hoists)."""
-    if hit_vta <= 0:
-        return 0
-    if hit_tda <= 0 or hit_vta >= 4 * hit_tda:
-        return 4 * nasc
-    if hit_vta >= 2 * hit_tda:
-        return 2 * nasc
-    if hit_vta >= hit_tda:
-        return nasc
-    if 2 * hit_vta >= hit_tda:
-        return nasc >> 1
-    return 0

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.analysis.reuse import RD_LABELS, bucket_of
-from repro.core.pdpt import PD_BITS
+from repro.core import ProtectionKnobs, check_policy_kwargs
 from repro.core.protection import pd_increment, run_global_pd_update
 from repro.gpu.config import GPUConfig, resolve_scheme
 from repro.predict.profile import (
@@ -51,8 +51,6 @@ PREDICTABLE_SCHEMES = (
     "baseline", "stall_bypass", "global_protection", "dlp", "32kb", "64kb",
 )
 
-#: Sampling window the hardware recomputes PDs on (paper Section 4.2).
-SAMPLE_WINDOW = 200
 #: Cap on emulated windows; past this the trajectory is downsampled by
 #: holding each emulated window's state for several real ones.
 MAX_WINDOWS = 4096
@@ -234,15 +232,11 @@ def _lru_prediction(profile: PredictProfile, scheme: str,
 
 
 def _protected_prediction(profile: PredictProfile, scheme: str, assoc: int,
-                          *, vta_assoc: Optional[int] = None,
-                          pd_bits: int = PD_BITS,
-                          nasc: Optional[int] = None,
-                          sample_limit: int = SAMPLE_WINDOW,
-                          bypass_enabled: bool = True) -> Prediction:
-    """Window-by-window emulation of the Figure 9 learning loop."""
-    pl_max = (1 << pd_bits) - 1
-    vta = vta_assoc if vta_assoc is not None else assoc
-    nasc_val = nasc if nasc is not None else vta
+                          *, vta: int, nasc_val: int, pl_max: int,
+                          sample_limit: int,
+                          bypass_enabled: bool) -> Prediction:
+    """Window-by-window emulation of the Figure 9 learning loop, on
+    resolved :class:`~repro.core.protected.ProtectionKnobs` values."""
     per_insn = scheme == "dlp"
 
     accesses = profile.accesses
@@ -420,8 +414,10 @@ def predict(profile: PredictProfile, scheme: str,
 
     ``calibration`` is a :class:`repro.predict.calibrate.Calibration`
     (or ``None`` for the raw model).  ``policy_kwargs`` accepts the
-    protection knobs the replay path accepts (``vta_assoc``, ``pd_bits``,
-    ``nasc``, ``sample_limit``, ``bypass_enabled``).
+    protection knobs the replay path accepts, but for
+    ``insn_sample_limit``, which the model has no notion of; any other
+    knob, or a value :class:`~repro.core.protected.ProtectionKnobs`
+    refuses, raises :class:`PredictionError`.
     """
     if scheme not in PREDICTABLE_SCHEMES:
         raise PredictionError(
@@ -433,15 +429,24 @@ def predict(profile: PredictProfile, scheme: str,
     assoc = config.l1d.assoc
     _check_profile(profile, config)
 
+    if "insn_sample_limit" in policy_kwargs:
+        raise PredictionError(
+            "the analytical model has no instruction cap on its sampling "
+            "windows; submit insn_sample_limit without predict for exact "
+            "results"
+        )
+    try:
+        check_policy_kwargs(scheme, policy_kwargs)
+    except (TypeError, ValueError) as exc:
+        raise PredictionError(str(exc)) from None
     if scheme in ("global_protection", "dlp"):
+        knobs = ProtectionKnobs(**policy_kwargs)
+        vta, nasc_val = knobs.resolve(assoc)
         prediction = _protected_prediction(
-            profile, scheme, assoc, **policy_kwargs)
+            profile, scheme, assoc, vta=vta, nasc_val=nasc_val,
+            pl_max=knobs.pl_max, sample_limit=knobs.sample_limit,
+            bypass_enabled=knobs.bypass_enabled)
     else:
-        if policy_kwargs:
-            raise PredictionError(
-                f"scheme {scheme!r} accepts no policy knobs, "
-                f"got {sorted(policy_kwargs)}"
-            )
         prediction = _lru_prediction(profile, scheme, assoc)
 
     if calibration is not None:

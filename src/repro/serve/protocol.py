@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro.core import check_policy_kwargs
 from repro.experiments.executor import Cell
 from repro.experiments.store import (
     TRACE_VERSION,
@@ -291,7 +292,7 @@ def parse_job_request(payload: Any) -> JobRequest:
 
     Raises :class:`ProtocolError` (mapped to HTTP 400) on anything the
     scheduler could not execute: unknown kind/app/scheme, bad numeric
-    fields, empty grids.
+    fields, empty grids, policy knobs a scheme does not take.
     """
     if not isinstance(payload, dict):
         raise ProtocolError("job request must be a JSON object")
@@ -350,6 +351,8 @@ def parse_job_request(payload: Any) -> JobRequest:
             "predict has no analytical model for the non-blocking L1D; "
             "submit without predict for exact non_blocking results"
         )
+    if policy_kwargs:
+        _check_policy_kwargs(schemes, policy_kwargs, predict)
 
     mode = MODE_REPLAY if kind == "replay" else MODE_SIM
     units = [
@@ -370,6 +373,22 @@ def parse_job_request(payload: Any) -> JobRequest:
     priority = _parse_priority(payload.get("priority"), len(units))
     return JobRequest(kind=kind, priority=priority, units=units,
                       predict=predict, client=client)
+
+
+def _check_policy_kwargs(schemes: List[str], policy_kwargs: Dict[str, Any],
+                         predict: bool) -> None:
+    """Refuse knobs a scheme does not take, and values the knob
+    declaration refuses, before any unit is queued."""
+    if predict and "insn_sample_limit" in policy_kwargs:
+        raise ProtocolError(
+            "predict has no analytical model of insn_sample_limit; "
+            "submit without predict for exact results"
+        )
+    for scheme in schemes:
+        try:
+            check_policy_kwargs(scheme, policy_kwargs)
+        except (TypeError, ValueError) as exc:
+            raise ProtocolError(f"policy_kwargs: {exc}") from None
 
 
 def _parse_names(payload: Dict[str, Any], singular: str, plural: str,

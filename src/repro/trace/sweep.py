@@ -29,6 +29,7 @@ from typing import (
 if TYPE_CHECKING:  # pragma: no cover — typing only (lazy at runtime)
     from repro.batchsim.grid import GridAxis
 
+from repro.core import check_policy_kwargs
 from repro.experiments.store import (
     MemoryStore,
     replay_cell_key,
@@ -216,6 +217,10 @@ class ReplaySweepExecutor:
                 self.stats.store_hits += 1
                 results[key] = cached
         if missing:
+            # A knob the scheme does not take fails here, before a trace
+            # is captured, not in the replay after it.
+            for scheme, policy_kwargs in missing.values():
+                check_policy_kwargs(scheme, policy_kwargs)
             source, captured = self._stream(abbr, config, scale, seed)
             self.stats.recorded += captured
             self.stats.trace_hits += len(missing) - captured

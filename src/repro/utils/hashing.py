@@ -63,7 +63,8 @@ def xor_index_fn(num_sets: int) -> Callable[[int], int]:
     """The XOR-hash set index of a cache with ``num_sets`` sets, checked
     once: ``fn(block_addr)`` folds the line address (byte address >>
     log2(line size)) in ``log2(num_sets)``-wide slices, which breaks up
-    power-of-two strides that would otherwise all map to one set."""
+    power-of-two strides that would otherwise all map to one set.  A
+    negative address raises ``ValueError``."""
     _check_num_sets(num_sets)
     mask = num_sets - 1
     bits = mask.bit_length()
@@ -71,6 +72,9 @@ def xor_index_fn(num_sets: int) -> Callable[[int], int]:
         return lambda block_addr: 0
 
     def index(block_addr: int) -> int:
+        if block_addr < 0:
+            # an arithmetic shift never clears a negative address
+            raise ValueError(f"negative block address {block_addr}")
         result = 0
         while block_addr:
             result ^= block_addr & mask

@@ -79,3 +79,29 @@ class TestRunGrid:
         executor.run_grid("MM", "dlp", self.AXES, num_sms=2, scale=0.4)
         assert executor.stats.store_hits == 4
         assert executor.stats.replayed == 4  # nothing re-run
+
+    @pytest.mark.parametrize("engine", ["reference", "batch"])
+    @pytest.mark.parametrize("axis, match", [
+        (GridAxis("pl", (2, 6)), "its knobs are .*nasc"),
+        (GridAxis("nasc", (0, -1)), "Nasc must be non-negative"),
+    ])
+    def test_bad_knob_refused_before_capture(self, tmp_path, engine, axis,
+                                             match):
+        executor = ReplaySweepExecutor(trace_dir=tmp_path, engine=engine)
+        with pytest.raises(ValueError, match=match):
+            executor.run_grid("MM", "dlp", [axis], num_sms=2, scale=0.4)
+        assert executor.stats.recorded == 0
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_refuses_an_unknown_grid_knob(tmp_path, capsys):
+    from repro.cli import main
+
+    traces = tmp_path / "traces"
+    code = main(["sweep", "--apps", "MM", "--replay", "--sms", "1",
+                 "--scale", "0.1", "--engine", "batch", "--schemes", "dlp",
+                 "--grid", "pl=2:6:4", "--trace-dir", str(traces)])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "nasc" in err[0]
+    assert not any(traces.rglob("*"))

@@ -17,15 +17,24 @@ from pathlib import Path
 
 import pytest
 
+from repro.check.analysis import parity
 from repro.check.analysis.intervals import ValueRangeAnalyzer
 from repro.check.analysis.parity import (
     check_consistency,
     classify_guard,
     compute_parity,
     diff_parity,
+    live_parity,
     load_parity,
 )
-from repro.check.rules.bit_widths import default_field_table, field_table
+from repro.check.lint import run_check
+from repro.check.manifest import package_root
+from repro.check.rules.base import ModuleSource
+from repro.check.rules.bit_widths import (
+    _names_a_field,
+    default_field_table,
+    field_table,
+)
 
 
 @pytest.fixture(scope="module")
@@ -44,38 +53,32 @@ class TestLiveExtraction:
         assert json.loads(json.dumps(current)) == load_parity()
 
     def test_extraction_has_all_surfaces(self, current):
-        defaults = current["knob_defaults"]
-        assert set(defaults) == {
-            "reference.dlp", "reference.global_protection", "fastsim.spec",
+        # the knobs are declared once (repro.core.protected), so there
+        # are no knob defaults or fallback guards left to compare
+        assert set(current) == {
+            "version", "width_constants", "fastsim_constant_imports",
+            "fastsim_constant_redefinitions", "hw_widths",
+            "packed_correspondence",
         }
-        assert all(isinstance(t, dict) for t in defaults.values())
         assert current["hw_widths"], "no @hw_checked declarations extracted"
         assert current["fastsim_constant_redefinitions"] == []
 
+    def test_live_extraction_is_the_computed_one(self, current):
+        assert live_parity(package_root()) == current
+
 
 class TestConsistencyOnDrift:
-    def test_knob_default_drift_is_flagged(self, current):
-        mutated = copy.deepcopy(current)
-        mutated["knob_defaults"]["fastsim.spec"]["pd_bits"] = 5
-        problems = check_consistency(mutated)
-        assert any("knob default drift for 'pd_bits'" in p for p in problems)
-
-    def test_or_truthiness_guard_is_flagged(self, current):
-        mutated = copy.deepcopy(current)
-        mutated["override_guards"]["repro/core/seeded.py"] = {
-            "nasc": ["or_truthiness"],
-        }
-        problems = check_consistency(mutated)
-        assert any(
-            "or_truthiness" in p and "historical nasc bug" in p
-            for p in problems
-        )
-
     def test_redefined_width_constant_is_flagged(self, current):
         mutated = copy.deepcopy(current)
         mutated["fastsim_constant_redefinitions"] = ["PD_BITS"]
         problems = check_consistency(mutated)
         assert any("redefines width constants" in p for p in problems)
+
+    def test_unimported_width_constant_is_flagged(self, current):
+        mutated = copy.deepcopy(current)
+        mutated["fastsim_constant_imports"].remove("TDA_HIT_BITS")
+        problems = check_consistency(mutated)
+        assert any("does not import ['TDA_HIT_BITS']" in p for p in problems)
 
     def test_conflicting_hw_widths_are_flagged(self, current):
         mutated = copy.deepcopy(current)
@@ -162,6 +165,42 @@ class TestDerivedFieldTable:
             check=True,
             timeout=60,
         )
+
+    def test_one_check_run_extracts_once(self, monkeypatch):
+        # R006's field table and R007's checks read one extraction
+        calls = []
+        compute = parity.compute_parity
+
+        def counting(root=None):
+            calls.append(root)
+            return compute(root)
+
+        monkeypatch.setattr(parity, "compute_parity", counting)
+        parity.live_parity.cache_clear()
+        default_field_table.cache_clear()
+        try:
+            assert run_check(out=lambda line: None) == 0
+        finally:
+            parity.live_parity.cache_clear()
+            default_field_table.cache_clear()
+        assert calls == [package_root()]
+
+    def test_text_prefilter_keeps_the_modules_the_walk_keeps(self):
+        table = default_field_table()
+        names = table.scalar_fields.keys() | table.packed_fields.keys()
+        kept = []
+        for path in sorted(package_root().rglob("*.py")):
+            module = ModuleSource(path.name, path.read_text(encoding="utf-8"))
+            walked = any(
+                (isinstance(node, ast.Attribute) and node.attr in names)
+                or (isinstance(node, ast.AnnAssign)
+                    and isinstance(node.target, ast.Name)
+                    and node.target.id in names)
+                for node in ast.walk(module.tree)
+            )
+            assert _names_a_field(module, table) == walked, path
+            kept.append(walked)
+        assert 0 < sum(kept) < len(kept)
 
     def test_a_wider_declaration_widens_its_packed_array(self, current):
         mutated = copy.deepcopy(current)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import ProtectionKnobs, make_policy
 from repro.core.sampler import SampleWindow
 
 
@@ -20,7 +21,8 @@ class TestAccessSampling:
             assert not w.tick_access()
 
     def test_paper_default_is_200(self):
-        assert SampleWindow().access_limit == 200
+        # the default is declared with the knobs that build the window
+        assert make_policy("dlp").sampler.access_limit == 200
 
     def test_multiple_samples(self):
         w = SampleWindow(access_limit=2, insn_limit=10**9)
@@ -57,17 +59,18 @@ class TestInstructionCap:
 
 class TestValidation:
     def test_rejects_bad_limits(self):
+        # the limits are range-checked where they are declared
         with pytest.raises(ValueError):
-            SampleWindow(access_limit=0)
+            ProtectionKnobs(sample_limit=0)
         with pytest.raises(ValueError):
-            SampleWindow(insn_limit=0)
+            ProtectionKnobs(insn_sample_limit=0)
 
 
 class TestAlignment:
     """PD updates must stay aligned to the access_limit boundary."""
 
     def test_overshoot_detected(self):
-        w = SampleWindow(access_limit=200)
+        w = SampleWindow(access_limit=200, insn_limit=10**9)
         w.accesses = 205  # a window close was skipped upstream
         with pytest.raises(RuntimeError, match="200-access aligned"):
             w.tick_access()

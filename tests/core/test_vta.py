@@ -1,6 +1,7 @@
 """Victim Tag Array behaviour (Section 4.1.2)."""
 
 from repro.cache.tagarray import CacheGeometry
+from repro.core import ProtectionKnobs
 from repro.core.vta import VictimTagArray
 
 
@@ -58,7 +59,8 @@ class TestBookkeeping:
 
     def test_paper_config_matches_tda(self, baseline_geometry):
         # footnote 2: VTA associativity = cache associativity
-        vta = VictimTagArray(baseline_geometry)
+        vta_assoc, _ = ProtectionKnobs().resolve(baseline_geometry.assoc)
+        vta = VictimTagArray(baseline_geometry, vta_assoc)
         assert vta.assoc == 4
         assert vta.num_entries == 128
 

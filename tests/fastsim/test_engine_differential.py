@@ -14,8 +14,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cache.l1d import L1DCache
+from repro.core import ProtectedPolicy, ProtectionKnobs, make_policy
 from repro.fastsim import ENGINES, make_l1d, validate_engine
-from repro.fastsim.engine import PolicySpec
+from repro.fastsim.engine import FastL1DCache, PolicySpec
+from repro.gpu.config import GPUConfig
+from repro.trace.replay import ReplayEngine
 
 from tests.fastsim.harness import (
     SMALL_GEOMETRY,
@@ -129,19 +133,46 @@ def test_engine_registry():
 
 
 def test_policy_spec_round_trip():
-    """PolicySpec captures every knob the fast engine inlines."""
+    """PolicySpec carries the policy's own knob declaration."""
     from repro.core import make_policy
 
     policy = make_policy("dlp", sample_limit=50, insn_sample_limit=500,
                          vta_assoc=2, pd_bits=3, nasc=0,
                          bypass_enabled=False)
     spec = PolicySpec.from_policy(policy)
-    assert spec.sample_limit == 50
-    assert spec.insn_sample_limit == 500
-    assert spec.vta_assoc == 2
-    assert spec.pd_bits == 3
-    assert spec.nasc == 0
-    assert spec.bypass_enabled is False
+    assert spec.knobs is policy.knobs
+    assert spec.knobs == ProtectionKnobs(
+        sample_limit=50, insn_sample_limit=500, vta_assoc=2, pd_bits=3,
+        nasc=0, bypass_enabled=False)
+
+
+@pytest.mark.parametrize("policy,kwargs", ABLATIONS, ids=map(_label, ABLATIONS))
+def test_engines_resolve_the_same_knobs(policy, kwargs):
+    """Both engines read one declaration, so every grid cell resolves to
+    the same window, VTA associativity, Nasc, PL maximum and bypass
+    flag; an unprotected kind keeps none of them."""
+    reference = make_policy(policy, **kwargs)
+    L1DCache(SMALL_GEOMETRY, reference)
+    fast = FastL1DCache(SMALL_GEOMETRY, make_policy(policy, **kwargs))
+    if not isinstance(reference, ProtectedPolicy):
+        assert not fast._protected
+        assert (fast._pl_max, fast._bypass_enabled, fast._vta_valid) == \
+            (0, False, [])
+        return
+    assert reference.vta is not None
+    assert (fast._acc_limit, fast._ins_limit, fast._vta_assoc, fast._nasc,
+            fast._pl_max, fast._bypass_enabled) == (
+        reference.sampler.access_limit, reference.sampler.insn_limit,
+        reference.vta.assoc, reference.nasc, reference.pl_max,
+        reference.knobs.bypass_enabled)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("policy", ("global_protection", "dlp"))
+def test_negative_nasc_is_refused_when_the_policy_is_built(engine, policy):
+    with pytest.raises(ValueError, match="Nasc must be non-negative"):
+        ReplayEngine(GPUConfig().scaled(1),
+                     lambda: make_policy(policy, nasc=-1), engine)
 
 
 def test_fast_engine_rejects_unknown_policy():

@@ -44,6 +44,17 @@ class TestContract:
         assert 0.0 <= wide.miss_rate <= 1.0
         assert base.scheme == wide.scheme == "dlp"
 
+    def test_instruction_cap_rejected_by_name(self, profile):
+        # the exact tiers take this knob; the model has no instruction cap
+        with pytest.raises(PredictionError, match="insn_sample_limit"):
+            predict(profile, "dlp", CONFIG, calibration=None,
+                    insn_sample_limit=500)
+
+    @pytest.mark.parametrize("knobs", [{"bogus": 1}, {"nasc": -1}])
+    def test_knobs_the_declaration_refuses_are_rejected(self, profile, knobs):
+        with pytest.raises(PredictionError):
+            predict(profile, "dlp", CONFIG, calibration=None, **knobs)
+
     def test_geometry_mismatch_rejected(self, profile):
         import dataclasses
 

@@ -154,3 +154,53 @@ class TestValidation:
     def test_app_names_case_insensitive(self):
         req = parse_job_request(cell_request("mm", "dlp"))
         assert req.units[0].abbr == "MM"
+
+
+class TestPolicyKnobs:
+    """Knobs are checked against the knob declaration at admission, so a
+    bad one answers 400 instead of failing in a worker."""
+
+    @pytest.mark.parametrize("scheme, knobs", [
+        ("baseline", {"nasc": 1}),
+        ("32kb", {"pd_bits": 2}),
+        ("dlp", {"bogus": 1}),
+        ("dlp", {"pl": 2}),
+        ("dlp", {"nasc": -1}),
+        ("global_protection", {"vta_assoc": 0}),
+        ("dlp", {"sample_limit": 0}),
+        ("dlp", {"nasc": "four"}),
+    ])
+    def test_rejects_knobs_the_scheme_does_not_take(self, scheme, knobs):
+        replay = replay_request(["MM"], [scheme])
+        replay["policy_kwargs"] = knobs
+        for body in (cell_request("MM", scheme, policy_kwargs=knobs), replay):
+            with pytest.raises(ProtocolError, match="policy_kwargs"):
+                parse_job_request(body)
+
+    def test_one_bad_scheme_in_a_sweep_rejects_the_job(self):
+        body = sweep_request(["MM"], ["dlp", "baseline"])
+        body["policy_kwargs"] = {"nasc": 2}
+        with pytest.raises(ProtocolError, match="'baseline'"):
+            parse_job_request(body)
+
+    def test_predict_refuses_the_instruction_cap(self):
+        body = cell_request("MM", "dlp", predict=True,
+                            policy_kwargs={"insn_sample_limit": 500})
+        with pytest.raises(ProtocolError, match="insn_sample_limit"):
+            parse_job_request(body)
+        # the exact tiers take it
+        body = cell_request("MM", "dlp",
+                            policy_kwargs={"insn_sample_limit": 500})
+        assert parse_job_request(body).units
+
+    def test_valid_knobs_keep_their_keys(self):
+        def key(knobs):
+            (unit,) = parse_job_request(
+                cell_request("MM", "dlp", policy_kwargs=knobs)).units
+            return unit.key()
+
+        assert key({"nasc": 4}) == \
+            Cell.make("MM", "dlp", num_sms=4, nasc=4).key()
+        # the declaration never enters a key: the default value spelled
+        # out is a different request from no knobs at all
+        assert key({"nasc": 4}) != key({}) == Cell.make("MM", "dlp").key()

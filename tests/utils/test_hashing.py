@@ -1,8 +1,15 @@
 """Hash and set-index functions."""
 
+import numpy as np
 import pytest
 
-from repro.utils.hashing import fnv1a_32, hash_pc, linear_set_index, xor_set_index
+from repro.utils.hashing import (
+    fnv1a_32,
+    hash_pc,
+    linear_set_index,
+    xor_index_fn,
+    xor_set_index,
+)
 
 
 class TestFnv1a:
@@ -65,3 +72,22 @@ class TestSetIndex:
 
     def test_single_set(self):
         assert xor_set_index(12345, 1) == 0
+
+    def test_xor_rejects_negative_block(self, deadline):
+        # an arithmetic right shift keeps a negative address negative, so
+        # the fold would never finish
+        with pytest.raises(ValueError, match="negative block"):
+            xor_index_fn(32)(-5)
+        assert xor_index_fn(32)(0) == 0
+
+    def test_vectorized_xor_rejects_negative_block(self, deadline):
+        from repro.batchsim.decode import set_indices
+
+        blocks = np.array([3, -5], dtype=np.int64)
+        with pytest.raises(ValueError, match="negative block"):
+            set_indices(blocks, 32, "hash")
+        # the vectorized fold agrees with the scalar one
+        ok = np.array([3, 5, 12345, 1 << 40], dtype=np.int64)
+        assert set_indices(ok, 32, "hash").tolist() == \
+            [xor_index_fn(32)(int(b)) for b in ok]
+        assert set_indices(ok[:0], 32, "hash").tolist() == []
