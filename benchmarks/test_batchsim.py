@@ -6,9 +6,11 @@ wall-clock of a couple of fastsim cells".  The unit of comparison is a
 what ``repro sweep --replay`` and ``repro trace replay`` pay per cell.
 Solo fastsim pays the scalar per-record decode for every cell; the
 batch engine decodes once (vectorized), partitions once, and advances
-every lane through the shared stream — lanes with provably identical
-trajectories (baseline vs stall_bypass, replay-inert knobs) share one
-kernel run outright.
+every lane through the shared stream.  Lanes that agree on everything
+a kernel reads inside a sampling window (baseline vs stall_bypass,
+replay-inert knobs, Nasc and PD width) share one kernel pass per SM;
+a Nasc or PD-width lane forks off at the first window barrier that
+leaves its PDs apart from the pass's.
 
 This bench replays the full 17-cell grid both ways on BFS (the
 workload's hit/miss mix is representative; see BENCH_trace_replay),

@@ -14,14 +14,21 @@ cache.
 :func:`replay_batch` is the multi-lane front door: it decodes and
 partitions the trace once (:mod:`repro.batchsim.decode`), then advances
 every lane — a (scheme, policy_kwargs) variant — through the stream via
-the same kernels.  Lanes whose blocking-replay trajectories are
-provably identical (``baseline`` vs ``stall_bypass``, knobs the replay
-path never reads such as ``insn_sample_limit``, Nasc-0 lanes that
-differ only in ``pd_bits``) share one kernel run and the survivors get
-a state copy, so a 17-cell ablation grid costs
-~15 kernel passes plus one decode instead of 17 full replays.
-Non-blocking lanes run the per-record loop, one private engine per
-lane (no cross-lane state by construction).
+the same kernels.  Lanes with one static key (:func:`_lane_key`: the
+geometry and every knob a kernel reads inside a sampling window) share
+one kernel pass per SM.  Nasc and ``pd_bits`` are not in it: until the
+first window barrier that raises a PD, lanes that differ only there
+take the same path.  At each barrier every member applies its own
+Figure 9 update to the pass's window counters, and a member whose PD
+state now differs forks off with a copy of the pass's carried state
+(:class:`~repro.batchsim.kernels.Carry`) and resumes alone from the
+next window.  Members still together at the end get a state copy.  So
+the 15-lane ``nasc=0:4 x pd_bits=2,4,6`` frontier costs one pass per SM
+on a stream where no PD leaves 0, and the benchmark's three-app
+frontier (seed 0, 2 SMs, scale 0.5) runs 3,351 window-passes (one
+kernel over one SM's sampling window) instead of the 4,875 that one
+pass per lane costs.  Non-blocking lanes run the per-record loop, one
+private engine per lane (no cross-lane state by construction).
 """
 
 from __future__ import annotations
@@ -43,7 +50,9 @@ from repro.batchsim.decode import (
     decode_reader,
     decode_records,
 )
-from repro.batchsim.kernels import DLP, GLOBAL, UNPROTECTED, get_kernel, kernel_key
+from repro.batchsim.kernels import (
+    DLP, GLOBAL, UNPROTECTED, Carry, get_kernel, kernel_key,
+)
 
 
 #: One lane: (scheme, policy kwargs) — the same pair ``repro sweep``
@@ -64,36 +73,70 @@ _COPY_DICTS = ("_bypassed", "closed_by", "pd_updates")
 
 
 def _lane_key(cache: FastL1DCache) -> Tuple[Any, ...]:
-    """Trajectory identity of one lane's blocking replay.
+    """The static part of one lane's blocking-replay trajectory: lanes
+    with equal keys share one kernel pass per SM.
 
-    Two lanes with equal keys take bit-identical paths through the
-    stream: the key covers the geometry and every policy knob the
-    blocking replay protocol reads.  ``insn_sample_limit`` is absent
-    (replay never calls ``notify_instructions``) and ``baseline`` /
-    ``stall_bypass`` collapse to one unprotected group (the only stall
-    blocking replay can raise is one unprotected policies never hit).
-
-    With Nasc 0 the PD width (``pl_max``) is keyed as 0, so DLP or
-    Global-Protection lanes that differ only in ``pd_bits`` share a run:
-
-    * every PD starts at 0, and ``policy_reset`` zeroes it;
-    * the increase path adds
-      :func:`~repro.core.protection.pd_increment` of Nasc 0, a
-      multiple of Nasc and so 0, and the decrease path subtracts 0, so
-      no PDPT entry and no global PD ever leaves 0;
-    * a line's Protected Life is ``min(PD, pl_max)`` = 0, so no line is
-      ever protected and neither ``pl_max`` nor ``pd_max`` ever binds;
-    * ``policy_stats`` reports no width, and :func:`_copy_cache` copies
-      only state, never the width itself.
+    The key covers the geometry and every knob a kernel reads inside a
+    sampling window.  ``insn_sample_limit`` is absent (replay never
+    calls ``notify_instructions``) and ``baseline`` / ``stall_bypass``
+    collapse to one unprotected group (the only stall blocking replay
+    can raise is one unprotected policies never hit).  Nasc and
+    ``pd_bits`` are absent too: they act only through the Figure 9
+    update at a window barrier, where :class:`_SharedBarrier` applies
+    each member's own and forks off the members whose PD state then
+    differs.  Nasc-0 lanes need no rule of their own: their PDs never
+    leave 0, so they never fork.
     """
     geom = cache.geometry
     base: Tuple[Any, ...] = (geom.num_sets, geom.assoc, geom.index_fn)
     if not cache._protected:
         return base + (UNPROTECTED,)
     kind = DLP if cache._kind == KIND_DLP else GLOBAL
-    pl_max = cache._pl_max if cache._nasc else 0
     return base + (kind, cache._bypass_enabled, cache._acc_limit,
-                   cache._vta_assoc, pl_max, cache._nasc)
+                   cache._vta_assoc)
+
+
+class _SharedBarrier:
+    """The window barrier of a kernel pass that several lanes share.
+
+    The pass runs on ``members[0]``'s cache.  At each barrier every
+    member applies its own Figure 9 update (its own Nasc and ``pd_max``)
+    to the pass's window counters.  The members whose new PD state
+    differs from the leader's leave ``members``: each group of equal
+    state takes a :meth:`~repro.batchsim.kernels.Carry.fork` of the
+    pass's carry and the leader's lifetime PDPT markers, and goes onto
+    ``forks`` to resume alone from the next window.
+    """
+
+    def __init__(self, members: List[FastL1DCache], carry: Carry,
+                 forks: List[Tuple[List[FastL1DCache], Carry]]) -> None:
+        self.members = members
+        self.carry = carry
+        self.forks = forks
+
+    def __call__(self) -> None:
+        lead, *rest = self.members
+        # The window's counters, both kinds' (the other kind's are 0 or
+        # empty): each member's own Figure 9 update reads them.
+        for cache in rest:
+            cache._pdt[:] = lead._pdt
+            cache._pdv[:] = lead._pdv
+            cache._g_tda, cache._g_vta = lead._g_tda, lead._g_vta
+            cache._gp_tda, cache._gp_vta = lead._gp_tda, lead._gp_vta
+        # Split by the PD state the next window reads: the global PD and
+        # the PDPT's PDs (a DLP cache's global PD stays 0; a
+        # Global-Protection cache has no PDPT).  Equal PDs also clamp
+        # alike, min(PD, pl_max): no PD exceeds its lane's pd_max, which
+        # is its pl_max.
+        split: Dict[Tuple[int, ...], List[FastL1DCache]] = {}
+        for cache in self.members:
+            cache._end_sample()
+            split.setdefault((cache._gpd, *cache._pdl), []).append(cache)
+        if len(split) > 1:
+            self.members, *forked = split.values()
+            for group in forked:
+                group[0]._pdu[:] = lead._pdu
+                self.forks.append((group, self.carry.fork()))
 
 
 def _copy_cache(src: FastL1DCache, dst: FastL1DCache) -> None:
@@ -111,25 +154,38 @@ def _copy_cache(src: FastL1DCache, dst: FastL1DCache) -> None:
                 dict(value) if isinstance(value, dict) else value)
 
 
-def _run_lane(engine: ReplayEngine, parts: TracePartitions) -> None:
-    """Drive one lane's per-SM caches through the shared partitions."""
-    for sm_id, cache in enumerate(engine.caches):
-        columns = parts.columns[sm_id]
-        part = parts.get(sm_id, cache._num_sets, cache.geometry.index_fn)
-        kernel = get_kernel(kernel_key(cache, parts.max_insn))
-        if cache._protected:
-            windows, full = part.windows(cache._acc_limit)
+def _run_group(group: Sequence[ReplayEngine], parts: TracePartitions) -> None:
+    """Drive lanes of one :func:`_lane_key` through the shared
+    partitions: one kernel pass per SM, forked where PD states diverge."""
+    for sm_id in range(len(group[0].caches)):
+        lead = group[0].caches[sm_id]
+        part = parts.get(sm_id, lead._num_sets, lead.geometry.index_fn)
+        kernel = get_kernel(kernel_key(lead, parts.max_insn))
+        if lead._protected:
+            windows, full = part.windows(lead._acc_limit)
         else:
             windows, full = part.whole_stream()
-        kernel(cache, windows, full, part.n, sm_id)
-        engine.replayed_per_sm[sm_id] += columns.n
-        engine.replayed_records += columns.n
+        passes = [([engine.caches[sm_id] for engine in group], Carry())]
+        while passes:
+            members, carry = passes.pop()
+            if len(members) == 1:
+                kernel(members[0], carry, windows, full, part.n, sm_id,
+                       members[0]._end_sample)
+                continue
+            barrier = _SharedBarrier(members, carry, passes)
+            kernel(members[0], carry, windows, full, part.n, sm_id, barrier)
+            src, *dups = barrier.members
+            for dst in dups:
+                _copy_cache(src, dst)
+        for engine in group:
+            engine.replayed_per_sm[sm_id] += part.n
+            engine.replayed_records += part.n
 
 
 def run_kernels(engine: ReplayEngine, records: Iterable[TraceRecord]) -> None:
     """Replay ``records`` on a fresh, blocking ``fast`` engine: one
     decode, then one kernel pass per SM."""
-    _run_lane(engine, TracePartitions(
+    _run_group([engine], TracePartitions(
         decode_records(list(records), len(engine.caches))))
 
 
@@ -167,7 +223,7 @@ def replay_batch(
         lane_config, factory = _resolve(scheme, config, **policy_kwargs)
         engines.append(ReplayEngine(lane_config, factory, "fast"))
 
-    done: Dict[Tuple[Any, ...], ReplayEngine] = {}
+    groups: Dict[Tuple[Any, ...], List[ReplayEngine]] = {}
     nb_records: List[TraceRecord] = []
     for engine in engines:
         if engine.non_blocking:
@@ -179,16 +235,9 @@ def replay_batch(
                     nb_records.extend(col.records())
             engine.run(iter(nb_records))
             continue
-        key = _lane_key(engine.caches[0])
-        prior = done.get(key)
-        if prior is None:
-            _run_lane(engine, parts)
-            done[key] = engine
-        else:
-            for src, dst in zip(prior.caches, engine.caches):
-                _copy_cache(src, dst)
-            engine.replayed_per_sm = list(prior.replayed_per_sm)
-            engine.replayed_records = prior.replayed_records
+        groups.setdefault(_lane_key(engine.caches[0]), []).append(engine)
+    for group in groups.values():
+        _run_group(group, parts)
     return [engine.result() for engine in engines]
 
 

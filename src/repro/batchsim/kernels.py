@@ -15,8 +15,18 @@ they rely on are:
   different sets commute: PDPT/VTA credits are saturating increments,
   window counters are sums, and every LRU/PL comparison is intra-set.
   Kernels therefore run set by set inside each window and call
-  ``cache._end_sample()`` at the window barrier, exactly once per
-  ``sample_limit`` records of the original interleaving.
+  ``end_sample()`` at the window barrier, exactly once per
+  ``sample_limit`` records of the original interleaving: the cache's
+  own ``_end_sample`` for a lane alone in its pass, or the shared
+  barrier of :mod:`repro.batchsim.engine` that applies each member's
+  update and forks the members whose PDs diverge.
+* **Resumable windows.**  Everything a kernel carries from one window
+  to the next — the per-set way tuples, the per-set VTA dicts and the
+  running counters — lives in a :class:`Carry`; the PDPT and the
+  global PD stay on the cache.  A kernel called with a forked carry
+  resumes at its window as though it had run every earlier one.  The
+  per-record code is the same either way, so a one-lane replay costs
+  what it did before passes could be shared.
 * **Lazy PL decay.**  Protected-line counters decay by one on every
   access (and stall retry) to the line's set, so a line assigned PL
   ``d`` at set-clock ``s`` holds effective PL ``max(0, d - (t - s))``
@@ -59,16 +69,51 @@ from repro.batchsim.decode import SetRun
 
 _NO_LINE = StallReason.NO_RESERVABLE_LINE.value
 
-#: ``kernel(cache, windows, full, n, sm_id)`` — advance ``cache``
-#: through the partitioned stream ``windows`` (``full`` closing sampling
-#: windows, ``n`` records total for SM ``sm_id``).
-Kernel = Callable[[FastL1DCache, List[List[SetRun]], int, int, int], None]
+#: ``kernel(cache, carry, windows, full, n, sm_id, end_sample)`` —
+#: advance ``cache`` through the partitioned stream ``windows`` (``full``
+#: closing sampling windows, ``n`` records total for SM ``sm_id``) from
+#: window ``carry.w``, calling ``end_sample()`` at each window barrier.
+Kernel = Callable[
+    [FastL1DCache, "Carry", List[List[SetRun]], int, int, int,
+     Callable[[], None]],
+    None,
+]
 
 #: Kind groups.  ``baseline`` and ``stall_bypass`` share the
 #: ``unprotected`` kernel: in blocking replay the only stall is
 #: NO_RESERVABLE_LINE, which unprotected policies never raise, so the
 #: bypass path is unreachable and both reduce to plain LRU.
 UNPROTECTED, GLOBAL, DLP = "unprotected", "global", "dlp"
+
+
+class Carry:
+    """What a kernel pass carries from one sampling window to the next.
+
+    ``w`` is the next window to run, ``state`` the per-set way tuples
+    (blocks, instruction IDs, lazy-PL ``(d, s)`` pairs, LRU stamps, the
+    set's stamp counter and clock), ``vds`` the per-set VTA dicts and
+    ``counts`` the running counters.  A kernel stores ``w`` and
+    ``counts`` before each barrier's ``end_sample()``, so a lane that
+    forks off a shared pass there resumes from a :meth:`fork` of the
+    pass's carry.  A fresh carry (empty ``state``) starts at window 0
+    from the cache's own arrays.  The PDPT and the global PD stay on the
+    cache the pass runs on.
+    """
+
+    __slots__ = ("w", "state", "vds", "counts")
+
+    def __init__(self) -> None:
+        self.w = 0
+        self.state: List[Tuple[int, ...]] = []
+        self.vds: List[Dict[int, int]] = []
+        self.counts: Tuple[int, ...] = ()
+
+    def fork(self) -> "Carry":
+        dup = Carry()
+        dup.w, dup.counts = self.w, self.counts
+        dup.state = list(self.state)
+        dup.vds = [dict(vd) for vd in self.vds]
+        return dup
 
 
 def kernel_key(cache: FastL1DCache, max_insn: int) -> Tuple[Any, ...]:
@@ -111,8 +156,14 @@ def _build(kind: str, assoc: int, bypass_enabled: bool = False,
         for ln in chunk:
             lines.append(pad + ln)
 
+    counters = ["hits", "misses", "bypasses", "evictions", "stores",
+                "write_hits"]
+    if prot:
+        counters += ["vta_hits", "vta_inserts", "stalls", "hw0", "vw0"]
+    counts = ", ".join(counters)
+
     # -- prologue ------------------------------------------------------
-    emit(0, "def _kernel(cache, windows, full, n, sm_id):")
+    emit(0, "def _kernel(cache, carry, windows, full, n, sm_id, end_sample):")
     emit(1,
          "if cache._stamp or cache.stats.loads or cache.stats.stores:",
          "    raise ValueError('replay kernels require a fresh cache')",
@@ -126,13 +177,7 @@ def _build(kind: str, assoc: int, bypass_enabled: bool = False,
         emit(1,
              "pl_max = cache._pl_max",
              "vta_assoc = cache._vta_assoc",
-             "acc_limit = cache._acc_limit",
-             "vds = [{} for _ in range(num_sets)]",
-             "vta_hits = 0",
-             "vta_inserts = 0",
-             "stalls = 0",
-             "hw0 = 0",
-             "vw0 = 0")
+             "acc_limit = cache._acc_limit")
     if dlp:
         emit(1,
              "pdt = cache._pdt",
@@ -144,29 +189,30 @@ def _build(kind: str, assoc: int, bypass_enabled: bool = False,
              "vta_max = cache._vta_hit_max")
     elif prot:
         emit(1, "gpd = cache._gpd")
-    emit(1,
-         "hits = 0",
-         "misses = 0",
-         "bypasses = 0",
-         "evictions = 0",
-         "stores = 0",
-         "write_hits = 0")
 
-    # -- per-set state tuples ------------------------------------------
+    # -- carried state: fresh per-set tuples, or a fork's --------------
     emit(1,
-         "state = [None] * num_sets",
-         "for si in range(num_sets):",
-         f"    base = si * {a}")
+         "state = carry.state",
+         "if not state:",
+         "    state = carry.state = [None] * num_sets",
+         "    for si in range(num_sets):",
+         f"        base = si * {a}")
     pack = f"tuple(blk[base:base + {a}]) + tuple(iid[base:base + {a}])"
     if prot:
         pack += (f" + tuple(pli[base:base + {a}]) + (0,) * {a}"
                  f" + tuple(lru[base:base + {a}]) + (0, 0)")
     else:
         pack += f" + tuple(lru[base:base + {a}]) + (0,)"
-    emit(2, f"state[si] = {pack}")
+    emit(3, f"state[si] = {pack}")
+    if prot:
+        emit(2, "carry.vds = [{} for _ in range(num_sets)]")
+    emit(2, f"carry.counts = (0,) * {len(counters)}")
+    if prot:
+        emit(1, "vds = carry.vds")
+    emit(1, f"{counts} = carry.counts")
 
     # -- main loop -----------------------------------------------------
-    emit(1, "for w in range(len(windows)):")
+    emit(1, "for w in range(carry.w, len(windows)):")
     emit(2, "for si, seg in windows[w]:")
     emit(3, f"{unpack} = state[si]")
     if prot:
@@ -309,7 +355,12 @@ def _build(kind: str, assoc: int, bypass_enabled: bool = False,
             emit(3,
                  "cache._gp_tda = hits - hw0",
                  "cache._gp_vta = vta_hits - vw0")
-        emit(3, "cache._end_sample()", "hw0 = hits", "vw0 = vta_hits")
+        emit(3,
+             "hw0 = hits",
+             "vw0 = vta_hits",
+             "carry.w = w + 1",
+             f"carry.counts = ({counts})",
+             "end_sample()")
         if not dlp:
             emit(3, "gpd = cache._gpd")
 

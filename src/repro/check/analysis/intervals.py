@@ -612,6 +612,14 @@ class _FunctionRunner:
             if packed is not None:
                 bits = table.packed_fields[packed]
                 iv = _as_interval(value)
+                source = (
+                    self._packed_field_of(value_node)
+                    if isinstance(target.slice, ast.Slice)
+                    and value_node is not None else None
+                )
+                if source is not None:
+                    # a slice copy of a packed array: its elements' width
+                    iv = Interval.of_bits(table.packed_fields[source])
                 self._check_store(stmt, packed, bits, iv)
                 self._drop_subscripts(env, target)
                 env[key] = iv.meet(Interval.of_bits(bits))

@@ -63,6 +63,24 @@ class ProtectionKnobs:
     bypass_enabled: bool = True
 
     def __post_init__(self) -> None:
+        # Types first, so a string or float fails here with one line, not
+        # at a shift or a comparison deep inside a replay.
+        for name in ("sample_limit", "insn_sample_limit", "pd_bits",
+                     "vta_assoc", "nasc"):
+            value = getattr(self, name)
+            if value is None and name in ("vta_assoc", "nasc"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        # 0 and 1 too: ``--grid bypass_enabled=0,1`` parses to ints.
+        if not isinstance(self.bypass_enabled, int) or \
+                self.bypass_enabled not in (0, 1):
+            raise ValueError(
+                f"bypass_enabled must be a bool, 0 or 1, got "
+                f"{self.bypass_enabled!r}"
+            )
+        if self.pd_bits < 0:
+            raise ValueError(f"pd_bits must be non-negative, got {self.pd_bits}")
         if self.sample_limit < 1:
             raise ValueError("sample access limit must be positive")
         if self.insn_sample_limit < 1:

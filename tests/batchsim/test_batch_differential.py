@@ -232,54 +232,149 @@ def test_resized_lanes_share_the_pass(captured):
         assert_results_identical(solo, result, label=f"resize/{scheme}")
 
 
-#: Nasc-0 lanes at three PD widths, and Nasc-1 lanes at two as the
-#: control: with a nonzero step the width caps learned PDs, so those
-#: lanes must each run their own pass.
-NASC_LANES = [
-    (scheme, {"nasc": nasc, "pd_bits": bits})
+# ----------------------------------------------------------------------
+# frontier lanes: one kernel pass until their PD states diverge
+# ----------------------------------------------------------------------
+
+#: The benchmark's Fig. 9 frontier: 15 (Nasc, PD width) points.
+FRONTIER = [{"nasc": nasc, "pd_bits": bits}
+            for nasc in range(5) for bits in (2, 4, 6)]
+#: Its corners, again with the stall-retry path (bypass off) and with
+#: tight sampling windows: both must carry across a fork too.
+CORNERS = [{"nasc": nasc, "pd_bits": bits}
+           for nasc in (0, 1, 4) for bits in (2, 6)]
+FRONTIER_LANES = [
+    (scheme, {**point, **extra})
     for scheme in ("dlp", "global_protection")
-    for nasc, widths in ((0, (2, 4, 6)), (1, (2, 4)))
-    for bits in widths
+    for extra, points in (({}, FRONTIER),
+                          ({"bypass_enabled": False}, CORNERS),
+                          ({"sample_limit": 50}, CORNERS))
+    for point in points
 ]
 
 
-def test_nasc0_lanes_share_one_pass(tmp_path, monkeypatch):
-    """Nasc-0 lanes that differ only in ``pd_bits`` share one kernel run
-    per policy; every lane still equals its solo reference replay.  KM
-    takes Fig. 9's increase branch, so the Nasc-1 widths diverge."""
-    import repro.batchsim.engine as engine_mod
-    from repro.trace.format import TraceReader
-
-    config = GPUConfig().scaled(2)
-    path = tmp_path / "km.rptr"
-    record_workload(make_workload("KM", 0.05), config, path)
-
-    passes = []
-    run_lane = engine_mod._run_lane
-
-    def counted(engine, parts):
-        cache = engine.caches[0]
-        passes.append((cache.policy_name, cache._nasc, cache._pl_max))
-        run_lane(engine, parts)
-
-    monkeypatch.setattr(engine_mod, "_run_lane", counted)
-    batched = replay_batch(TraceReader(path), NASC_LANES, config)
-
-    assert sorted(passes) == [
-        ("dlp", 0, 3), ("dlp", 1, 3), ("dlp", 1, 15),
-        ("global_protection", 0, 3),
-        ("global_protection", 1, 3), ("global_protection", 1, 15),
+def hot_records(num_sms: int = 2, length: int = 1000) -> list:
+    """Each SM re-reads a working set its cache holds: no line dies
+    before its reuse, so no VTA hit ever raises a PD above 0."""
+    return [
+        TraceRecord(sm_id=i % num_sms,
+                    block_addr=0x8000 + (i // num_sms) % 24,
+                    pc=0x400 + 8 * (i % 3), is_write=False)
+        for i in range(length)
     ]
-    for (scheme, kwargs), result in zip(NASC_LANES, batched):
-        solo = replay_trace(TraceReader(path), scheme, config,
-                            engine="reference", **kwargs)
-        assert_results_identical(solo, result,
-                                 label=f"nasc/{_label((scheme, kwargs))}")
-    by_lane = dict(zip(((s, k["nasc"], k["pd_bits"]) for s, k in NASC_LANES),
+
+
+def mixed_reuse_records(num_sms: int = 2, length: int = 1600) -> list:
+    """A thrashing sweep (VTA hits only) beside a hot PC whose lines the
+    sweep sometimes evicts, so that PC scores TDA and VTA hits in one
+    window and Fig. 9 takes a middle rung of the step ladder for it."""
+    out = []
+    for i in range(length):
+        j = i // num_sms
+        if j % 3 == 0:
+            block, pc = 0x2000 + (j // 3) % 16, 0x900
+        else:
+            block, pc = 0x6000 + j % 200, 0x700 + 8 * (j % 3)
+        out.append(TraceRecord(sm_id=i % num_sms, block_addr=block, pc=pc,
+                               is_write=False))
+    return out
+
+
+@pytest.fixture(scope="module")
+def km_records():
+    """KM at 2 SMs: its frontier lanes fork at the first barriers."""
+    return capture_records(make_workload("KM", 0.05), GPUConfig().scaled(2))
+
+
+@pytest.fixture(scope="module")
+def frontier_streams(km_records):
+    bfs = capture_records(make_workload("BFS", 0.2), GPUConfig().scaled(2))
+    return {
+        # Nasc > 0 lanes fork after window 2 of each SM.
+        "km-early-fork": km_records[:2000],
+        # SM 1 first raises a PD at window 6, SM 0 never.
+        "bfs-late-fork": bfs[:3000],
+        "hot-no-fork": hot_records(),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["km-early-fork", "bfs-late-fork", "hot-no-fork"])
+def test_frontier_lanes_identical(frontier_streams, name):
+    """DLP and Global-Protection frontiers through ONE replay_batch:
+    lanes share a kernel pass until their PD states diverge, then fork
+    with a copy of its carried state.  Each lane must still equal its
+    solo reference replay."""
+    config = GPUConfig().scaled(2)
+    records = frontier_streams[name]
+    batched = replay_batch(records, FRONTIER_LANES, config)
+    for (scheme, kwargs), result in zip(FRONTIER_LANES, batched):
+        solo = replay_records(iter(records), config, scheme,
+                              engine="reference", **kwargs)
+        assert_results_identical(
+            solo, result, label=f"{name}/{_label((scheme, kwargs))}")
+
+
+def _window_passes(monkeypatch) -> list:
+    """Count window-passes (one kernel over one SM's sampling window):
+    each kernel call appends the number of windows it runs."""
+    import repro.batchsim.engine as engine_mod
+
+    passes: list = []
+    get_kernel = engine_mod.get_kernel
+
+    def counting(key):
+        kernel = get_kernel(key)
+
+        def run(cache, carry, windows, *rest):
+            passes.append(len(windows) - carry.w)
+            kernel(cache, carry, windows, *rest)
+        return run
+
+    monkeypatch.setattr(engine_mod, "get_kernel", counting)
+    return passes
+
+
+def test_undiverged_lanes_share_one_pass(km_records, monkeypatch):
+    """Where no PD leaves 0, the 30-lane frontier costs one pass per SM
+    and policy.  KM takes Fig. 9's increase branch, so its lanes fork,
+    and the Nasc-1 widths end apart: sharing hides no divergence."""
+    config = GPUConfig().scaled(2)
+    lanes = [(scheme, point)
+             for scheme in ("dlp", "global_protection") for point in FRONTIER]
+    passes = _window_passes(monkeypatch)
+
+    replay_batch(hot_records(), lanes, config)
+    # 2 policies x 2 SMs, each over all 3 windows of its 500 records
+    assert passes == [3, 3, 3, 3]
+
+    passes.clear()
+    batched = replay_batch(km_records, lanes, config)
+    windows = sum(-(-sum(1 for r in km_records if r.sm_id == sm) // 200)
+                  for sm in range(2))
+    assert 2 * windows < sum(passes) < len(lanes) * windows
+    by_lane = dict(zip(((s, k["nasc"], k["pd_bits"]) for s, k in lanes),
                        batched))
     for scheme in ("dlp", "global_protection"):
         assert by_lane[(scheme, 1, 2)].l1d.hits != \
             by_lane[(scheme, 1, 4)].l1d.hits
+
+
+def test_members_update_from_the_shared_window():
+    """Each member of a shared pass applies its own Fig. 9 update to the
+    pass's window counters, per-PC TDA hits included: on this stream a
+    member that saw no TDA hits would take the top rung instead of a
+    middle one.  Every lane equals its unshared one-lane replay."""
+    config = GPUConfig().scaled(2)
+    records = mixed_reuse_records()
+    lanes = [(scheme, point)
+             for scheme in ("dlp", "global_protection") for point in FRONTIER]
+    batched = replay_batch(records, lanes, config)
+    for (scheme, kwargs), result in zip(lanes, batched):
+        solo = replay_records(iter(records), config, scheme, engine="fast",
+                              **kwargs)
+        assert_results_identical(
+            solo, result, label=f"mixed/{_label((scheme, kwargs))}")
 
 
 def test_more_sms_than_trace(captured, tmp_path):

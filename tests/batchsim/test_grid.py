@@ -84,6 +84,7 @@ class TestRunGrid:
     @pytest.mark.parametrize("axis, match", [
         (GridAxis("pl", (2, 6)), "its knobs are .*nasc"),
         (GridAxis("nasc", (0, -1)), "Nasc must be non-negative"),
+        (GridAxis("nasc", (1.5,)), "nasc must be an integer"),
     ])
     def test_bad_knob_refused_before_capture(self, tmp_path, engine, axis,
                                              match):
@@ -104,4 +105,17 @@ def test_cli_refuses_an_unknown_grid_knob(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "nasc" in err[0]
+    assert not any(traces.rglob("*"))
+
+
+def test_cli_refuses_a_non_integer_grid_knob(tmp_path, capsys):
+    from repro.cli import main
+
+    traces = tmp_path / "traces"
+    code = main(["sweep", "--apps", "MM", "--replay", "--sms", "1",
+                 "--scale", "0.1", "--engine", "batch", "--schemes", "dlp",
+                 "--grid", "nasc=1.5", "--trace-dir", str(traces)])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "nasc must be an integer" in err[0]
     assert not any(traces.rglob("*"))

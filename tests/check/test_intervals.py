@@ -242,6 +242,19 @@ class TestAnalyzerLoopsAndAliases:
         )
         assert fields_of(vs) == ["_pli"]
 
+    def test_slice_copy_is_as_wide_as_its_source(self):
+        # 8-bit TDA-hit counters from their own field prove; from the
+        # 10-bit VTA-hit field, or from an unknown list, they do not
+        vs = violations_in(
+            """
+            def f(dst, src):
+                dst._pdt[:] = src._pdt
+                dst._pdt[:] = src._pdv
+                dst._pdt[:] = src.other
+            """
+        )
+        assert fields_of(vs) == ["_pdt", "_pdt"]
+
 
 class TestAnalyzerSummaries:
     def test_local_call_summary(self):

@@ -60,6 +60,13 @@ class TestRangeChecks:
         {"insn_sample_limit": 0},
         {"vta_assoc": 0},
         {"nasc": -1},
+        {"pd_bits": -1},
+        {"pd_bits": "4"},
+        {"sample_limit": 2.5},
+        {"nasc": 1.5},
+        {"vta_assoc": True},
+        {"bypass_enabled": "no"},
+        {"bypass_enabled": 2},
     ])
     def test_refused(self, knobs):
         with pytest.raises(ValueError):
@@ -72,7 +79,10 @@ class TestRangeChecks:
         {"nasc": 0},
         {"pd_bits": 2},
         {"pd_bits": 6},
+        {"pd_bits": 0},
         {"bypass_enabled": False},
+        {"bypass_enabled": 0},
+        {"bypass_enabled": 1},
     ])
     def test_boundaries_accepted(self, knobs):
         ProtectionKnobs(**knobs)

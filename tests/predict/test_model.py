@@ -50,7 +50,8 @@ class TestContract:
             predict(profile, "dlp", CONFIG, calibration=None,
                     insn_sample_limit=500)
 
-    @pytest.mark.parametrize("knobs", [{"bogus": 1}, {"nasc": -1}])
+    @pytest.mark.parametrize("knobs", [{"bogus": 1}, {"nasc": -1},
+                                       {"sample_limit": 2.5}])
     def test_knobs_the_declaration_refuses_are_rejected(self, profile, knobs):
         with pytest.raises(PredictionError):
             predict(profile, "dlp", CONFIG, calibration=None, **knobs)

@@ -169,6 +169,7 @@ class TestPolicyKnobs:
         ("global_protection", {"vta_assoc": 0}),
         ("dlp", {"sample_limit": 0}),
         ("dlp", {"nasc": "four"}),
+        ("dlp", {"pd_bits": "4"}),
     ])
     def test_rejects_knobs_the_scheme_does_not_take(self, scheme, knobs):
         replay = replay_request(["MM"], [scheme])
