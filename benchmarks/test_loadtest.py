@@ -1,8 +1,8 @@
 """Bench: cluster serving capacity under a 1000-client zipfian load.
 
 The cluster acceptance run: one thousand concurrent closed-loop
-clients against a self-hosted 4-worker :class:`ClusterScheduler`, a
-zipfian hot/cold mix over 24 distinct cells with a 10% tier-0 predict
+clients against a self-hosted 4-worker
+:class:`~repro.serve.scheduler.Scheduler`, a zipfian hot/cold mix over 24 distinct cells with a 10% tier-0 predict
 fraction.  The SLO gate is asserted (zero failures, p99 bound,
 nonzero coalescing) and the full report is committed as
 ``benchmarks/BENCH_loadtest.json`` — the measured capacity numbers

@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Collection, List, Optional
 
 from repro.analysis import RD_LABELS, ascii_table, stacked_percent_rows
 from repro.experiments.figures import (
@@ -114,6 +114,35 @@ def _add_engine_flag(parser: argparse.ArgumentParser, help: str) -> None:
     accepted spelling parses to its canonical engine name."""
     parser.add_argument("--engine", default=DEFAULT_ENGINE,
                         type=_engine_name, choices=ENGINES, help=help)
+
+
+def _names(text: str, known: Collection[str], kind: str,
+           upper: bool = False) -> List[str]:
+    """A comma list from the command line: each name stripped (and
+    upper-cased when ``upper``), refused with a ``ValueError`` (exit
+    code 2) if empty or not in ``known``, before any work starts."""
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    if upper:
+        names = [name.upper() for name in names]
+    if not names:
+        raise ValueError(f"no {kind} given")
+    for name in names:
+        if name not in known:
+            raise ValueError(
+                f"unknown {kind} {name!r}; expected one of {sorted(known)}"
+            )
+    return names
+
+
+def _apps(text: str) -> List[str]:
+    """Table 2 abbreviations from ``--apps``; ``all`` is every app."""
+    if text.strip().lower() == "all":
+        return list(ALL_APPS)
+    return _names(text, ALL_APPS, "app", upper=True)
+
+
+def _schemes(text: str) -> List[str]:
+    return _names(text, SCHEME_LABELS, "scheme")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,15 +253,16 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default 30)")
     p_serve.add_argument("--max-queued", type=int, default=0, metavar="N",
                          help="bound on queued cells; a submission over "
-                              "the bound gets 429 + Retry-After "
+                              "the bound gets 429 + Retry-After, a job "
+                              "of more than N cells gets 413 "
                               "(default 0 = unbounded)")
     p_serve.add_argument("--rate", type=float, default=None,
                          metavar="CELLS_PER_S",
                          help="per-client token-bucket rate limit "
                               "(default: off)")
     p_serve.add_argument("--burst", type=float, default=None, metavar="N",
-                         help="token-bucket burst capacity "
-                              "(default: max(1, rate))")
+                         help="token-bucket burst capacity; a job of "
+                              "more cells gets 413 (default: max(1, rate))")
 
     p_submit = sub.add_parser(
         "submit", help="submit jobs to / inspect a running service"
@@ -253,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s_sweep = submit_sub.add_parser("sweep", help="a bulk timing grid")
     s_sweep.add_argument("--apps", required=True,
-                         help="comma-separated Table 2 abbrs")
+                         help="comma-separated Table 2 abbrs, or all")
     s_sweep.add_argument("--schemes", default=",".join(TRAFFIC_SCHEMES))
     s_sweep.add_argument("--sms", type=int, default=4)
     s_sweep.add_argument("--scale", type=float, default=1.0)
@@ -262,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     s_replay = submit_sub.add_parser(
         "replay", help="a trace-replay grid (functional counters)"
     )
-    s_replay.add_argument("--apps", required=True)
+    s_replay.add_argument("--apps", required=True,
+                          help="comma-separated Table 2 abbrs, or all")
     s_replay.add_argument("--schemes", default=",".join(TRAFFIC_SCHEMES))
     s_replay.add_argument("--sms", type=int, default=4)
     s_replay.add_argument("--scale", type=float, default=1.0)
@@ -572,15 +603,7 @@ def _cli_config(args):
 
 
 def cmd_sweep(args) -> int:
-    apps = ALL_APPS if args.apps == "all" else [
-        a.strip().upper() for a in args.apps.split(",") if a.strip()
-    ]
-    schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    for scheme in schemes:
-        if scheme not in SCHEME_LABELS:
-            raise ValueError(
-                f"unknown scheme {scheme!r}; expected one of {sorted(SCHEME_LABELS)}"
-            )
+    apps, schemes = _apps(args.apps), _schemes(args.schemes)
     if getattr(args, "grid", None) and not args.replay:
         raise ValueError("--grid is a replay mode; add --replay")
     if args.replay:
@@ -803,8 +826,7 @@ def cmd_loadtest(args) -> int:
         run_loadtest,
     )
 
-    apps = tuple(a.strip().upper() for a in args.apps.split(",") if a.strip())
-    schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
+    apps, schemes = tuple(_apps(args.apps)), tuple(_schemes(args.schemes))
     config = LoadTestConfig(
         clients=args.clients,
         requests_per_client=args.requests,
@@ -1003,16 +1025,14 @@ def cmd_submit(args) -> int:
                             predict=args.predict, client=args.client)
     elif cmd == "sweep":
         body = sweep_request(
-            [a.strip() for a in args.apps.split(",") if a.strip()],
-            [s.strip() for s in args.schemes.split(",") if s.strip()],
+            _apps(args.apps), _schemes(args.schemes),
             sms=args.sms, scale=args.scale, seed=args.seed,
             priority=args.priority, non_blocking=args.non_blocking,
             predict=args.predict, client=args.client,
         )
     else:  # replay
         body = replay_request(
-            [a.strip() for a in args.apps.split(",") if a.strip()],
-            [s.strip() for s in args.schemes.split(",") if s.strip()],
+            _apps(args.apps), _schemes(args.schemes),
             sms=args.sms, scale=args.scale, seed=args.seed,
             priority=args.priority, non_blocking=args.non_blocking,
             predict=args.predict, client=args.client,
@@ -1040,15 +1060,7 @@ def cmd_submit(args) -> int:
 def cmd_predict(args) -> int:
     from repro.predict import PredictSweepExecutor
 
-    apps = ALL_APPS if args.apps == "all" else [
-        a.strip().upper() for a in args.apps.split(",") if a.strip()
-    ]
-    schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    for scheme in schemes:
-        if scheme not in SCHEME_LABELS:
-            raise ValueError(
-                f"unknown scheme {scheme!r}; expected one of {sorted(SCHEME_LABELS)}"
-            )
+    apps, schemes = _apps(args.apps), _schemes(args.schemes)
     kwargs = {"trace_dir": args.trace_dir}
     if args.raw:
         kwargs["calibration"] = None
@@ -1169,12 +1181,7 @@ def cmd_trace(args) -> int:
         return 0
 
     # replay
-    schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    for scheme in schemes:
-        if scheme not in SCHEME_LABELS:
-            raise ValueError(
-                f"unknown scheme {scheme!r}; expected one of {sorted(SCHEME_LABELS)}"
-            )
+    schemes = _schemes(args.schemes)
     reader = TraceReader(args.trace)
     config = harness_config(args.sms) if args.sms is not None else None
     if args.non_blocking:
@@ -1246,25 +1253,12 @@ def cmd_fuzz(args) -> int:
     )
 
     generators = (
-        [g.strip().upper() for g in args.generators.split(",") if g.strip()]
+        _names(args.generators, ADVERSARIAL_APPS, "generator", upper=True)
         if args.generators else list(ADVERSARIAL_APPS)
     )
-    for gen in generators:
-        if gen not in ADVERSARIAL_APPS:
-            raise ValueError(
-                f"unknown generator {gen!r}; "
-                f"expected one of {list(ADVERSARIAL_APPS)}"
-            )
     schemes = (
-        [s.strip() for s in args.policies.split(",") if s.strip()]
-        if args.policies else list(FUZZ_SCHEMES)
+        _schemes(args.policies) if args.policies else list(FUZZ_SCHEMES)
     )
-    for scheme in schemes:
-        if scheme not in SCHEME_LABELS:
-            raise ValueError(
-                f"unknown scheme {scheme!r}; "
-                f"expected one of {sorted(SCHEME_LABELS)}"
-            )
     report = run_fuzz(
         streams=args.streams,
         base_seed=args.seed,

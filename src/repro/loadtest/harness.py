@@ -1,7 +1,8 @@
 """The loadtest driver: N concurrent clients, SLO-gated report.
 
 ``run_loadtest`` either targets an already-running service
-(``host``/``port``) or self-hosts a :class:`ClusterScheduler` behind a
+(``host``/``port``) or self-hosts a
+:class:`~repro.serve.scheduler.Scheduler` behind a
 :class:`~repro.serve.server.ServerThread` — the latter is what
 ``repro loadtest``, the benchmark and the CI smoke job use, so one
 process exercises the full stack: HTTP framing, admission control,
@@ -34,7 +35,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.loadtest.client import AsyncServeClient, ConnectionPool
 from repro.loadtest.mix import MixConfig, build_population, build_schedule
-from repro.serve.cluster import ClusterScheduler
 from repro.serve.jobs import TERMINAL_STATES
 from repro.utils import wallclock
 from repro.utils.rng import DeterministicRng
@@ -204,7 +204,6 @@ def run_loadtest(config: LoadTestConfig) -> LoadTestReport:
     server = ServerThread(
         workers=config.workers,
         store=config.store,
-        scheduler_cls=ClusterScheduler,
         engine=config.engine,
         max_queued=config.max_queued,
         rate=config.rate,

@@ -7,11 +7,16 @@ package turns the same engines into a service:
 
 * :mod:`repro.serve.protocol` — job request/response shapes and their
   validation (a job is one cell, a sweep grid, or a trace replay);
-* :mod:`repro.serve.scheduler` — the core: a priority job queue over a
-  bounded ``ProcessPoolExecutor``, with identical in-flight requests
+* :mod:`repro.serve.scheduler` — the core: one scheduler over a
+  bounded ``ProcessPoolExecutor``.  Identical in-flight requests are
   **coalesced** onto one execution keyed by the store's content
-  addresses (``cell_key``/``replay_cell_key``) and warm results served
-  straight from the result store;
+  addresses (``cell_key``/``replay_cell_key``) and warm results are
+  served straight from the result store; cold cells queue on their
+  worker's shard in weighted-fair priority order, behind admission
+  limits (429, or 413 for a job too large ever to admit), and a
+  crashed worker pool is replaced with its cells requeued once;
+* :mod:`repro.serve.cluster` — ``ClusterScheduler``, the scheduler's
+  former name, still imported by the benchmark's serve workload;
 * :mod:`repro.serve.metrics` — counters and latency histograms behind
   the ``/metrics`` endpoint;
 * :mod:`repro.serve.server` — a stdlib-only asyncio HTTP front end

@@ -1,320 +1,11 @@
-"""Cluster scheduling: sharded workers, fair queueing, admission control.
+"""``ClusterScheduler``: a second name for the serve scheduler.
 
-:class:`ClusterScheduler` extends the single-queue
-:class:`~repro.serve.scheduler.Scheduler` into the horizontally scaled
-service shape the ROADMAP asks for.  Same resolution pipeline
-(coalesce -> store -> queue), same content addresses, four new layers:
-
-**Sharding.**  Cold cells are assigned to a worker by their content
-address (:func:`shard_of` over the fingerprint hash), one admission
-queue per worker.  The mapping is deterministic, so two submissions of
-the same cell always land on the same shard and the coalescing map
-stays the only dedup point; the content-addressed store remains the
-cross-worker coordination point (atomic ``put`` under an unchanged
-key).  There is deliberately no work stealing: a cell's shard is a pure
-function of its identity, which keeps bulk-sweep placement reproducible
-and lets every worker's predictor/trace caches stay hot for "its"
-cells.
-
-**Weighted fair queueing.**  Within a priority class, each shard orders
-cells by start-time fair queueing over the submitting client: a cell's
-virtual finish tag is ``max(vtime, client's last finish) + 1/weight``.
-A bulk client flooding 500 cells cannot starve an interactive client —
-the interactive cell's tag sorts just after the flood's *first* cell,
-not after all 500.  Priority still dominates (interactive < bulk <
-refine); fairness breaks ties inside a class.
-
-**Admission control.**  A bounded admission queue (``max_queued``
-cells) and an optional per-client token bucket (``rate`` cells/sec,
-``burst`` capacity).  Both reject with :class:`RetryableError`
-subclasses carrying a concrete ``retry_after`` hint, which the HTTP
-layer maps to ``429 Too Many Requests`` + ``Retry-After``.  Draining
-(503) still wins over throttling.
-
-**Crash recovery.**  A worker process dying breaks the whole
-``ProcessPoolExecutor``; every in-flight future fails with
-``BrokenExecutor`` at once.  The first failure of a pool generation
-replaces the pool (``workers.restarts_total``), and each failed cell is
-requeued once (``cells.requeued``) at its original priority.  A cell
-that fails again after a restart settles as a normal unit failure.
+The benchmark's serve-warm workload (``perfbench/workloads.py``) builds
+its server from ``repro.serve.cluster.ClusterScheduler``.  The benchmark
+runs unchanged against every commit it compares, so the name stays
+bound here to :class:`repro.serve.scheduler.Scheduler`.
 """
 
-from __future__ import annotations
+from repro.serve.scheduler import Scheduler as ClusterScheduler
 
-import asyncio
-from concurrent.futures import BrokenExecutor, Executor, ProcessPoolExecutor
-from typing import Any, Callable, Dict, List, Mapping, Optional
-
-from repro.serve.protocol import JobRequest
-from repro.serve.jobs import Job
-from repro.serve.scheduler import Scheduler, _CellEntry
-from repro.utils import wallclock
-
-
-class RetryableError(RuntimeError):
-    """Submission refused temporarily (HTTP 429 + Retry-After)."""
-
-    def __init__(self, message: str, retry_after: float) -> None:
-        super().__init__(message)
-        #: Seconds the client should back off before resubmitting.
-        self.retry_after = max(0.0, float(retry_after))
-
-
-class QueueFullError(RetryableError):
-    """The bounded admission queue cannot take this job's cells."""
-
-
-class RateLimitedError(RetryableError):
-    """The submitting client exhausted its token bucket."""
-
-
-def shard_of(key: str, shards: int) -> int:
-    """Deterministic shard for a content address (hex digest string).
-
-    Uses the leading 64 bits of the key itself — the key is already a
-    SHA-256 over the cell's canonical fingerprint, so no extra hashing
-    (and no process-seeded ``hash()``) is needed for uniformity.
-    """
-    if shards <= 1:
-        return 0
-    return int(key[:16], 16) % shards
-
-
-class TokenBucket:
-    """Classic token bucket; refilled lazily from an injectable clock."""
-
-    __slots__ = ("rate", "burst", "_tokens", "_updated", "_clock")
-
-    def __init__(self, rate: float, burst: Optional[float] = None,
-                 clock: Callable[[], float] = wallclock.monotonic) -> None:
-        self.rate = float(rate)
-        self.burst = float(burst) if burst is not None \
-            else max(1.0, self.rate)
-        self._tokens = self.burst
-        self._clock = clock
-        self._updated = clock()
-
-    def _refill(self) -> None:
-        now = self._clock()
-        self._tokens = min(
-            self.burst, self._tokens + (now - self._updated) * self.rate
-        )
-        self._updated = now
-
-    def take(self, tokens: float = 1.0) -> bool:
-        """Consume ``tokens`` if available; False (and no debit) if not."""
-        self._refill()
-        if self._tokens + 1e-12 >= tokens:
-            self._tokens -= tokens
-            return True
-        return False
-
-    def wait_time(self, tokens: float = 1.0) -> float:
-        """Seconds until ``take(tokens)`` could succeed."""
-        self._refill()
-        deficit = tokens - self._tokens
-        if deficit <= 0:
-            return 0.0
-        return deficit / self.rate
-
-
-class ClusterScheduler(Scheduler):
-    """Multi-worker scheduler with fairness, backpressure and recovery.
-
-    Keyword-only parameters on top of :class:`Scheduler`:
-
-    max_queued:
-        Bound on queued (not yet started) cells across all shards.
-        A submission whose cells would exceed it raises
-        :class:`QueueFullError`.  0 (default) disables the bound.
-    rate / burst:
-        Per-client token bucket: ``rate`` cells per second with a
-        ``burst`` ceiling (defaults to ``max(1, rate)``).  ``None``
-        (default) disables rate limiting.
-    client_weights / default_weight:
-        Fair-queueing weights; a client with weight 2 gets twice the
-        scheduling share of a weight-1 client within a priority class.
-    requeue_limit:
-        How many times a cell may be requeued after worker crashes
-        before its failure is surfaced (default 1, per the drop-once
-        recovery contract).
-    pool_factory:
-        Builds replacement executors after a crash (and the initial
-        one, when no ``pool`` was injected).  Defaults to a
-        ``ProcessPoolExecutor`` sized to ``workers``.
-    clock:
-        Monotonic time source for the token buckets (tests inject a
-        fake to make refill deterministic).
-    """
-
-    def __init__(self, *, max_queued: int = 0,
-                 rate: Optional[float] = None,
-                 burst: Optional[float] = None,
-                 client_weights: Optional[Mapping[str, float]] = None,
-                 default_weight: float = 1.0,
-                 requeue_limit: int = 1,
-                 pool_factory: Optional[Callable[[], Executor]] = None,
-                 clock: Callable[[], float] = wallclock.monotonic,
-                 **kwargs: Any) -> None:
-        super().__init__(**kwargs)
-        self.max_queued = max(0, int(max_queued))
-        self.rate = rate if rate is None else float(rate)
-        self.burst = burst if burst is None else float(burst)
-        self.requeue_limit = max(0, int(requeue_limit))
-        self._weights: Dict[str, float] = dict(client_weights or {})
-        self._default_weight = max(1e-9, float(default_weight))
-        self._pool_factory = pool_factory
-        self._clock = clock
-        self._buckets: Dict[str, TokenBucket] = {}
-        self._shards = self.workers
-        self._shard_queues: List["asyncio.PriorityQueue[Any]"] = []
-        self._vtime: List[float] = []
-        self._finish: List[Dict[str, float]] = []
-
-    # -- lifecycle -----------------------------------------------------
-
-    async def start(self) -> None:
-        if self._pool is None and self._pool_factory is not None:
-            self._pool = self._pool_factory()
-            self._owns_pool = True
-        self._shard_queues = [
-            asyncio.PriorityQueue() for _ in range(self._shards)
-        ]
-        self._vtime = [0.0] * self._shards
-        self._finish = [{} for _ in range(self._shards)]
-        await super().start()
-
-    # -- admission control ---------------------------------------------
-
-    def submit(self, request: JobRequest) -> Job:
-        if not self.draining:        # draining (503) outranks throttling
-            self._admit(request)
-        return super().submit(request)
-
-    def _admit(self, request: JobRequest) -> None:
-        cells = max(1, len(request.units))
-        if self.max_queued:
-            depth = self.queue_depth()
-            if depth + cells > self.max_queued:
-                self.metrics.jobs_throttled_queue += 1
-                raise QueueFullError(
-                    f"admission queue full ({depth}/{self.max_queued} "
-                    f"cells queued; job needs {cells})",
-                    retry_after=self._drain_estimate(depth),
-                )
-        if self.rate is not None:
-            bucket = self._buckets.get(request.client)
-            if bucket is None:
-                bucket = self._buckets[request.client] = TokenBucket(
-                    self.rate, self.burst, clock=self._clock
-                )
-            if not bucket.take(float(cells)):
-                self.metrics.jobs_throttled_rate += 1
-                raise RateLimitedError(
-                    f"client {request.client!r} exceeded "
-                    f"{self.rate:g} cells/s (burst {bucket.burst:g})",
-                    retry_after=bucket.wait_time(float(cells)),
-                )
-
-    def _drain_estimate(self, depth: int) -> float:
-        """Retry-After hint: roughly when the backlog will have moved."""
-        total = sum(h.total for h in self.metrics.sim_latency.values())
-        count = sum(h.count for h in self.metrics.sim_latency.values())
-        per_cell = (total / count) if count else 0.1
-        estimate = depth * per_cell / max(1, self.workers)
-        return min(30.0, max(0.05, estimate))
-
-    # -- sharded fair queueing -------------------------------------------
-
-    def _enqueue(self, entry: _CellEntry, priority: int,
-                 client: str) -> None:
-        entry.priority = priority
-        entry.client = client
-        assert self._shard_queues, "ClusterScheduler.start() never awaited"
-        shard = shard_of(entry.key, self._shards)
-        weight = self._weights.get(client, self._default_weight)
-        start = max(self._vtime[shard], self._finish[shard].get(client, 0.0))
-        finish = start + 1.0 / weight
-        self._finish[shard][client] = finish
-        self._queue_seq += 1
-        self._shard_queues[shard].put_nowait(
-            (priority, finish, self._queue_seq, entry)
-        )
-
-    async def _dequeue(self, index: int) -> _CellEntry:
-        _priority, finish, _seq, entry = await self._shard_queues[index].get()
-        if finish > self._vtime[index]:
-            self._vtime[index] = finish
-        return entry
-
-    def _task_done(self, index: int) -> None:
-        self._shard_queues[index].task_done()
-
-    def queue_depth(self) -> int:
-        return sum(q.qsize() for q in self._shard_queues)
-
-    # -- crash recovery --------------------------------------------------
-
-    def _recover(self, entry: _CellEntry, exc: BaseException) -> bool:
-        if not isinstance(exc, BrokenExecutor):
-            return False
-        self._restart_pool(entry.pool_gen)
-        if entry.requeues >= self.requeue_limit:
-            return False
-        entry.requeues += 1
-        entry.started = False
-        entry.enqueued_at = wallclock.monotonic()
-        self.metrics.cells_requeued += 1
-        self._enqueue(entry, entry.priority, entry.client)
-        return True
-
-    def _recover_predict(self, pool_gen: int, exc: BaseException,
-                         attempts: int) -> bool:
-        if not isinstance(exc, BrokenExecutor):
-            return False
-        self._restart_pool(pool_gen)
-        return attempts < self.requeue_limit
-
-    def _restart_pool(self, failed_gen: int) -> None:
-        """Replace a broken executor exactly once per generation.
-
-        A dying worker fails *every* in-flight future with
-        ``BrokenExecutor`` concurrently; the generation check makes the
-        first such failure rebuild the pool and the rest reuse it.
-        """
-        if failed_gen < self._pool_gen:
-            return
-        self._pool_gen += 1
-        self.metrics.worker_restarts += 1
-        broken = self._pool
-        if broken is not None:
-            broken.shutdown(wait=False, cancel_futures=True)
-        if self._pool_factory is not None:
-            self._pool = self._pool_factory()
-        else:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        self._owns_pool = True
-
-    # -- introspection ---------------------------------------------------
-
-    def health(self) -> Dict[str, Any]:
-        doc = super().health()
-        doc["worker_restarts"] = self.metrics.worker_restarts
-        if self.max_queued:
-            doc["max_queued"] = self.max_queued
-        return doc
-
-    def metrics_snapshot(self) -> Dict[str, Any]:
-        store_stats = getattr(self.store, "stats", None)
-        return self.metrics.snapshot(
-            queued=self.queue_depth(),
-            running=self.running_count(),
-            jobs_active=self.active_jobs(),
-            store_stats=store_stats.as_dict() if store_stats else None,
-            draining=self.draining,
-            uptime=wallclock.monotonic() - self.started_at,
-            workers={
-                "configured": self.workers,
-                "pool_generation": self._pool_gen,
-            },
-        )
+__all__ = ["ClusterScheduler"]

@@ -79,7 +79,7 @@ class ServeMetrics:
     jobs_failed: int = 0
     jobs_cancelled: int = 0
     jobs_rejected: int = 0          # submissions refused while draining
-    # cluster admission control (HTTP 429 + Retry-After)
+    # admission control (HTTP 429 + Retry-After)
     jobs_throttled_queue: int = 0   # refused: admission queue full
     jobs_throttled_rate: int = 0    # refused: client over its token bucket
 
@@ -90,7 +90,7 @@ class ServeMetrics:
     cells_failed: int = 0
     cells_requeued: int = 0         # re-admitted after a worker crash
 
-    # worker-pool supervision (ClusterScheduler)
+    # worker-pool supervision (crash recovery)
     worker_restarts: int = 0        # pool replaced after a crash
 
     # tier-0 analytical serving (``predict: true`` jobs)

@@ -201,7 +201,7 @@ class JobRequest:
     #: scheduler refine it to an exact result in the background.  Never
     #: part of a unit's identity — the store keys are unchanged.
     predict: bool = False
-    #: Self-reported client identity.  The cluster scheduler keys its
+    #: Self-reported client identity.  The scheduler keys its
     #: token buckets and weighted-fair queueing on it; never part of a
     #: unit's identity or store key.
     client: str = "anonymous"

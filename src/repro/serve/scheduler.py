@@ -1,7 +1,7 @@
-"""The service core: priority scheduling with request coalescing.
+"""The service core: sharded fair scheduling with request coalescing.
 
 One :class:`Scheduler` owns a result store, a bounded
-``ProcessPoolExecutor`` and a priority queue of cell executions.  The
+``ProcessPoolExecutor`` and one admission queue per worker.  The
 resolution path for every unit of every job:
 
 1. **Coalesce** — if an identical cell (same content address) is
@@ -9,11 +9,45 @@ resolution path for every unit of every job:
    of a cold cell cost exactly one simulation.
 2. **Store** — a warm cell is served straight from the result store
    (sub-millisecond, no queue, no worker).
-3. **Queue** — a cold cell is enqueued with its job's priority.
-   Interactive (single-cell) jobs sort ahead of bulk sweep cells, so a
-   user poking at one configuration is not stuck behind a 40-cell
-   sweep; FIFO order breaks ties within a priority class.  Admission
-   priority only — a cell already on a worker runs to completion.
+3. **Queue** — a cold cell is enqueued on its shard with its job's
+   priority.  Interactive (single-cell) jobs sort ahead of bulk sweep
+   cells, so a user poking at one configuration is not stuck behind a
+   40-cell sweep.  Admission priority only — a cell already on a
+   worker runs to completion.
+
+**Sharding.**  Each cold cell goes to the worker its content address
+picks (:func:`shard_of` over the fingerprint hash).  The mapping is
+deterministic, so two submissions of the same cell always land on the
+same shard and the coalescing map stays the only dedup point; the
+content-addressed store remains the cross-worker coordination point
+(atomic ``put`` under an unchanged key).  There is deliberately no
+work stealing: a cell's shard is a pure function of its identity,
+which keeps bulk-sweep placement reproducible and lets every worker's
+predictor/trace caches stay hot for "its" cells.
+
+**Weighted fair queueing.**  Within a priority class, each shard orders
+cells by start-time fair queueing over the submitting client: a cell's
+virtual finish tag is ``max(vtime, client's last finish) + 1/weight``.
+A bulk client flooding 500 cells cannot starve an interactive client —
+the interactive cell's tag sorts just after the flood's *first* cell,
+not after all 500.  Priority still dominates (interactive < bulk <
+refine); fairness breaks ties inside a class, arrival order the rest.
+
+**Admission control.**  A bound on queued cells (``max_queued``) and an
+optional per-client token bucket (``rate`` cells/sec, ``burst``
+capacity).  A job that fits the limits but not the current backlog or
+bucket gets a :class:`RetryableError` with a concrete ``retry_after``
+hint (HTTP ``429 Too Many Requests`` + ``Retry-After``).  A job with
+more cells than ``max_queued`` or than its client's ``burst`` could
+never be admitted, so it gets :class:`JobTooLargeError` (HTTP 413)
+instead.  Draining (503) wins over both.
+
+**Crash recovery.**  A worker process dying breaks the whole
+``ProcessPoolExecutor``; every in-flight future fails with
+``BrokenExecutor`` at once.  The first failure of a pool generation
+replaces the pool (``workers.restarts_total``), and each failed cell is
+requeued once (``cells.requeued``) at its original priority.  A cell
+that fails again after a restart settles as a normal unit failure.
 
 Jobs submitted with ``predict: true`` take the tier-0 path instead: a
 warm cell is still served exact from the store, but a cold cell gets an
@@ -37,9 +71,9 @@ awaits, so the coalescing map needs no locks.
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, Executor, ProcessPoolExecutor
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
 from repro.experiments.executor import Cell, simulate_cell
 from repro.experiments.store import MemoryStore
@@ -58,6 +92,29 @@ from repro.utils import wallclock
 
 class DrainingError(RuntimeError):
     """Submission refused: the service is draining (HTTP 503)."""
+
+
+class RetryableError(RuntimeError):
+    """Submission refused temporarily (HTTP 429 + Retry-After)."""
+
+    def __init__(self, message: str, retry_after: float) -> None:
+        super().__init__(message)
+        #: Seconds the client should back off before resubmitting.
+        self.retry_after = max(0.0, float(retry_after))
+
+
+class QueueFullError(RetryableError):
+    """The bounded admission queue cannot take this job's cells."""
+
+
+class RateLimitedError(RetryableError):
+    """The submitting client exhausted its token bucket."""
+
+
+class JobTooLargeError(RuntimeError):
+    """Submission refused for good (HTTP 413): the job has more cells
+    than ``max_queued`` or than its client's ``burst``, so admission
+    would refuse it however long the client waited."""
 
 
 class UnitExecutionError(RuntimeError):
@@ -81,6 +138,56 @@ class UnitExecutionError(RuntimeError):
         }
 
 
+def shard_of(key: str, shards: int) -> int:
+    """Deterministic shard for a content address (hex digest string).
+
+    Uses the leading 64 bits of the key itself — the key is already a
+    SHA-256 over the cell's canonical fingerprint, so no extra hashing
+    (and no process-seeded ``hash()``) is needed for uniformity.
+    """
+    if shards <= 1:
+        return 0
+    return int(key[:16], 16) % shards
+
+
+class TokenBucket:
+    """Classic token bucket; refilled lazily from an injectable clock."""
+
+    __slots__ = ("rate", "burst", "_tokens", "_updated", "_clock")
+
+    def __init__(self, rate: float, burst: Optional[float] = None,
+                 clock: Callable[[], float] = wallclock.monotonic) -> None:
+        self.rate = float(rate)
+        self.burst = float(burst) if burst is not None \
+            else max(1.0, self.rate)
+        self._tokens = self.burst
+        self._clock = clock
+        self._updated = clock()
+
+    def _refill(self) -> None:
+        now = self._clock()
+        self._tokens = min(
+            self.burst, self._tokens + (now - self._updated) * self.rate
+        )
+        self._updated = now
+
+    def take(self, tokens: float = 1.0) -> bool:
+        """Consume ``tokens`` if available; False (and no debit) if not."""
+        self._refill()
+        if self._tokens + 1e-12 >= tokens:
+            self._tokens -= tokens
+            return True
+        return False
+
+    def wait_time(self, tokens: float = 1.0) -> float:
+        """Seconds until ``take(tokens)`` could succeed."""
+        self._refill()
+        deficit = tokens - self._tokens
+        if deficit <= 0:
+            return 0.0
+        return deficit / self.rate
+
+
 class _CellEntry:
     """One in-flight cell execution, shared by all coalesced waiters."""
 
@@ -89,7 +196,8 @@ class _CellEntry:
                  "priority", "requeues", "pool_gen")
 
     def __init__(self, key: str, spec: UnitSpec,
-                 future: "asyncio.Future[Dict[str, Any]]") -> None:
+                 future: "asyncio.Future[Dict[str, Any]]",
+                 priority: int, client: str) -> None:
         self.key = key
         self.spec = spec
         self.future = future
@@ -100,11 +208,11 @@ class _CellEntry:
         #: When an analytical answer was returned for this cell (tier-0)
         #: — the exact result's arrival closes the supersede histogram.
         self.predicted_at: Optional[float] = None
-        #: Submitting client identity (fair-scheduling tag) and the
-        #: admission priority, recorded by ``_enqueue`` so a recovered
-        #: cell re-enters the queue exactly where it would have been.
-        self.client = "anonymous"
-        self.priority = 0
+        #: Admission priority and submitting client (the fair-queueing
+        #: tag), kept so a cell requeued after a crash re-enters its
+        #: shard exactly where it would have been.
+        self.priority = priority
+        self.client = client
         #: Crash-recovery bookkeeping: how many times this cell went
         #: back in the queue, and which pool generation ran it last.
         self.requeues = 0
@@ -112,7 +220,7 @@ class _CellEntry:
 
 
 class Scheduler:
-    """Job admission, coalescing, and the worker pumps.
+    """Job admission, coalescing, sharded fair queueing and the pumps.
 
     Parameters
     ----------
@@ -120,7 +228,8 @@ class Scheduler:
         Result store (``MemoryStore`` default; pass a ``ResultStore``
         for warm restarts and cross-process sharing).
     workers:
-        Worker processes — also the number of concurrent executions.
+        Worker processes — also the number of concurrent executions
+        and of shard queues.
     trace_dir:
         Shared trace directory for replay units (record-once).
     engine:
@@ -132,6 +241,32 @@ class Scheduler:
         Injection points for tests: a ``ThreadPoolExecutor`` plus stub
         work functions turn scheduling tests into fast, deterministic
         unit tests with no real simulations.
+
+    Keyword-only:
+
+    max_queued:
+        Bound on queued (not yet started) cells across all shards.
+        A submission whose cells would exceed it raises
+        :class:`QueueFullError`, or :class:`JobTooLargeError` when the
+        job alone exceeds it.  0 (default) disables the bound.
+    rate / burst:
+        Per-client token bucket: ``rate`` cells per second with a
+        ``burst`` ceiling (defaults to ``max(1, rate)``).  ``None``
+        (default) disables rate limiting.
+    client_weights / default_weight:
+        Fair-queueing weights; a client with weight 2 gets twice the
+        scheduling share of a weight-1 client within a priority class.
+    requeue_limit:
+        How many times a cell may be requeued after worker crashes
+        before its failure is surfaced (default 1, per the drop-once
+        recovery contract).
+    pool_factory:
+        Builds replacement executors after a crash (and the initial
+        one, when no ``pool`` was injected).  Defaults to a
+        ``ProcessPoolExecutor`` sized to ``workers``.
+    clock:
+        Monotonic time source for the token buckets (tests inject a
+        fake to make refill deterministic).
     """
 
     def __init__(self, store: Any = None, workers: int = 2,
@@ -145,7 +280,15 @@ class Scheduler:
                  ] = replay_unit,
                  predict_fn: Callable[
                      [Dict[str, Any], Optional[str]], Dict[str, Any]
-                 ] = predict_unit) -> None:
+                 ] = predict_unit,
+                 *, max_queued: int = 0,
+                 rate: Optional[float] = None,
+                 burst: Optional[float] = None,
+                 client_weights: Optional[Mapping[str, float]] = None,
+                 default_weight: float = 1.0,
+                 requeue_limit: int = 1,
+                 pool_factory: Optional[Callable[[], Executor]] = None,
+                 clock: Callable[[], float] = wallclock.monotonic) -> None:
         self.store = store if store is not None else MemoryStore()
         self.workers = max(1, int(workers))
         self.trace_dir = str(trace_dir) if trace_dir is not None else None
@@ -156,15 +299,28 @@ class Scheduler:
         self._predict_fn = predict_fn
         self._pool = pool
         self._owns_pool = pool is None
-        self._queue: Optional[asyncio.PriorityQueue] = None
+        self._pool_factory = pool_factory
+        self.max_queued = max(0, int(max_queued))
+        self.rate = rate if rate is None else float(rate)
+        self.burst = burst if burst is None else float(burst)
+        self.requeue_limit = max(0, int(requeue_limit))
+        self._weights: Dict[str, float] = dict(client_weights or {})
+        self._default_weight = max(1e-9, float(default_weight))
+        self._clock = clock
+        self._buckets: Dict[str, TokenBucket] = {}
+        #: Per shard: its queue, its fair-queueing virtual time, and
+        #: each client's last virtual finish tag.
+        self._queues: List["asyncio.PriorityQueue[Any]"] = []
+        self._vtime: List[float] = []
+        self._finish: List[Dict[str, float]] = []
         self._pumps: List[asyncio.Task] = []
         self._in_flight: Dict[str, _CellEntry] = {}
         self.jobs: Dict[str, Job] = {}
         self._job_seq = 0
         self._queue_seq = 0
-        #: Bumped each time the worker pool is replaced after a crash
-        #: (see ClusterScheduler); entries record the generation that
-        #: ran them so one broken pool triggers exactly one restart.
+        #: Bumped each time the worker pool is replaced after a crash;
+        #: entries record the generation that ran them so one broken
+        #: pool triggers exactly one restart.
         self._pool_gen = 0
         self.draining = False
         self.started_at = wallclock.monotonic()
@@ -172,13 +328,20 @@ class Scheduler:
     # -- lifecycle -----------------------------------------------------
 
     async def start(self) -> None:
-        self._queue = asyncio.PriorityQueue()
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            self._pool = self._new_pool()
+        self._queues = [asyncio.PriorityQueue() for _ in range(self.workers)]
+        self._vtime = [0.0] * self.workers
+        self._finish = [{} for _ in range(self.workers)]
         self._pumps = [
             asyncio.create_task(self._pump(i), name=f"serve-pump-{i}")
             for i in range(self.workers)
         ]
+
+    def _new_pool(self) -> Executor:
+        if self._pool_factory is not None:
+            return self._pool_factory()
+        return ProcessPoolExecutor(max_workers=self.workers)
 
     async def drain(self, timeout: Optional[float] = None) -> bool:
         """Stop admitting, let active jobs finish, stop the pumps.
@@ -228,16 +391,62 @@ class Scheduler:
     # -- admission -----------------------------------------------------
 
     def submit(self, request: JobRequest) -> Job:
-        """Admit one job and start its driver task (sync, no awaits)."""
+        """Admit one job and start the task that runs it (sync, no awaits).
+
+        Raises :class:`DrainingError` (503), :class:`JobTooLargeError`
+        (413) or a :class:`RetryableError` (429), in that precedence.
+        """
         if self.draining:
             self.metrics.jobs_rejected += 1
             raise DrainingError("service is draining; not accepting jobs")
+        self._admit(request)
         self._job_seq += 1
         job = Job(id=f"job-{self._job_seq:06d}", request=request)
         self.jobs[job.id] = job
         job.task = asyncio.create_task(self._run_job(job), name=job.id)
         self.metrics.jobs_submitted += 1
         return job
+
+    def _admit(self, request: JobRequest) -> None:
+        cells = max(1, len(request.units))
+        bucket: Optional[TokenBucket] = None
+        if self.rate is not None:
+            bucket = self._buckets.get(request.client)
+            if bucket is None:
+                bucket = self._buckets[request.client] = TokenBucket(
+                    self.rate, self.burst, clock=self._clock
+                )
+        for name, limit in (("max_queued", self.max_queued),
+                            ("burst", bucket.burst if bucket else 0)):
+            if limit and cells > limit:
+                raise JobTooLargeError(
+                    f"job of {cells} cells can never be admitted: {name} "
+                    f"is {limit:g}; split it into smaller jobs"
+                )
+        if self.max_queued:
+            depth = self.queue_depth()
+            if depth + cells > self.max_queued:
+                self.metrics.jobs_throttled_queue += 1
+                raise QueueFullError(
+                    f"admission queue full ({depth}/{self.max_queued} "
+                    f"cells queued; job needs {cells})",
+                    retry_after=self._drain_estimate(depth),
+                )
+        if bucket is not None and not bucket.take(float(cells)):
+            self.metrics.jobs_throttled_rate += 1
+            raise RateLimitedError(
+                f"client {request.client!r} exceeded "
+                f"{bucket.rate:g} cells/s (burst {bucket.burst:g})",
+                retry_after=bucket.wait_time(float(cells)),
+            )
+
+    def _drain_estimate(self, depth: int) -> float:
+        """Retry-After hint: roughly when the backlog will have moved."""
+        total = sum(h.total for h in self.metrics.sim_latency.values())
+        count = sum(h.count for h in self.metrics.sim_latency.values())
+        per_cell = (total / count) if count else 0.1
+        estimate = depth * per_cell / max(1, self.workers)
+        return min(30.0, max(0.05, estimate))
 
     def cancel(self, job_id: str) -> bool:
         """Cancel a job; False if unknown or already settled."""
@@ -316,9 +525,11 @@ class Scheduler:
             self.metrics.cells_store_hits += 1
             return cached.to_dict()
 
-        entry = _CellEntry(key, unit, asyncio.get_running_loop().create_future())
+        entry = _CellEntry(key, unit,
+                           asyncio.get_running_loop().create_future(),
+                           priority, client)
         self._in_flight[key] = entry
-        self._enqueue(entry, priority, client)
+        self._enqueue(entry)
         return await self._await_entry(entry)
 
     async def _resolve_predicted(self, unit: UnitSpec, key: str,
@@ -345,9 +556,11 @@ class Scheduler:
             except asyncio.CancelledError:
                 raise
             except Exception as exc:
-                if self._recover_predict(pool_gen, exc, attempts):
-                    attempts += 1
-                    continue
+                if isinstance(exc, BrokenExecutor):
+                    self._restart_pool(pool_gen)
+                    if attempts < self.requeue_limit:
+                        attempts += 1
+                        continue
                 self.metrics.cells_failed += 1
                 raise UnitExecutionError(unit, key, exc) from exc
         self.metrics.predict_answers += 1
@@ -362,7 +575,8 @@ class Scheduler:
         entry = self._in_flight.get(key)
         if entry is None:
             entry = _CellEntry(
-                key, unit, asyncio.get_running_loop().create_future()
+                key, unit, asyncio.get_running_loop().create_future(),
+                PRIORITY_REFINE, client,
             )
             # the initial subscription is the refinement itself (it
             # never cancels, so coalesced waiters can come and go
@@ -372,7 +586,7 @@ class Scheduler:
                 lambda f: f.exception() if not f.cancelled() else None
             )
             self._in_flight[key] = entry
-            self._enqueue(entry, PRIORITY_REFINE, client)
+            self._enqueue(entry)
             self.metrics.refinements += 1
         if entry.predicted_at is None:
             entry.predicted_at = wallclock.monotonic()
@@ -388,57 +602,40 @@ class Scheduler:
                 self._in_flight.pop(entry.key, None)
             raise
 
-    # -- queue discipline (override points for ClusterScheduler) -------
+    # -- sharded fair queueing -----------------------------------------
 
-    def _enqueue(self, entry: _CellEntry, priority: int,
-                 client: str) -> None:
-        """Admit one cold cell to the execution queue."""
-        entry.priority = priority
-        entry.client = client
-        assert self._queue is not None, "Scheduler.start() was never awaited"
+    def _enqueue(self, entry: _CellEntry) -> None:
+        """Queue one cold cell on its shard, ordered by priority, then
+        virtual finish tag, then arrival."""
+        assert self._queues, "Scheduler.start() was never awaited"
+        shard = shard_of(entry.key, self.workers)
+        weight = self._weights.get(entry.client, self._default_weight)
+        start = max(self._vtime[shard],
+                    self._finish[shard].get(entry.client, 0.0))
+        finish = start + 1.0 / weight
+        self._finish[shard][entry.client] = finish
         self._queue_seq += 1
-        self._queue.put_nowait((priority, self._queue_seq, entry))
-
-    async def _dequeue(self, index: int) -> _CellEntry:
-        """Take the next cell for pump ``index`` (one pump per worker)."""
-        assert self._queue is not None
-        _priority, _seq, entry = await self._queue.get()
-        return entry
-
-    def _task_done(self, index: int) -> None:
-        assert self._queue is not None
-        self._queue.task_done()
-
-    def _recover(self, entry: _CellEntry, exc: BaseException) -> bool:
-        """Give a failed execution a second chance (crash recovery).
-
-        Returns True when the cell was requeued and the failure must
-        not settle its future.  The base scheduler never recovers;
-        ClusterScheduler requeues cells whose worker process died.
-        """
-        return False
-
-    def _recover_predict(self, pool_gen: int, exc: BaseException,
-                         attempts: int) -> bool:
-        """Same, for the in-loop tier-0 predict path."""
-        return False
+        self._queues[shard].put_nowait(
+            (entry.priority, finish, self._queue_seq, entry)
+        )
 
     # -- worker pumps --------------------------------------------------
 
     async def _pump(self, index: int) -> None:
+        """Run shard ``index``'s cells, one at a time (one pump per
+        worker)."""
+        queue = self._queues[index]
         loop = asyncio.get_running_loop()
         while True:
-            entry = await self._dequeue(index)
-            try:
-                if entry.abandoned:
-                    continue
-                entry.started = True
-                self.metrics.queue_wait.observe(
-                    wallclock.monotonic() - entry.enqueued_at
-                )
-                await self._execute(loop, entry)
-            finally:
-                self._task_done(index)
+            _priority, finish, _seq, entry = await queue.get()
+            self._vtime[index] = max(self._vtime[index], finish)
+            if entry.abandoned:
+                continue
+            entry.started = True
+            self.metrics.queue_wait.observe(
+                wallclock.monotonic() - entry.enqueued_at
+            )
+            await self._execute(loop, entry)
 
     async def _execute(self, loop: asyncio.AbstractEventLoop,
                        entry: _CellEntry) -> None:
@@ -460,8 +657,15 @@ class Scheduler:
         except asyncio.CancelledError:
             raise
         except Exception as exc:
-            if self._recover(entry, exc):
-                return
+            if isinstance(exc, BrokenExecutor):
+                self._restart_pool(entry.pool_gen)
+                if entry.requeues < self.requeue_limit:
+                    entry.requeues += 1
+                    entry.started = False
+                    entry.enqueued_at = wallclock.monotonic()
+                    self.metrics.cells_requeued += 1
+                    self._enqueue(entry)
+                    return
             self.metrics.cells_failed += 1
             self._settle(entry,
                          error=UnitExecutionError(spec, entry.key, exc))
@@ -477,6 +681,23 @@ class Scheduler:
                 wallclock.monotonic() - entry.predicted_at
             )
         self._settle(entry, payload=payload)
+
+    def _restart_pool(self, failed_gen: int) -> None:
+        """Replace a broken executor exactly once per generation.
+
+        A dying worker fails *every* in-flight future with
+        ``BrokenExecutor`` concurrently; the generation check makes the
+        first such failure rebuild the pool and the rest reuse it.
+        """
+        if failed_gen < self._pool_gen:
+            return
+        self._pool_gen += 1
+        self.metrics.worker_restarts += 1
+        broken = self._pool
+        if broken is not None:
+            broken.shutdown(wait=False, cancel_futures=True)
+        self._pool = self._new_pool()
+        self._owns_pool = True
 
     def _settle(self, entry: _CellEntry,
                 payload: Optional[Dict[str, Any]] = None,
@@ -497,7 +718,7 @@ class Scheduler:
     # -- introspection -------------------------------------------------
 
     def queue_depth(self) -> int:
-        return self._queue.qsize() if self._queue is not None else 0
+        return sum(queue.qsize() for queue in self._queues)
 
     def running_count(self) -> int:
         return sum(1 for e in self._in_flight.values() if e.started)
@@ -514,14 +735,21 @@ class Scheduler:
             store_stats=store_stats.as_dict() if store_stats else None,
             draining=self.draining,
             uptime=wallclock.monotonic() - self.started_at,
-            workers={"configured": self.workers},
+            workers={
+                "configured": self.workers,
+                "pool_generation": self._pool_gen,
+            },
         )
 
     def health(self) -> Dict[str, Any]:
-        return {
+        doc: Dict[str, Any] = {
             "status": "draining" if self.draining else "ok",
             "workers": self.workers,
             "jobs_active": self.active_jobs(),
             "cells_queued": self.queue_depth(),
             "cells_running": self.running_count(),
+            "worker_restarts": self.metrics.worker_restarts,
         }
+        if self.max_queued:
+            doc["max_queued"] = self.max_queued
+        return doc

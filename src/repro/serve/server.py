@@ -45,10 +45,14 @@ from typing import (
     TYPE_CHECKING, Any, Callable, Dict, Optional, Set, Tuple, Union,
 )
 
-from repro.serve.cluster import ClusterScheduler, RetryableError
 from repro.serve.metrics import render_prometheus
 from repro.serve.protocol import ProtocolError, parse_job_request
-from repro.serve.scheduler import DrainingError, Scheduler
+from repro.serve.scheduler import (
+    DrainingError,
+    JobTooLargeError,
+    RetryableError,
+    Scheduler,
+)
 
 if TYPE_CHECKING:
     from repro.serve.client import ServeClient
@@ -293,6 +297,8 @@ class ServeApp:
             job = self.scheduler.submit(request)
         except DrainingError as exc:
             return self._error(503, str(exc))
+        except JobTooLargeError as exc:
+            return self._error(413, str(exc))
         except RetryableError as exc:
             # Retry-After is fractional seconds: nonstandard HTTP but
             # exact — every consumer is our own client/loadtest stack.
@@ -339,7 +345,7 @@ async def serve_async(
     ``store`` is anything :func:`repro.experiments.store.open_store`
     accepts — or an already-open store object.  ``engine`` picks the
     workers' L1D implementation (results are engine-independent).
-    ``max_queued``/``rate``/``burst`` configure the cluster scheduler's
+    ``max_queued``/``rate``/``burst`` configure the scheduler's
     admission control (0/None = off).  Returns the process exit code
     (0 = drained clean, 1 = drain timed out, remaining jobs cancelled).
     """
@@ -347,10 +353,9 @@ async def serve_async(
 
     if scheduler is None:
         opened = store if hasattr(store, "get") else open_store(store)
-        scheduler = ClusterScheduler(store=opened, workers=workers,
-                                     trace_dir=trace_dir, engine=engine,
-                                     max_queued=max_queued,
-                                     rate=rate, burst=burst)
+        scheduler = Scheduler(store=opened, workers=workers,
+                              trace_dir=trace_dir, engine=engine,
+                              max_queued=max_queued, rate=rate, burst=burst)
     await scheduler.start()
     app = ServeApp(scheduler)
     server = await asyncio.start_server(app.handle, host=host, port=port)
@@ -408,14 +413,12 @@ class ServerThread:
                  store: Any = None,
                  trace_dir: Optional[Union[str, Path]] = None,
                  drain_timeout: Optional[float] = 30.0,
-                 scheduler_cls: type = Scheduler,
                  **scheduler_kwargs: Any) -> None:
         self._host = host
         self._workers = workers
         self._store = store
         self._trace_dir = trace_dir
         self._drain_timeout = drain_timeout
-        self._scheduler_cls = scheduler_cls
         self._scheduler_kwargs = scheduler_kwargs
         self._ready = threading.Event()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -445,7 +448,7 @@ class ServerThread:
         store = self._store if hasattr(self._store, "get") \
             else open_store(self._store if self._store is None
                             else str(self._store))
-        self.scheduler = self._scheduler_cls(
+        self.scheduler = Scheduler(
             store=store, workers=self._workers,
             trace_dir=self._trace_dir, **self._scheduler_kwargs)
         self.exit_code = await serve_async(

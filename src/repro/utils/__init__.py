@@ -1,18 +1,14 @@
-"""Small shared utilities: saturating counters, hashing, deterministic RNG.
+"""Small shared utilities: hashing, deterministic RNG, wall clock.
 
 These mirror the bit-accurate hardware structures the paper costs out in
-Section 4.3 (saturating hit counters, the 7-bit hashed instruction ID, the
-4-bit Protected Life field).
+Section 4.3 (the 7-bit hashed instruction ID) and keep every random
+stream seeded.
 """
 
-from repro.utils.counters import SaturatingCounter, saturating_add, saturating_sub
 from repro.utils.hashing import fnv1a_32, hash_pc
 from repro.utils.rng import DeterministicRng
 
 __all__ = [
-    "SaturatingCounter",
-    "saturating_add",
-    "saturating_sub",
     "fnv1a_32",
     "hash_pc",
     "DeterministicRng",

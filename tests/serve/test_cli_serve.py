@@ -15,6 +15,7 @@ from repro.cache.l1d import L1DStats
 from repro.cli import build_parser, main
 from repro.gpu.simulator import SimResult
 from repro.serve.server import ServerThread
+from repro.workloads import ALL_APPS
 
 
 def stub_sim(cell):
@@ -86,6 +87,17 @@ class TestSubmitCommands:
         out = capsys.readouterr().out
         assert "submitted job-" in out and "4 units" in out
         assert "priority bulk" in out
+
+    def test_sweep_apps_all_expands_to_every_app(self, server, capsys):
+        assert submit(server, "sweep", "--apps", "all",
+                      "--schemes", "baseline", "--sms", "1") == 0
+        assert f"{len(ALL_APPS)} units" in capsys.readouterr().out
+
+    def test_unknown_app_exits_2_before_contacting_the_server(self, capsys):
+        # nothing listens on port 1: the list is refused before any I/O
+        assert main(["submit", "--port", "1", "sweep",
+                     "--apps", "MM,NOPE"]) == 2
+        assert "unknown app 'NOPE'" in capsys.readouterr().err
 
     def test_status_and_wait(self, server, capsys):
         submit(server, "cell", "MM", "dlp", "--sms", "1")

@@ -1,9 +1,9 @@
-"""The cluster acceptance oracle: sharded sweep == serial executor.
+"""The sharding acceptance oracle: sharded sweep == serial executor.
 
-The ISSUE's differential criterion: a bulk sweep fanned across a
-4-worker :class:`ClusterScheduler` (real process pool, cells sharded
-by content address) must leave **byte-identical** files in its result
-store as the serial :class:`SweepExecutor` running the same grid —
+A bulk sweep fanned across a 4-worker
+:class:`~repro.serve.scheduler.Scheduler` (real process pool, cells
+sharded by content address) must leave **byte-identical** files in its
+result store as the serial :class:`SweepExecutor` running the same grid —
 same filenames (same content addresses) and same bytes (same payloads,
 ``sort_keys`` canonical JSON).  Worker identity, shard placement and
 completion order must be invisible in the artefacts.
@@ -15,8 +15,8 @@ import asyncio
 
 from repro.experiments.executor import SweepExecutor
 from repro.experiments.store import ResultStore
-from repro.serve.cluster import ClusterScheduler
 from repro.serve.protocol import parse_job_request, sweep_request
+from repro.serve.scheduler import Scheduler
 
 APPS = ["MM", "HS"]
 SCHEMES = ["baseline", "dlp"]
@@ -33,7 +33,7 @@ def test_sharded_cluster_sweep_matches_serial_store(tmp_path):
         APPS, SCHEMES, num_sms=1, scale=0.1)
 
     async def cluster_sweep():
-        scheduler = ClusterScheduler(
+        scheduler = Scheduler(
             store=ResultStore(tmp_path / "cluster"), workers=4)
         await scheduler.start()
         try:

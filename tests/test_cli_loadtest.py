@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+import repro.loadtest
 from repro.cli import main
 
 TINY = [
@@ -32,3 +35,12 @@ class TestLoadtestCli:
         assert "loadtest: FAIL" in captured.out
         assert "SLO violation" in captured.err
         assert "p99" in captured.err
+
+    def test_unknown_scheme_exits_2_before_any_server_starts(
+            self, capsys, monkeypatch):
+        monkeypatch.setattr(repro.loadtest, "run_loadtest",
+                            lambda config: pytest.fail("server started"))
+        argv = list(TINY)
+        argv[argv.index("baseline")] = "dlpp"
+        assert main(argv) == 2
+        assert "unknown scheme 'dlpp'" in capsys.readouterr().err
