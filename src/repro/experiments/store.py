@@ -22,7 +22,11 @@ Two implementations share the same interface:
   benchmark harness use.
 
 Both count hits/misses/puts so tests can assert "the second sweep
-simulated nothing" on counters instead of wall clock.
+simulated nothing" on counters instead of wall clock.  Both also name
+each entry's current version cheaply (:meth:`ResultStore.entry_version`),
+so a caller that keeps what it parsed for one version (the serve
+scheduler's shared payloads) can tell, without reading the entry,
+whether it still matches.
 """
 
 from __future__ import annotations
@@ -207,6 +211,9 @@ class MemoryStore:
     def __init__(self) -> None:
         self._data: Dict[str, SimResult] = {}
         self._meta: Dict[str, Dict[str, Any]] = {}
+        #: Per key, the sequence number of the ``put`` that wrote it.
+        self._versions: Dict[str, int] = {}
+        self._put_seq = 0
         self.stats = StoreStats()
 
     def get(self, key: str) -> Optional[SimResult]:
@@ -217,10 +224,19 @@ class MemoryStore:
         self.stats.hits += 1
         return result
 
+    def entry_version(self, key: str) -> Optional[int]:
+        """The entry's version: which ``put`` wrote it (a counter, never
+        ``id()``, which a freed result can hand to its successor), or
+        ``None`` when absent.  Every ``put`` gives a new version, even
+        of an equal result."""
+        return self._versions.get(key)
+
     def put(self, key: str, result: SimResult,
             meta: Optional[Dict[str, Any]] = None) -> None:
         self._data[key] = result
         self._meta[key] = dict(meta or {})
+        self._put_seq += 1
+        self._versions[key] = self._put_seq
         self.stats.puts += 1
 
     def ls(self) -> List[Dict[str, Any]]:
@@ -233,6 +249,7 @@ class MemoryStore:
         count = len(self._data)
         self._data.clear()
         self._meta.clear()
+        self._versions.clear()
         return count
 
     def __len__(self) -> int:
@@ -282,6 +299,22 @@ class ResultStore:
             return None
         self.stats.hits += 1
         return entry[1]
+
+    def entry_version(self, key: str) -> Optional[Tuple[int, int, int]]:
+        """The entry's version from one ``os.stat``: ``(st_ino,
+        st_mtime_ns, st_size)``, or ``None`` when the entry is absent.
+
+        A ``put`` stages its file while the old entry still exists, so
+        the entry it publishes has another inode; an edit in place that
+        changes the size or the mtime changes it too.  Only a same-size
+        rewrite of the same inode within one mtime tick keeps it.  Says
+        nothing about whether the entry parses: :meth:`get` does that.
+        """
+        try:
+            st = os.stat(self._path(key))
+        except FileNotFoundError:
+            return None
+        return (st.st_ino, st.st_mtime_ns, st.st_size)
 
     def put(self, key: str, result: SimResult,
             meta: Optional[Dict[str, Any]] = None) -> None:

@@ -37,6 +37,7 @@ policy-side surface the simulator and reports use
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.cache.hashing import get_index_fn
@@ -654,25 +655,29 @@ class FastL1DCache:
         if self._kind == KIND_DLP:
             g_tda, g_vta = self._g_tda, self._g_vta
             pdt, pdv, pdl = self._pdt, self._pdv, self._pdl
+            # Only the entries the window credited have counters to read
+            # or clear; compress() finds them without a Python loop.
+            entries = range(self._pdpt_n)
+            credited = set(compress(entries, pdt))
+            credited.update(compress(entries, pdv))
             if g_vta > g_tda:
                 path = "increase"
                 pd_max = self._pd_max
-                for i in range(self._pdpt_n):
-                    t, v = pdt[i], pdv[i]
-                    if t or v:
-                        delta = pd_increment(nasc, v, t)
-                        if delta:
-                            npd = pdl[i] + delta
-                            pdl[i] = npd if npd < pd_max else pd_max
+                for i in credited:
+                    delta = pd_increment(nasc, pdv[i], pdt[i])
+                    if delta:
+                        npd = pdl[i] + delta
+                        pdl[i] = npd if npd < pd_max else pd_max
             elif 2 * g_vta < g_tda:
                 path = "decrease"
-                for i in range(self._pdpt_n):
-                    if pdl[i]:
+                if nasc:
+                    # each store lands on an entry compress() has passed
+                    for i in compress(entries, pdl):
                         npd = pdl[i] - nasc
                         pdl[i] = npd if npd > 0 else 0
             else:
                 path = "hold"
-            for i in range(self._pdpt_n):
+            for i in credited:
                 pdt[i] = 0
                 pdv[i] = 0
             self._g_tda = 0

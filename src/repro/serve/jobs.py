@@ -51,7 +51,7 @@ class Job:
     finished_at: Optional[float] = None
     results: Optional[List[Dict[str, Any]]] = None
     error: Optional[Dict[str, Any]] = None
-    task: Any = None                # the asyncio.Task driving the job
+    task: Any = None                # the asyncio.Task driving it, until done
 
     @property
     def done(self) -> bool:

@@ -8,7 +8,13 @@ resolution path for every unit of every job:
    already in flight, attach to its future; N concurrent submissions
    of a cold cell cost exactly one simulation.
 2. **Store** — a warm cell is served straight from the result store
-   (sub-millisecond, no queue, no worker).
+   (sub-millisecond, no queue, no worker).  A repeat costs one
+   ``os.stat``: while the entry's version
+   (:meth:`~repro.experiments.store.ResultStore.entry_version`) still
+   matches the payload last built for it, every job gets that same
+   dict back, with no read or parse.  A rewritten, replaced, pruned,
+   cleared or torn entry has another version, or none, and goes
+   through ``store.get`` as a first request does.
 3. **Queue** — a cold cell is enqueued on its shard with its job's
    priority.  Interactive (single-cell) jobs sort ahead of bulk sweep
    cells, so a user poking at one configuration is not stuck behind a
@@ -71,6 +77,7 @@ awaits, so the coalescing map needs no locks.
 from __future__ import annotations
 
 import asyncio
+import weakref
 from concurrent.futures import BrokenExecutor, Executor, ProcessPoolExecutor
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Union
@@ -186,6 +193,16 @@ class TokenBucket:
         if deficit <= 0:
             return 0.0
         return deficit / self.rate
+
+
+class _SharedPayload(Dict[str, Any]):
+    """One store entry's serialized result, shared by every job served
+    from that entry version.  A ``dict`` subclass only so the payload
+    table can hold it weakly; nothing may mutate it."""
+
+    __slots__ = ("version", "__weakref__")
+    #: The store's :meth:`entry_version` the payload was read under.
+    version: Any
 
 
 class _CellEntry:
@@ -315,6 +332,10 @@ class Scheduler:
         self._finish: List[Dict[str, float]] = []
         self._pumps: List[asyncio.Task] = []
         self._in_flight: Dict[str, _CellEntry] = {}
+        #: Per cell key, the payload last built from its store entry.
+        #: Weak values: it holds no payload that no job holds.
+        self._payloads: "weakref.WeakValueDictionary[str, _SharedPayload]" \
+            = weakref.WeakValueDictionary()
         self.jobs: Dict[str, Job] = {}
         self._job_seq = 0
         self._queue_seq = 0
@@ -492,6 +513,7 @@ class Scheduler:
             await self._reap(tasks)
         finally:
             job.finished_at = wallclock.now()
+            job.task = None
 
     @staticmethod
     async def _reap(tasks: List["asyncio.Task"]) -> None:
@@ -520,10 +542,10 @@ class Scheduler:
             entry.subscribers += 1
             return await self._await_entry(entry)
 
-        cached = self.store.get(key)
+        cached = self._stored(key)
         if cached is not None:
             self.metrics.cells_store_hits += 1
-            return cached.to_dict()
+            return cached
 
         entry = _CellEntry(key, unit,
                            asyncio.get_running_loop().create_future(),
@@ -537,10 +559,10 @@ class Scheduler:
                                  ) -> Dict[str, Any]:
         """Tier-0: exact from the store if warm, else an instant
         analytical answer plus a background exact refinement."""
-        cached = self.store.get(key)
+        cached = self._stored(key)
         if cached is not None:
             self.metrics.cells_store_hits += 1
-            payload = cached.to_dict()
+            payload = dict(cached)      # the shared payload stays as stored
             payload["tier"] = "exact"   # response-only; never stored
             return payload
         loop = asyncio.get_running_loop()
@@ -566,6 +588,28 @@ class Scheduler:
         self.metrics.predict_answers += 1
         self._ensure_refinement(unit, key, client)
         return payload
+
+    def _stored(self, key: str) -> Optional[Dict[str, Any]]:
+        """The store's payload for ``key``, or ``None`` (a counted miss).
+
+        While the entry's version matches the payload table's, the
+        table's dict is the answer, counted as a store hit as the read
+        it replaces would be; otherwise ``store.get`` decides.
+        """
+        version = self.store.entry_version(key)
+        shared = self._payloads.get(key)
+        if shared is not None and version is not None \
+                and shared.version == version:
+            self.store.stats.hits += 1
+            return shared
+        result = self.store.get(key)
+        if result is None:
+            return None
+        # stat before read: an entry replaced in between is tagged with
+        # the old version (or none), so the next stat re-reads it
+        shared = self._payloads[key] = _SharedPayload(result.to_dict())
+        shared.version = version
+        return shared
 
     def _ensure_refinement(self, unit: UnitSpec, key: str,
                            client: str = "anonymous") -> None:
