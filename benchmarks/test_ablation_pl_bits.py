@@ -3,6 +3,13 @@
 A wider PL field lets protection span longer reuse distances at extra
 per-line storage; a narrower one saturates too early to protect the
 9~64 range at all.
+
+This is a timing result.  In blocking replay, 2-bit PL on the 4-way
+L1D is LRU by construction: a PL of at most 3 has expired before its
+line becomes the LRU way.  Here 2 bits lose to the baseline for another
+reason: a set whose ways are all RESERVED by fills in flight makes a
+protected miss bypass where the baseline stalls (EXPERIMENTS.md, under
+the ablation table).
 """
 
 from conftest import bench_once

@@ -19,15 +19,19 @@ geometry and every knob a kernel reads inside a sampling window) share
 one kernel pass per SM.  Nasc and ``pd_bits`` are not in it: until the
 first window barrier that raises a PD, lanes that differ only there
 take the same path.  At each barrier every member applies its own
-Figure 9 update to the pass's window counters, and a member whose PD
-state now differs forks off with a copy of the pass's carried state
-(:class:`~repro.batchsim.kernels.Carry`) and resumes alone from the
-next window.  Members still together at the end get a state copy.  So
-the 15-lane ``nasc=0:4 x pd_bits=2,4,6`` frontier costs one pass per SM
-on a stream where no PD leaves 0, and the benchmark's three-app
-frontier (seed 0, 2 SMs, scale 0.5) runs 3,351 window-passes (one
-kernel over one SM's sampling window) instead of the 4,875 that one
-pass per lane costs.  Non-blocking lanes run the per-record loop, one
+Figure 9 update to the pass's window counters, and a member whose
+decisions can now differ forks off with a copy of the pass's carried
+state (:class:`~repro.batchsim.kernels.Carry`) and resumes alone from
+the next window.  Decisions, not PD values, split a pass: a lane whose
+``pl_max`` is at most the associativity makes LRU's decisions whatever
+its PDs (the proof is :class:`_SharedBarrier`'s), so it stays in the
+pass of the lanes whose PDs are 0.  Members still together at the end
+get a copy of the pass's state, their own PDs kept.  So the 15-lane
+``nasc=0:4 x pd_bits=2,4,6`` frontier costs one pass per SM on a stream
+where no PD leaves 0.  The benchmark's three-app frontier (seed 0,
+2 SMs, scale 0.5) runs 2,444 window-passes (one kernel over one SM's
+sampling window): one pass per lane costs 4,875, and splitting on raw
+PD values 3,351.  Non-blocking lanes run the per-record loop, one
 private engine per lane (no cross-lane state by construction).
 """
 
@@ -62,11 +66,11 @@ Lane = Tuple[Union[str, Any], Dict[str, Any]]
 _COPY_INTS = (
     "_stamp", "_acc", "_ins", "samples_completed", "protected_bypasses",
     "_vta_hit_count", "_vta_insert_count", "_vta_probe_count", "_vta_stamp",
-    "_g_tda", "_g_vta", "_gpd", "_gp_tda", "_gp_vta",
+    "_g_tda", "_g_vta", "_gp_tda", "_gp_vta",
 )
 _COPY_LISTS = (
     "_st", "_blk", "_lru", "_iid", "_pli", "_pnd",
-    "_pdt", "_pdv", "_pdl", "_pdu",
+    "_pdt", "_pdv", "_pdu",
     "_vta_valid", "_vta_blk", "_vta_iid", "_vta_lru",
 )
 _COPY_DICTS = ("_bypassed", "closed_by", "pd_updates")
@@ -83,9 +87,12 @@ def _lane_key(cache: FastL1DCache) -> Tuple[Any, ...]:
     can raise is one unprotected policies never hit).  Nasc and
     ``pd_bits`` are absent too: they act only through the Figure 9
     update at a window barrier, where :class:`_SharedBarrier` applies
-    each member's own and forks off the members whose PD state then
-    differs.  Nasc-0 lanes need no rule of their own: their PDs never
-    leave 0, so they never fork.
+    each member's own and forks off the members whose decisions can
+    then differ.  Nasc-0 lanes need no rule of their own: their PDs
+    never leave 0, so they never part.  Lanes whose ``pl_max`` is at
+    most ``assoc`` stay with them: the barrier keys those on the
+    all-zero PD state, since no PL that short outlives the LRU way's
+    age.
     """
     geom = cache.geometry
     base: Tuple[Any, ...] = (geom.num_sets, geom.assoc, geom.index_fn)
@@ -101,11 +108,39 @@ class _SharedBarrier:
 
     The pass runs on ``members[0]``'s cache.  At each barrier every
     member applies its own Figure 9 update (its own Nasc and ``pd_max``)
-    to the pass's window counters.  The members whose new PD state
-    differs from the leader's leave ``members``: each group of equal
-    state takes a :meth:`~repro.batchsim.kernels.Carry.fork` of the
+    to the pass's window counters, then keys the split on the decisions
+    its next window makes.  An *inert* member, one whose ``pl_max`` is
+    at most the associativity, keys on the all-zero PD state, so it
+    stays with the members whose PDs are all 0 (the Nasc-0 lanes among
+    them); every other member keys on its own PD state.  The members
+    whose key differs from the leader's leave ``members``: each group of
+    equal keys takes a :meth:`~repro.batchsim.kernels.Carry.fork` of the
     pass's carry and the leader's lifetime PDPT markers, and goes onto
     ``forks`` to resume alone from the next window.
+
+    Why an inert lane makes LRU's decisions whatever its PDs: blocking
+    replay fills every miss at once, so no way is RESERVED when a victim
+    is chosen.  In a full set each of the other ``assoc - 1`` ways was
+    touched after the LRU way, each by a set access of its own, and the
+    current access is one more.  So the LRU way was last touched at
+    least ``assoc`` set accesses ago, and any PL of at most ``assoc`` it
+    got then has expired.  The victim is the LRU way, and the access
+    never bypasses or stalls, exactly as when every PL is 0.  So every
+    member of an all-zero pass takes the pass's path, whichever of them
+    leads it.
+
+    No leader ordering is needed either.  A member whose PDs are all 0
+    and that leaves such a pass may hold lines whose PLs (at most
+    ``assoc``) its own replay made 0.  Those lines never decide a
+    victim: while one of them is the set's LRU way it has expired, so
+    both replays evict it; once the LRU way was touched after the fork,
+    so was every way in the set.
+
+    The rule is static on purpose.  A lane whose PDs merely *are* at
+    most ``assoc``, after a decrease, can still hold lines protected for
+    longer, and those can outlive LRU age.  Nor does the rule hold in
+    the timing simulator: there a set whose ways are all RESERVED makes
+    a protected miss bypass where LRU stalls.
     """
 
     def __init__(self, members: List[FastL1DCache], carry: Carry,
@@ -113,6 +148,9 @@ class _SharedBarrier:
         self.members = members
         self.carry = carry
         self.forks = forks
+        # The global PD, then the PDPT's PDs (a Global-Protection cache
+        # has no PDPT), all 0: the state an inert member keys on.
+        self.lru_state = (0,) * (1 + members[0]._pdpt_n)
 
     def __call__(self) -> None:
         lead, *rest = self.members
@@ -123,15 +161,19 @@ class _SharedBarrier:
             cache._pdv[:] = lead._pdv
             cache._g_tda, cache._g_vta = lead._g_tda, lead._g_vta
             cache._gp_tda, cache._gp_vta = lead._gp_tda, lead._gp_vta
-        # Split by the PD state the next window reads: the global PD and
-        # the PDPT's PDs (a DLP cache's global PD stays 0; a
-        # Global-Protection cache has no PDPT).  Equal PDs also clamp
-        # alike, min(PD, pl_max): no PD exceeds its lane's pd_max, which
-        # is its pl_max.
+        # Split by what the next window decides: LRU's for an inert
+        # member, else what its PD state reads, the global PD and the
+        # PDPT's PDs (a DLP cache's global PD stays 0).  Equal PDs also
+        # clamp alike, min(PD, pl_max): no PD exceeds its lane's pd_max,
+        # which is its pl_max.
         split: Dict[Tuple[int, ...], List[FastL1DCache]] = {}
         for cache in self.members:
             cache._end_sample()
-            split.setdefault((cache._gpd, *cache._pdl), []).append(cache)
+            if cache._pl_max <= cache._assoc:
+                state = self.lru_state
+            else:
+                state = (cache._gpd, *cache._pdl)
+            split.setdefault(state, []).append(cache)
         if len(split) > 1:
             self.members, *forked = split.values()
             for group in forked:
@@ -140,7 +182,15 @@ class _SharedBarrier:
 
 
 def _copy_cache(src: FastL1DCache, dst: FastL1DCache) -> None:
-    """Copy one cache's full observable end state onto a duplicate lane."""
+    """Copy the end state of a pass from its leader onto another member.
+
+    The PDs stay the member's own: it applied its own Figure 9 update at
+    every barrier, and Global-Protection's ``global_pd`` statistic reads
+    its global PD.  The PLs are the leader's.  They differ from a
+    member's own only in a pass an inert lane shared, by values of at
+    most ``assoc`` that never decide a victim (see
+    :class:`_SharedBarrier`), and no replay result reads them.
+    """
     for name in _COPY_INTS:
         setattr(dst, name, getattr(src, name))
     for name in _COPY_LISTS:
@@ -156,7 +206,8 @@ def _copy_cache(src: FastL1DCache, dst: FastL1DCache) -> None:
 
 def _run_group(group: Sequence[ReplayEngine], parts: TracePartitions) -> None:
     """Drive lanes of one :func:`_lane_key` through the shared
-    partitions: one kernel pass per SM, forked where PD states diverge."""
+    partitions: one kernel pass per SM, forked where the lanes'
+    decisions can diverge."""
     for sm_id in range(len(group[0].caches)):
         lead = group[0].caches[sm_id]
         part = parts.get(sm_id, lead._num_sets, lead.geometry.index_fn)

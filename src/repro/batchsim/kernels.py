@@ -19,7 +19,7 @@ they rely on are:
   ``sample_limit`` records of the original interleaving: the cache's
   own ``_end_sample`` for a lane alone in its pass, or the shared
   barrier of :mod:`repro.batchsim.engine` that applies each member's
-  update and forks the members whose PDs diverge.
+  update and forks the members whose decisions can diverge.
 * **Resumable windows.**  Everything a kernel carries from one window
   to the next — the per-set way tuples, the per-set VTA dicts and the
   running counters — lives in a :class:`Carry`; the PDPT and the

@@ -79,8 +79,8 @@ class ProtectionKnobs:
                 f"bypass_enabled must be a bool, 0 or 1, got "
                 f"{self.bypass_enabled!r}"
             )
-        if self.pd_bits < 0:
-            raise ValueError(f"pd_bits must be non-negative, got {self.pd_bits}")
+        if self.pd_bits < 1:
+            raise ValueError(f"pd_bits must be positive, got {self.pd_bits}")
         if self.sample_limit < 1:
             raise ValueError("sample access limit must be positive")
         if self.insn_sample_limit < 1:

@@ -85,6 +85,7 @@ class TestRunGrid:
         (GridAxis("pl", (2, 6)), "its knobs are .*nasc"),
         (GridAxis("nasc", (0, -1)), "Nasc must be non-negative"),
         (GridAxis("nasc", (1.5,)), "nasc must be an integer"),
+        (GridAxis("pd_bits", (0, 2)), "pd_bits must be positive"),
     ])
     def test_bad_knob_refused_before_capture(self, tmp_path, engine, axis,
                                              match):
@@ -118,4 +119,20 @@ def test_cli_refuses_a_non_integer_grid_knob(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "nasc must be an integer" in err[0]
+    assert not any(traces.rglob("*"))
+
+
+def test_cli_refuses_a_zero_pd_width(tmp_path, capsys):
+    """``pd_bits=0`` leaves no Protected Life field to build: refused at
+    admission, before any capture, not by every policy build after it."""
+    from repro.cli import main
+
+    traces = tmp_path / "traces"
+    code = main(["sweep", "--apps", "MM", "--replay", "--sms", "1",
+                 "--scale", "0.1", "--engine", "batch", "--schemes",
+                 "global_protection", "--grid", "pd_bits=0:2",
+                 "--trace-dir", str(traces)])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "pd_bits must be positive" in err[0]
     assert not any(traces.rglob("*"))

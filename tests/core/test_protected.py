@@ -61,6 +61,7 @@ class TestRangeChecks:
         {"vta_assoc": 0},
         {"nasc": -1},
         {"pd_bits": -1},
+        {"pd_bits": 0},
         {"pd_bits": "4"},
         {"sample_limit": 2.5},
         {"nasc": 1.5},
@@ -77,9 +78,9 @@ class TestRangeChecks:
         {"insn_sample_limit": 1},
         {"vta_assoc": 1},
         {"nasc": 0},
+        {"pd_bits": 1},
         {"pd_bits": 2},
         {"pd_bits": 6},
-        {"pd_bits": 0},
         {"bypass_enabled": False},
         {"bypass_enabled": 0},
         {"bypass_enabled": 1},

@@ -170,6 +170,7 @@ class TestPolicyKnobs:
         ("dlp", {"sample_limit": 0}),
         ("dlp", {"nasc": "four"}),
         ("dlp", {"pd_bits": "4"}),
+        ("global_protection", {"pd_bits": 0}),
     ])
     def test_rejects_knobs_the_scheme_does_not_take(self, scheme, knobs):
         replay = replay_request(["MM"], [scheme])
