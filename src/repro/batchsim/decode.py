@@ -86,7 +86,7 @@ class SmColumns:
     """
 
     __slots__ = ("sm_id", "n", "blocks", "pcs", "insns", "writes", "warps",
-                 "max_insn", "_records")
+                 "_records")
 
     def __init__(self, sm_id: int, blocks: "np.ndarray", pcs: "np.ndarray",
                  writes: "np.ndarray", warps: "np.ndarray") -> None:
@@ -103,10 +103,8 @@ class SmColumns:
                 dtype=np.int64, count=unique.size,
             )
             self.insns = table[inverse]
-            self.max_insn = int(table.max())
         else:
             self.insns = np.zeros(0, dtype=np.int64)
-            self.max_insn = 0
         self._records: Optional[List[TraceRecord]] = None
 
     def records(self) -> List[TraceRecord]:
@@ -325,7 +323,6 @@ class TracePartitions:
 
     def __init__(self, columns: Sequence[SmColumns]) -> None:
         self.columns = list(columns)
-        self.max_insn = max((c.max_insn for c in self.columns), default=0)
         self._cache: Dict[Tuple[int, int, str], SmPartition] = {}
 
     def get(self, sm_id: int, num_sets: int, index_fn: str) -> SmPartition:

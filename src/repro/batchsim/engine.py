@@ -211,7 +211,7 @@ def _run_group(group: Sequence[ReplayEngine], parts: TracePartitions) -> None:
     for sm_id in range(len(group[0].caches)):
         lead = group[0].caches[sm_id]
         part = parts.get(sm_id, lead._num_sets, lead.geometry.index_fn)
-        kernel = get_kernel(kernel_key(lead, parts.max_insn))
+        kernel = get_kernel(kernel_key(lead))
         if lead._protected:
             windows, full = part.windows(lead._acc_limit)
         else:

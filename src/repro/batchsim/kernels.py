@@ -116,15 +116,12 @@ class Carry:
         return dup
 
 
-def kernel_key(cache: FastL1DCache, max_insn: int) -> Tuple[Any, ...]:
+def kernel_key(cache: FastL1DCache) -> Tuple[Any, ...]:
     """The kernel specialization key for one lane's cache."""
     if not cache._protected:
         return (UNPROTECTED, cache._assoc)
     kind = DLP if cache._kind == KIND_DLP else GLOBAL
-    # hash_pc folds PCs to 7 bits, so with the stock 128-entry PDPT the
-    # ``% pdpt_n`` folds are identities and the kernel drops them.
-    nomod = kind != DLP or max_insn < cache._pdpt_n
-    return (kind, cache._assoc, cache._bypass_enabled, nomod)
+    return (kind, cache._assoc, cache._bypass_enabled)
 
 
 def get_kernel(key: Tuple[Any, ...]) -> Kernel:
@@ -132,8 +129,7 @@ def get_kernel(key: Tuple[Any, ...]) -> Kernel:
 
 
 @lru_cache(maxsize=None)
-def _build(kind: str, assoc: int, bypass_enabled: bool = False,
-           nomod: bool = True) -> Kernel:
+def _build(kind: str, assoc: int, bypass_enabled: bool = False) -> Kernel:
     a = assoc
     prot = kind != UNPROTECTED
     dlp = kind == DLP
@@ -184,7 +180,6 @@ def _build(kind: str, assoc: int, bypass_enabled: bool = False,
              "pdv = cache._pdv",
              "pdl = cache._pdl",
              "pdu = cache._pdu",
-             "pdpt_n = cache._pdpt_n",
              "tda_max = cache._tda_hit_max",
              "vta_max = cache._vta_hit_max")
     elif prot:
@@ -238,13 +233,14 @@ def _build(kind: str, assoc: int, bypass_enabled: bool = False,
         emit(4, f"if b{k} == block:")
         emit(5, "hits += 1")
         if dlp:
+            # Instruction IDs are 7-bit hash_pc values and the PDPT has
+            # 128 entries, so an ID indexes the PDPT as it is.
             emit(5,
-                 f"i = i{k}" if nomod else f"i = i{k} % pdpt_n",
-                 "if pdt[i] < tda_max:",
-                 "    pdt[i] += 1",
-                 "pdu[i] = True",
+                 f"if pdt[i{k}] < tda_max:",
+                 f"    pdt[i{k}] += 1",
+                 f"pdu[i{k}] = True",
                  f"i{k} = insn",
-                 "pd = pdl[insn]" if nomod else "pd = pdl[insn % pdpt_n]",
+                 "pd = pdl[insn]",
                  f"d{k} = pd if pd < pl_max else pl_max",
                  f"s{k} = t")
         elif prot:
@@ -278,10 +274,9 @@ def _build(kind: str, assoc: int, bypass_enabled: bool = False,
         emit(6, "vta_hits += 1")
         if dlp:
             emit(6,
-                 "i = ent" if nomod else "i = ent % pdpt_n",
-                 "if pdv[i] < vta_max:",
-                 "    pdv[i] += 1",
-                 "pdu[i] = True")
+                 "if pdv[ent] < vta_max:",
+                 "    pdv[ent] += 1",
+                 "pdu[ent] = True")
         emit(5, "if victim < 0:")
         if bypass_enabled:
             emit(6, "bypasses += 1", "break")
@@ -310,7 +305,7 @@ def _build(kind: str, assoc: int, bypass_enabled: bool = False,
         emit(6, *(f"s{k} -= retries" for k in ways))
         if dlp:
             emit(5,
-                 "pd = pdl[insn]" if nomod else "pd = pdl[insn % pdpt_n]",
+                 "pd = pdl[insn]",
                  "pl = pd if pd < pl_max else pl_max")
         else:
             emit(5, "pl = gpd")

@@ -1,7 +1,9 @@
 """Parallel sweep executor: fan an experiment grid across processes.
 
 The unit of work is a :class:`Cell` — one ``(workload, scheme, config)``
-simulation.  :class:`SweepExecutor` resolves each cell against a result
+point, simulated on the timing model or, in replay mode, replayed from
+its recorded trace by :class:`repro.trace.sweep.ReplaySweepExecutor`.
+:class:`SweepExecutor` resolves each timing cell against a result
 store (see :mod:`repro.experiments.store`) and only simulates the
 misses, either serially in-process (``jobs=1``) or on a
 :class:`~concurrent.futures.ProcessPoolExecutor` (``jobs>=2``).
@@ -22,19 +24,38 @@ Correctness invariants (enforced by the differential oracle in
 
 from __future__ import annotations
 
+import dataclasses
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.gpu.config import GPUConfig
 from repro.gpu.simulator import SimResult
-from repro.experiments.store import MemoryStore, cell_fingerprint, cell_key
+from repro.experiments.store import (
+    MemoryStore,
+    cell_fingerprint,
+    cell_key,
+    replay_cell_fingerprint,
+    replay_cell_key,
+)
 from repro.utils.rng import derive_seed
+
+#: A cell runs in one of two modes; the mode picks the worker entry
+#: point (:func:`simulate_cell`, or the replay sweep executor) and the
+#: key namespace (:func:`cell_key` or :func:`replay_cell_key`).
+MODE_SIM = "sim"
+MODE_REPLAY = "replay"
 
 
 @dataclass(frozen=True)
 class Cell:
     """One experiment-grid cell, hashable and picklable.
+
+    The one description of a cell for the sweep executors and the
+    service: its machine, store key, fingerprint and store meta are
+    computed here and nowhere else.  ``mode`` says whether the cell is
+    simulated on the timing model (``"sim"``) or replayed from its
+    recorded trace (``"replay"``).
 
     ``policy_kwargs`` is a sorted tuple of ``(name, value)`` pairs so the
     cell stays hashable; build cells through :meth:`make` to get the
@@ -55,6 +76,12 @@ class Cell:
     policy_kwargs: Tuple[Tuple[str, Any], ...] = ()
     config: Optional[GPUConfig] = None
     engine: str = "reference"
+    mode: str = MODE_SIM
+    #: The content address, stored by the first :meth:`key` call: a
+    #: warm service request asks for it several times, and the cell is
+    #: frozen.
+    _key: Optional[str] = field(default=None, init=False, repr=False,
+                                compare=False)
 
     @classmethod
     def make(
@@ -67,6 +94,7 @@ class Cell:
         max_cycles: Optional[int] = None,
         config: Optional[GPUConfig] = None,
         engine: str = "reference",
+        mode: str = MODE_SIM,
         **policy_kwargs,
     ) -> "Cell":
         return cls(
@@ -79,48 +107,91 @@ class Cell:
             policy_kwargs=tuple(sorted(policy_kwargs.items())),
             config=config,
             engine=engine,
+            mode=mode,
         )
+
+    def cell(self, engine: str) -> "Cell":
+        """This cell on ``engine``; the key is unchanged."""
+        return self if engine == self.engine \
+            else dataclasses.replace(self, engine=engine)
 
     def resolved_config(self) -> GPUConfig:
         """Explicit config wins; otherwise the scaled harness machine."""
         return self.config if self.config is not None else GPUConfig().scaled(self.num_sms)
 
+    @property
+    def non_blocking(self) -> bool:
+        """Non-blocking L1D: part of the semantics, so (unlike the
+        engine) it enters the key, through the config."""
+        return self.config is not None and self.config.l1d.non_blocking
+
     def key(self) -> str:
-        return cell_key(
-            self.abbr,
-            self.scheme,
-            self.resolved_config(),
-            scale=self.scale,
-            seed=self.seed,
-            max_cycles=self.max_cycles,
-            policy_kwargs=dict(self.policy_kwargs),
-        )
+        """Content address; the service coalesces on it."""
+        if self._key is not None:
+            return self._key
+        kwargs = dict(self.policy_kwargs)
+        if self.mode == MODE_REPLAY:
+            key = replay_cell_key(
+                self.abbr, self.scheme, self.resolved_config(),
+                scale=self.scale, seed=self.seed, policy_kwargs=kwargs,
+            )
+        else:
+            key = cell_key(
+                self.abbr, self.scheme, self.resolved_config(),
+                scale=self.scale, seed=self.seed,
+                max_cycles=self.max_cycles, policy_kwargs=kwargs,
+            )
+        object.__setattr__(self, "_key", key)
+        return key
 
     def meta(self) -> Dict[str, Any]:
-        """Human-readable store metadata (what ``repro store ls`` shows)."""
-        return {
+        """Human-readable store metadata (what ``repro store ls`` shows),
+        the same whoever writes the entry."""
+        meta: Dict[str, Any] = {
             "abbr": self.abbr,
             "scheme": self.scheme,
             "num_sms": self.resolved_config().num_sms,
             "scale": self.scale,
             "seed": self.seed,
         }
+        if self.mode == MODE_REPLAY:
+            meta["mode"] = MODE_REPLAY
+        if self.non_blocking:
+            meta["non_blocking"] = True
+        return meta
 
     def fingerprint(self) -> Dict[str, Any]:
         """The cell's full content-addressed identity (JSON data)."""
+        kwargs = dict(self.policy_kwargs)
+        if self.mode == MODE_REPLAY:
+            return replay_cell_fingerprint(
+                self.abbr, self.scheme, self.resolved_config(),
+                scale=self.scale, seed=self.seed, policy_kwargs=kwargs,
+            )
         return cell_fingerprint(
-            self.abbr,
-            self.scheme,
-            self.resolved_config(),
-            scale=self.scale,
-            seed=self.seed,
-            max_cycles=self.max_cycles,
-            policy_kwargs=dict(self.policy_kwargs),
+            self.abbr, self.scheme, self.resolved_config(),
+            scale=self.scale, seed=self.seed, max_cycles=self.max_cycles,
+            policy_kwargs=kwargs,
         )
+
+    def describe(self) -> Dict[str, Any]:
+        """Compact JSON identity (the service's job documents)."""
+        out = {
+            "mode": self.mode,
+            "app": self.abbr,
+            "scheme": self.scheme,
+            "sms": self.num_sms,
+            "scale": self.scale,
+            "seed": self.seed,
+            "key": self.key(),
+        }
+        if self.non_blocking:
+            out["non_blocking"] = True
+        return out
 
 
 class CellExecutionError(RuntimeError):
-    """One cell's simulation failed inside a worker.
+    """One cell's simulation or replay failed.
 
     A bare ``ProcessPoolExecutor`` traceback says *that* a worker died
     but not *which cell* killed it — useless in a 40-cell sweep and
@@ -128,7 +199,7 @@ class CellExecutionError(RuntimeError):
     exception with the failing cell's identity: the human-readable
     summary in the message, and the full content-addressed
     :meth:`Cell.fingerprint` for machine consumers (``repro.serve``
-    returns it verbatim in failed-job responses).
+    returns :meth:`payload` as a failed job's ``error``).
     """
 
     def __init__(self, cell: Cell, key: str, cause: BaseException) -> None:
@@ -146,9 +217,19 @@ class CellExecutionError(RuntimeError):
         """Machine-readable failure description (service job payloads)."""
         return {
             "key": self.key,
+            "unit": self.cell.describe(),
             "fingerprint": self.cell.fingerprint(),
             "error": f"{type(self.cause).__name__}: {self.cause}",
         }
+
+
+def check_mode(cells: Sequence[Cell], mode: str) -> None:
+    """Refuse a cell of another mode: its key names another experiment,
+    so its result would answer that experiment from the store."""
+    for cell in cells:
+        if cell.mode != mode:
+            raise ValueError(f"{cell.abbr}/{cell.scheme} is a {cell.mode} "
+                             f"cell; this executor runs {mode} cells")
 
 
 def simulate_cell(cell: Cell) -> Dict[str, Any]:
@@ -226,6 +307,7 @@ class SweepExecutor:
         misses fan out across the worker pool when ``jobs >= 2``.
         """
         cells = list(cells)
+        check_mode(cells, MODE_SIM)
         keys = [cell.key() for cell in cells]
         resolved: Dict[str, SimResult] = {}
         pending: Dict[str, Cell] = {}

@@ -178,19 +178,35 @@ def replay_cell_key(
     seed: int = 0,
     policy_kwargs: Optional[Mapping[str, Any]] = None,
 ) -> str:
-    """Content-address of one *replayed* cell.
+    """Content-address of one *replayed* cell: SHA-256 over
+    :func:`replay_cell_fingerprint`."""
+    fp = replay_cell_fingerprint(abbr, scheme, config, scale, seed,
+                                 policy_kwargs)
+    return hashlib.sha256(canonical_json(fp).encode("utf-8")).hexdigest()
+
+
+def replay_cell_fingerprint(
+    abbr: str,
+    scheme: str,
+    config: GPUConfig,
+    scale: float = 1.0,
+    seed: int = 0,
+    policy_kwargs: Optional[Mapping[str, Any]] = None,
+) -> Dict[str, Any]:
+    """The full identity of one *replayed* cell, as plain JSON data.
 
     Replay results live in the same stores as timing results but under a
     distinct mode tag — a trace-driven functional replay and a full
     timing simulation of the same cell are different experiments and
-    must never collide.
+    must never collide.  Replay has no cycle cap, so ``max_cycles`` is
+    always ``None``.
     """
     fp = cell_fingerprint(
         abbr, scheme, config, scale, seed, None, policy_kwargs,
     )
     fp["mode"] = "replay"
     fp["trace_version"] = TRACE_VERSION
-    return hashlib.sha256(canonical_json(fp).encode("utf-8")).hexdigest()
+    return fp
 
 
 @dataclass

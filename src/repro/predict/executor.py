@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence, Union
 
+from repro.experiments.executor import Cell
 from repro.experiments.store import trace_key
 from repro.gpu.config import GPUConfig
 from repro.predict.calibrate import Calibration, default_calibration
@@ -79,17 +80,13 @@ class PredictSweepExecutor:
         )
         self.trace_dir = Path(trace_dir) if trace_dir is not None else None
         self._profiles: Dict[str, PredictProfile] = {}
-        # A prediction is a pure function of (stream, scheme, geometry,
-        # policy kwargs), so repeated cells — the serve tier-0 steady
-        # state — are answered from this memo in microseconds.
-        self._predictions: Dict[tuple, Prediction] = {}
+        # A prediction is a pure function of the cell (stream, scheme,
+        # geometry, policy kwargs), so repeated cells — the serve tier-0
+        # steady state — are answered from this memo in microseconds.
+        self._predictions: Dict[Cell, Prediction] = {}
         self.stats = PredictSweepStats()
 
     # ------------------------------------------------------------------
-
-    def _resolved_config(self, num_sms: int) -> GPUConfig:
-        return self.config if self.config is not None \
-            else GPUConfig().scaled(num_sms)
 
     def profile_for(self, abbr: str, config: GPUConfig,
                     scale: float, seed: int) -> PredictProfile:
@@ -120,19 +117,23 @@ class PredictSweepExecutor:
         seed: int = 0,
         **policy_kwargs: Any,
     ) -> Prediction:
-        abbr = abbr.upper()
-        config = self._resolved_config(num_sms)
-        memo_key = (abbr, scheme, num_sms, scale, seed,
-                    tuple(sorted(policy_kwargs.items())))
-        cached = self._predictions.get(memo_key)
+        return self.predict_cell(Cell.make(
+            abbr, scheme, num_sms=num_sms, scale=scale, seed=seed,
+            config=self.config, **policy_kwargs))
+
+    def predict_cell(self, cell: Cell) -> Prediction:
+        """One cell's prediction, on the cell's own machine."""
+        cached = self._predictions.get(cell)
         if cached is not None:
             self.stats.prediction_hits += 1
             return copy.deepcopy(cached)
-        profile = self.profile_for(abbr, config, scale, seed)
-        prediction = predict(profile, scheme, config,
-                             calibration=self.calibration, **policy_kwargs)
+        config = cell.resolved_config()
+        profile = self.profile_for(cell.abbr, config, cell.scale, cell.seed)
+        prediction = predict(profile, cell.scheme, config,
+                             calibration=self.calibration,
+                             **dict(cell.policy_kwargs))
         self.stats.predicted += 1
-        self._predictions[memo_key] = copy.deepcopy(prediction)
+        self._predictions[cell] = copy.deepcopy(prediction)
         return prediction
 
     def run_sweep(

@@ -6,7 +6,8 @@ re-simulation unless a store is warm, one caller at a time.  This
 package turns the same engines into a service:
 
 * :mod:`repro.serve.protocol` — job request/response shapes and their
-  validation (a job is one cell, a sweep grid, or a trace replay);
+  validation (a job is one cell, a sweep grid, or a trace replay; each
+  unit is a :class:`repro.experiments.executor.Cell`);
 * :mod:`repro.serve.scheduler` — the core: one scheduler over a
   bounded ``ProcessPoolExecutor``.  Identical in-flight requests are
   **coalesced** onto one execution keyed by the store's content
@@ -32,13 +33,8 @@ alter what a simulation produces, only when and where it runs.
 
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.metrics import LatencyHistogram, ServeMetrics
-from repro.serve.protocol import (
-    JobRequest,
-    ProtocolError,
-    UnitSpec,
-    parse_job_request,
-)
-from repro.serve.scheduler import Scheduler, UnitExecutionError
+from repro.serve.protocol import JobRequest, ProtocolError, parse_job_request
+from repro.serve.scheduler import Scheduler
 from repro.serve.server import ServerThread, serve_async
 
 __all__ = [
@@ -50,8 +46,6 @@ __all__ = [
     "ServeError",
     "ServeMetrics",
     "ServerThread",
-    "UnitExecutionError",
-    "UnitSpec",
     "parse_job_request",
     "serve_async",
 ]

@@ -203,8 +203,14 @@ class ServeClient:
     def wait(self, job_id: str, timeout: float = 300.0,
              poll: float = 0.05, raise_on_failure: bool = True,
              ) -> Dict[str, Any]:
-        """Poll until the job settles; returns its final status doc."""
+        """Poll until the job settles; returns its final status doc.
+
+        The first sleep is 5 ms and each next one doubles, up to
+        ``poll``: a job that settles in a few ms is seen within a few ms,
+        and a long one costs a poll every ``poll`` seconds.
+        """
         deadline = wallclock.monotonic() + timeout
+        delay = 0.005
         while True:
             doc = self.status(job_id)
             if doc.get("state") in TERMINAL_STATES:
@@ -216,7 +222,8 @@ class ServeClient:
                     f"job {job_id} still {doc.get('state')!r} "
                     f"after {timeout:g}s"
                 )
-            time.sleep(poll)
+            time.sleep(min(delay, poll))
+            delay *= 2
 
     def run(self, job_body: Dict[str, Any], timeout: float = 300.0,
             ) -> Dict[str, Any]:

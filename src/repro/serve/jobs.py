@@ -10,9 +10,9 @@ bit-identical.
 
 Worker entry points:
 
-* timing units reuse :func:`repro.experiments.executor.simulate_cell`
+* timing cells reuse :func:`repro.experiments.executor.simulate_cell`
   directly (same function the sweep executor ships to its pool);
-* replay units run :func:`replay_unit`, which resolves the cell
+* replay cells run :func:`replay_unit`, which resolves the cell
   through the replay sweep executor (record-once through an optional
   shared trace directory);
 * tier-0 analytical answers come from :func:`predict_unit`, which keeps
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.gpu.config import GPUConfig
+from repro.experiments.executor import Cell
 from repro.serve.protocol import PRIORITY_NAMES, JobRequest
 from repro.utils import wallclock
 
@@ -93,9 +93,9 @@ class Job:
 # worker-process entry points (module-level: must be picklable)
 # ----------------------------------------------------------------------
 
-def replay_unit(spec: Dict[str, Any],
+def replay_unit(cell: Cell,
                 trace_dir: Optional[str] = None) -> Dict[str, Any]:
-    """Replay one ``(app, scheme)`` cell; returns the serialized result.
+    """Replay one cell on its engine; returns the serialized result.
 
     The cell resolves through a
     :class:`~repro.trace.sweep.ReplaySweepExecutor`.  With a
@@ -109,18 +109,9 @@ def replay_unit(spec: Dict[str, Any],
     """
     from repro.trace.sweep import ReplaySweepExecutor
 
-    config = GPUConfig().scaled(spec["num_sms"])
-    if spec.get("non_blocking"):
-        config = config.with_l1d(non_blocking=True)
-    executor = ReplaySweepExecutor(
-        trace_dir=trace_dir or None, config=config,
-        engine=spec.get("engine", "reference"),
-    )
-    result = executor.run_cell(
-        spec["abbr"], spec["scheme"], scale=spec["scale"], seed=spec["seed"],
-        **dict(spec["policy_kwargs"]),
-    )
-    return result.to_dict()
+    executor = ReplaySweepExecutor(trace_dir=trace_dir or None,
+                                   engine=cell.engine)
+    return executor.run_cells([cell])[0].to_dict()
 
 
 #: Per-process predictor cache, keyed by trace directory: worker
@@ -129,9 +120,9 @@ def replay_unit(spec: Dict[str, Any],
 _PREDICTORS: Dict[Optional[str], Any] = {}
 
 
-def predict_unit(spec: Dict[str, Any],
+def predict_unit(cell: Cell,
                  trace_dir: Optional[str] = None) -> Dict[str, Any]:
-    """Answer one ``(app, scheme)`` cell analytically (tier-0).
+    """Answer one cell analytically (tier-0).
 
     Returns :meth:`repro.predict.model.Prediction.to_dict` — flagged
     ``tier: "analytical"`` and carrying the calibration's error bars —
@@ -145,12 +136,4 @@ def predict_unit(spec: Dict[str, Any],
     if executor is None:
         executor = _PREDICTORS[trace_dir] = \
             PredictSweepExecutor(trace_dir=trace_dir)
-    prediction = executor.run_cell(
-        spec["abbr"],
-        spec["scheme"],
-        num_sms=spec["num_sms"],
-        scale=spec["scale"],
-        seed=spec["seed"],
-        **dict(spec["policy_kwargs"]),
-    )
-    return prediction.to_dict()
+    return executor.predict_cell(cell).to_dict()

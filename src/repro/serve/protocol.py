@@ -17,11 +17,12 @@ the background.  ``predict`` never changes a unit's identity or store
 key — the exact result lands under the same address it always had, and
 an analytical answer is never persisted.
 
-Units are identified by the result store's content addresses —
-:func:`repro.experiments.store.cell_key` for timing cells and
-:func:`~repro.experiments.store.replay_cell_key` for replay cells — so
-the scheduler's coalescing map, the on-disk store and the CLI all agree
-on what "the same request" means.
+Each unit is a :class:`repro.experiments.executor.Cell`, the same
+description the sweep executors run, identified by the result store's
+content address (:meth:`~repro.experiments.executor.Cell.key`) — so the
+scheduler's coalescing map, the on-disk store and the CLI all agree on
+what "the same request" means, and a unit's store entry is the one the
+CLI writes for that cell.
 
 Everything here is plain data + validation; no asyncio, no I/O.
 """
@@ -29,15 +30,10 @@ Everything here is plain data + validation; no asyncio, no I/O.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 from repro.core import check_policy_kwargs
-from repro.experiments.executor import Cell
-from repro.experiments.store import (
-    TRACE_VERSION,
-    cell_fingerprint,
-    replay_cell_key,
-)
+from repro.experiments.executor import MODE_REPLAY, MODE_SIM, Cell
 from repro.gpu.config import GPUConfig
 from repro.experiments.runner import SCHEME_LABELS
 from repro.workloads.registry import WORKLOADS
@@ -59,134 +55,9 @@ PRIORITY_NAMES: Dict[str, int] = {
 
 JOB_KINDS = ("cell", "sweep", "replay")
 
-#: Units execute in one of two modes; the mode picks the worker entry
-#: point and the key namespace.
-MODE_SIM = "sim"
-MODE_REPLAY = "replay"
-
 
 class ProtocolError(ValueError):
     """A malformed or unsatisfiable job request (HTTP 400)."""
-
-
-@dataclass(frozen=True)
-class UnitSpec:
-    """One schedulable cell of work, hashable and JSON-representable."""
-
-    mode: str                     # MODE_SIM | MODE_REPLAY
-    abbr: str
-    scheme: str
-    num_sms: int = 4
-    scale: float = 1.0
-    seed: int = 0
-    max_cycles: Optional[int] = None
-    policy_kwargs: Tuple[Tuple[str, Any], ...] = ()
-    #: Non-blocking L1D mode.  Part of the semantics, so (unlike the
-    #: engine) it flows into the cell's config and its store key.
-    non_blocking: bool = False
-    #: The content address, stored by the first :meth:`key` call: a
-    #: warm request asks for it several times, and the unit is frozen.
-    _key: Optional[str] = field(default=None, init=False, repr=False,
-                                compare=False)
-
-    def _config(self) -> Optional[GPUConfig]:
-        if not self.non_blocking:
-            return None
-        return GPUConfig().scaled(self.num_sms).with_l1d(non_blocking=True)
-
-    def cell(self, engine: str = "reference") -> Cell:
-        """The executor-level cell (timing-simulation units only).
-
-        ``engine`` is the scheduler's deployment-wide L1D engine choice;
-        it never enters the cell's key (the engines are bit-identical).
-        """
-        return Cell.make(
-            self.abbr,
-            self.scheme,
-            num_sms=self.num_sms,
-            scale=self.scale,
-            seed=self.seed,
-            max_cycles=self.max_cycles,
-            config=self._config(),
-            engine=engine,
-            **dict(self.policy_kwargs),
-        )
-
-    def key(self) -> str:
-        """Content address; the scheduler coalesces on this."""
-        if self._key is not None:
-            return self._key
-        if self.mode == MODE_REPLAY:
-            key = replay_cell_key(
-                self.abbr,
-                self.scheme,
-                self.cell().resolved_config(),
-                scale=self.scale,
-                seed=self.seed,
-                policy_kwargs=dict(self.policy_kwargs),
-            )
-        else:
-            key = self.cell().key()
-        object.__setattr__(self, "_key", key)
-        return key
-
-    def fingerprint(self) -> Dict[str, Any]:
-        """Full content-addressed identity (failed-job payloads)."""
-        fp = cell_fingerprint(
-            self.abbr,
-            self.scheme,
-            self.cell().resolved_config(),
-            scale=self.scale,
-            seed=self.seed,
-            max_cycles=self.max_cycles,
-            policy_kwargs=dict(self.policy_kwargs),
-        )
-        if self.mode == MODE_REPLAY:
-            fp["mode"] = "replay"
-            fp["trace_version"] = TRACE_VERSION
-        return fp
-
-    def describe(self) -> Dict[str, Any]:
-        """Compact human/JSON-facing identity (job status payloads)."""
-        out = {
-            "mode": self.mode,
-            "app": self.abbr,
-            "scheme": self.scheme,
-            "sms": self.num_sms,
-            "scale": self.scale,
-            "seed": self.seed,
-            "key": self.key(),
-        }
-        if self.non_blocking:
-            out["non_blocking"] = True
-        return out
-
-    def meta(self) -> Dict[str, Any]:
-        """Store metadata, matching what the sweep executors write."""
-        meta = {
-            "abbr": self.abbr,
-            "scheme": self.scheme,
-            "num_sms": self.num_sms,
-            "scale": self.scale,
-            "seed": self.seed,
-        }
-        if self.mode == MODE_REPLAY:
-            meta["mode"] = "replay"
-        if self.non_blocking:
-            meta["non_blocking"] = True
-        return meta
-
-    def worker_payload(self) -> Dict[str, Any]:
-        """Picklable argument for the replay worker entry point."""
-        return {
-            "abbr": self.abbr,
-            "scheme": self.scheme,
-            "num_sms": self.num_sms,
-            "scale": self.scale,
-            "seed": self.seed,
-            "policy_kwargs": dict(self.policy_kwargs),
-            "non_blocking": self.non_blocking,
-        }
 
 
 @dataclass
@@ -195,7 +66,7 @@ class JobRequest:
 
     kind: str
     priority: int
-    units: List[UnitSpec] = field(default_factory=list)
+    units: List[Cell] = field(default_factory=list)
     #: Tier-0 serving: answer every cold unit analytically (instant,
     #: flagged ``tier: "analytical"`` with error bars) and let the
     #: scheduler refine it to an exact result in the background.  Never
@@ -355,18 +226,14 @@ def parse_job_request(payload: Any) -> JobRequest:
         _check_policy_kwargs(schemes, policy_kwargs, predict)
 
     mode = MODE_REPLAY if kind == "replay" else MODE_SIM
+    # Non-blocking mode is part of the semantics, so (unlike the engine)
+    # it enters each cell's config and so its store key.
+    config = GPUConfig().scaled(sms).with_l1d(non_blocking=True) \
+        if non_blocking else None
     units = [
-        UnitSpec(
-            mode=mode,
-            abbr=app,
-            scheme=scheme,
-            num_sms=sms,
-            scale=scale,
-            seed=seed,
-            max_cycles=max_cycles,
-            policy_kwargs=tuple(sorted(policy_kwargs.items())),
-            non_blocking=non_blocking,
-        )
+        Cell.make(app, scheme, num_sms=sms, scale=scale, seed=seed,
+                  max_cycles=max_cycles, config=config, mode=mode,
+                  **policy_kwargs)
         for app in apps
         for scheme in schemes
     ]

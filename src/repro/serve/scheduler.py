@@ -82,18 +82,18 @@ from concurrent.futures import BrokenExecutor, Executor, ProcessPoolExecutor
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
-from repro.experiments.executor import Cell, simulate_cell
+from repro.experiments.executor import (
+    MODE_REPLAY,
+    Cell,
+    CellExecutionError,
+    simulate_cell,
+)
 from repro.experiments.store import MemoryStore
 from repro.gpu.simulator import SimResult
 from repro.serve import jobs as jobstates
 from repro.serve.jobs import Job, predict_unit, replay_unit
 from repro.serve.metrics import ServeMetrics
-from repro.serve.protocol import (
-    MODE_REPLAY,
-    PRIORITY_REFINE,
-    JobRequest,
-    UnitSpec,
-)
+from repro.serve.protocol import PRIORITY_REFINE, JobRequest
 from repro.utils import wallclock
 
 
@@ -122,27 +122,6 @@ class JobTooLargeError(RuntimeError):
     """Submission refused for good (HTTP 413): the job has more cells
     than ``max_queued`` or than its client's ``burst``, so admission
     would refuse it however long the client waited."""
-
-
-class UnitExecutionError(RuntimeError):
-    """One unit failed; carries the cell's content-addressed identity."""
-
-    def __init__(self, spec: UnitSpec, key: str, cause: BaseException) -> None:
-        self.spec = spec
-        self.key = key
-        self.cause = cause
-        super().__init__(
-            f"unit {spec.abbr}/{spec.scheme} ({key[:12]}) failed: "
-            f"{type(cause).__name__}: {cause}"
-        )
-
-    def payload(self) -> Dict[str, Any]:
-        return {
-            "key": self.key,
-            "unit": self.spec.describe(),
-            "fingerprint": self.spec.fingerprint(),
-            "error": f"{type(self.cause).__name__}: {self.cause}",
-        }
 
 
 def shard_of(key: str, shards: int) -> int:
@@ -208,15 +187,15 @@ class _SharedPayload(Dict[str, Any]):
 class _CellEntry:
     """One in-flight cell execution, shared by all coalesced waiters."""
 
-    __slots__ = ("key", "spec", "future", "subscribers", "enqueued_at",
+    __slots__ = ("key", "cell", "future", "subscribers", "enqueued_at",
                  "started", "abandoned", "predicted_at", "client",
                  "priority", "requeues", "pool_gen")
 
-    def __init__(self, key: str, spec: UnitSpec,
+    def __init__(self, key: str, cell: Cell,
                  future: "asyncio.Future[Dict[str, Any]]",
                  priority: int, client: str) -> None:
         self.key = key
-        self.spec = spec
+        self.cell = cell
         self.future = future
         self.subscribers = 1
         self.enqueued_at = wallclock.monotonic()
@@ -250,8 +229,9 @@ class Scheduler:
     trace_dir:
         Shared trace directory for replay units (record-once).
     engine:
-        L1D implementation the workers run (``reference`` or ``fast``).
-        A deployment-wide choice, never part of a unit's content address
+        L1D implementation the workers run (``reference`` or ``fast``),
+        stamped on each cell it executes (:meth:`Cell.cell`).  A
+        deployment-wide choice, never part of a cell's content address
         — the engines are bit-identical, so cells computed by either
         resolve (and warm) the same store entries.
     pool / sim_fn / replay_fn / predict_fn:
@@ -293,10 +273,10 @@ class Scheduler:
                  pool: Optional[Executor] = None,
                  sim_fn: Callable[[Cell], Dict[str, Any]] = simulate_cell,
                  replay_fn: Callable[
-                     [Dict[str, Any], Optional[str]], Dict[str, Any]
+                     [Cell, Optional[str]], Dict[str, Any]
                  ] = replay_unit,
                  predict_fn: Callable[
-                     [Dict[str, Any], Optional[str]], Dict[str, Any]
+                     [Cell, Optional[str]], Dict[str, Any]
                  ] = predict_unit,
                  *, max_queued: int = 0,
                  rate: Optional[float] = None,
@@ -501,7 +481,7 @@ class Scheduler:
             job.state = jobstates.CANCELLED
             self.metrics.jobs_cancelled += 1
             await self._reap(tasks)
-        except UnitExecutionError as exc:
+        except CellExecutionError as exc:
             job.state = jobstates.FAILED
             job.error = exc.payload()
             self.metrics.jobs_failed += 1
@@ -528,7 +508,7 @@ class Scheduler:
 
     # -- unit resolution -----------------------------------------------
 
-    async def _resolve_unit(self, unit: UnitSpec, priority: int,
+    async def _resolve_unit(self, unit: Cell, priority: int,
                             predict: bool = False,
                             client: str = "anonymous") -> Dict[str, Any]:
         self.metrics.cells_requested += 1
@@ -554,7 +534,7 @@ class Scheduler:
         self._enqueue(entry)
         return await self._await_entry(entry)
 
-    async def _resolve_predicted(self, unit: UnitSpec, key: str,
+    async def _resolve_predicted(self, unit: Cell, key: str,
                                  client: str = "anonymous",
                                  ) -> Dict[str, Any]:
         """Tier-0: exact from the store if warm, else an instant
@@ -571,8 +551,7 @@ class Scheduler:
             pool_gen = self._pool_gen
             try:
                 payload = await loop.run_in_executor(
-                    self._pool, self._predict_fn,
-                    unit.worker_payload(), self.trace_dir,
+                    self._pool, self._predict_fn, unit, self.trace_dir,
                 )
                 break
             except asyncio.CancelledError:
@@ -584,7 +563,7 @@ class Scheduler:
                         attempts += 1
                         continue
                 self.metrics.cells_failed += 1
-                raise UnitExecutionError(unit, key, exc) from exc
+                raise CellExecutionError(unit, key, exc) from exc
         self.metrics.predict_answers += 1
         self._ensure_refinement(unit, key, client)
         return payload
@@ -611,7 +590,7 @@ class Scheduler:
         shared.version = version
         return shared
 
-    def _ensure_refinement(self, unit: UnitSpec, key: str,
+    def _ensure_refinement(self, unit: Cell, key: str,
                            client: str = "anonymous") -> None:
         """Queue the exact execution behind an analytical answer (once
         per cell: a refinement or plain request already in flight is
@@ -683,20 +662,17 @@ class Scheduler:
 
     async def _execute(self, loop: asyncio.AbstractEventLoop,
                        entry: _CellEntry) -> None:
-        spec = entry.spec
+        cell = entry.cell.cell(self.engine)
         t0 = wallclock.monotonic()
         entry.pool_gen = self._pool_gen
         try:
-            if spec.mode == MODE_REPLAY:
-                worker_payload = dict(spec.worker_payload())
-                worker_payload["engine"] = self.engine
+            if cell.mode == MODE_REPLAY:
                 payload = await loop.run_in_executor(
-                    self._pool, self._replay_fn,
-                    worker_payload, self.trace_dir,
+                    self._pool, self._replay_fn, cell, self.trace_dir,
                 )
             else:
                 payload = await loop.run_in_executor(
-                    self._pool, self._sim_fn, spec.cell(self.engine)
+                    self._pool, self._sim_fn, cell
                 )
         except asyncio.CancelledError:
             raise
@@ -712,14 +688,14 @@ class Scheduler:
                     return
             self.metrics.cells_failed += 1
             self._settle(entry,
-                         error=UnitExecutionError(spec, entry.key, exc))
+                         error=CellExecutionError(cell, entry.key, exc))
             return
         self.metrics.cells_simulated += 1
-        self.metrics.sim_latency_for(spec.scheme).observe(
+        self.metrics.sim_latency_for(cell.scheme).observe(
             wallclock.monotonic() - t0
         )
         self.store.put(entry.key, SimResult.from_dict(payload),
-                       meta=spec.meta())
+                       meta=cell.meta())
         if entry.predicted_at is not None:
             self.metrics.supersede_latency.observe(
                 wallclock.monotonic() - entry.predicted_at

@@ -23,18 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union,
+    TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple,
+    Union,
 )
 
 if TYPE_CHECKING:  # pragma: no cover — typing only (lazy at runtime)
     from repro.batchsim.grid import GridAxis
 
 from repro.core import check_policy_kwargs
-from repro.experiments.store import (
-    MemoryStore,
-    replay_cell_key,
-    trace_key,
-)
+from repro.experiments.executor import MODE_REPLAY, Cell, check_mode
+from repro.experiments.store import MemoryStore, trace_key
 from repro.fastsim import validate_engine
 from repro.gpu.config import GPUConfig
 from repro.gpu.simulator import SimResult
@@ -108,13 +106,18 @@ class ReplaySweepExecutor:
         private in-memory record list (no file layer); point at a
         directory to persist traces in the binary format and share them
         across invocations and with the ``repro trace`` verbs.
+    config:
+        The machine of the cells :meth:`run_cell`, :meth:`run_sweep`
+        and :meth:`run_grid` build (``None``: the scaled harness
+        machine, :meth:`~repro.experiments.executor.Cell.resolved_config`).
+        :meth:`run_cells` takes each cell's own machine.
     engine:
         L1D implementation used for replays (``reference`` or ``fast``,
         any spelling :func:`~repro.fastsim.validate_engine` accepts).
         The engines are bit-identical, so the choice never enters trace
         keys or replay-result store keys — results computed by either
-        resolve the same entries.  Under ``fast``, each call replays an
-        app's uncached cells as lanes of one
+        resolve the same entries.  Under ``fast``, each call replays the
+        uncached cells of one stream and machine as lanes of one
         :func:`~repro.batchsim.engine.replay_batch` pass.
     """
 
@@ -129,10 +132,6 @@ class ReplaySweepExecutor:
         self.stats = ReplaySweepStats()
 
     # ------------------------------------------------------------------
-
-    def _resolved_config(self, num_sms: int) -> GPUConfig:
-        return self.config if self.config is not None \
-            else GPUConfig().scaled(num_sms)
 
     def _stream(self, abbr: str, config: GPUConfig, scale: float,
                 seed: int) -> Tuple[Union[TraceReader, List], bool]:
@@ -156,15 +155,11 @@ class ReplaySweepExecutor:
         self._memory_traces[key] = records
         return records, True
 
-    def _cell_meta(self, abbr: str, scheme: str, config: GPUConfig,
-                   scale: float, seed: int) -> Dict[str, object]:
-        meta: Dict[str, object] = {
-            "abbr": abbr, "scheme": scheme, "mode": "replay",
-            "num_sms": config.num_sms, "scale": scale, "seed": seed,
-        }
-        if config.l1d.non_blocking:
-            meta["non_blocking"] = True
-        return meta
+    def _cell(self, abbr: str, scheme: str, num_sms: int, scale: float,
+              seed: int, policy_kwargs: Dict[str, Any]) -> Cell:
+        return Cell.make(abbr, scheme, num_sms=num_sms, scale=scale,
+                         seed=seed, config=self.config, engine=self.engine,
+                         mode=MODE_REPLAY, **policy_kwargs)
 
     def run_cell(
         self,
@@ -175,37 +170,27 @@ class ReplaySweepExecutor:
         seed: int = 0,
         **policy_kwargs,
     ) -> SimResult:
-        return self._run_cells(abbr, [(scheme, policy_kwargs)],
-                               num_sms, scale, seed)[0]
+        return self.run_cells([self._cell(abbr, scheme, num_sms, scale,
+                                          seed, policy_kwargs)])[0]
 
-    def _run_cells(
-        self,
-        abbr: str,
-        cells: Sequence[Tuple[str, Dict[str, Any]]],
-        num_sms: int,
-        scale: float,
-        seed: int,
-    ) -> List[SimResult]:
-        """Resolve (scheme, policy_kwargs) cells of one app: the store
-        lookups, one capture-or-load of the app's stream for the misses,
-        the replays, then the store puts.
+    def run_cells(self, cells: Iterable[Cell]) -> List[SimResult]:
+        """Resolve replay cells, preserving input order: the store
+        lookups, then for the misses of each stream and machine one
+        capture-or-load of the stream and one replay, then the store
+        puts.
 
-        The fast engine replays the misses as lanes of one
+        The fast engine replays a group's misses as lanes of one
         :func:`~repro.batchsim.engine.replay_batch` pass (one decode,
         shared set partitions); the reference engine replays them one
         by one.  Keys, meta and results are the same on both engines.
         A cell listed twice replays once, and the repeat counts as a
         store hit.
         """
-        abbr = abbr.upper()
-        config = self._resolved_config(num_sms)
-        keys = [
-            replay_cell_key(abbr, scheme, config, scale=scale, seed=seed,
-                            policy_kwargs=policy_kwargs)
-            for scheme, policy_kwargs in cells
-        ]
+        cells = list(cells)
+        check_mode(cells, MODE_REPLAY)
+        keys = [cell.key() for cell in cells]
         results: Dict[str, SimResult] = {}
-        missing: Dict[str, Tuple[str, Dict[str, Any]]] = {}
+        missing: Dict[str, Cell] = {}
         for key, cell in zip(keys, cells):
             if key in missing:
                 self.stats.store_hits += 1
@@ -216,20 +201,24 @@ class ReplaySweepExecutor:
             else:
                 self.stats.store_hits += 1
                 results[key] = cached
-        if missing:
-            # A knob the scheme does not take fails here, before a trace
-            # is captured, not in the replay after it.
-            for scheme, policy_kwargs in missing.values():
-                check_policy_kwargs(scheme, policy_kwargs)
+        # A knob the scheme does not take fails here, before a trace is
+        # captured, not in the replay after it.
+        for cell in missing.values():
+            check_policy_kwargs(cell.scheme, dict(cell.policy_kwargs))
+        groups: Dict[Tuple[str, float, int, GPUConfig], Dict[str, Cell]] = {}
+        for key, cell in missing.items():
+            stream = (cell.abbr, cell.scale, cell.seed, cell.resolved_config())
+            groups.setdefault(stream, {})[key] = cell
+        for (abbr, scale, seed, config), group in groups.items():
             source, captured = self._stream(abbr, config, scale, seed)
             self.stats.recorded += captured
-            self.stats.trace_hits += len(missing) - captured
-            replayed = self._replay(source, list(missing.values()), config)
-            self.stats.replayed += len(missing)
-            for (key, (scheme, _)), result in zip(missing.items(), replayed):
-                self.store.put(key, result,
-                               meta=self._cell_meta(abbr, scheme, config,
-                                                    scale, seed))
+            self.stats.trace_hits += len(group) - captured
+            lanes = [(cell.scheme, dict(cell.policy_kwargs))
+                     for cell in group.values()]
+            replayed = self._replay(source, lanes, config)
+            self.stats.replayed += len(group)
+            for (key, cell), result in zip(group.items(), replayed):
+                self.store.put(key, result, meta=cell.meta())
                 results[key] = result
         return [results[key] for key in keys]
 
@@ -257,15 +246,16 @@ class ReplaySweepExecutor:
     ) -> Dict[str, Dict[str, SimResult]]:
         """The full app x scheme matrix as ``{app: {scheme: result}}``.
 
-        Iteration is app-major so each app's trace is captured exactly
-        once and immediately reused by every scheme."""
-        return {
-            app.upper(): dict(zip(schemes, self._run_cells(
-                app, [(scheme, dict(policy_kwargs)) for scheme in schemes],
-                num_sms, scale, seed,
-            )))
+        Each app's trace is captured at most once and replayed for
+        every scheme."""
+        apps = [app.upper() for app in apps]
+        flat = iter(self.run_cells(
+            self._cell(app, scheme, num_sms, scale, seed, policy_kwargs)
             for app in apps
-        }
+            for scheme in schemes
+        ))
+        return {app: {scheme: next(flat) for scheme in schemes}
+                for app in apps}
 
     def run_grid(
         self,
@@ -287,8 +277,11 @@ class ReplaySweepExecutor:
         from repro.batchsim.grid import cell_label, expand_grid
 
         combos = expand_grid(list(axes))
-        cells = [(scheme, {**base_kwargs, **combo}) for combo in combos]
-        replayed = self._run_cells(app, cells, num_sms, scale, seed)
+        replayed = self.run_cells(
+            self._cell(app, scheme, num_sms, scale, seed,
+                       {**base_kwargs, **combo})
+            for combo in combos
+        )
         return {
             cell_label(combo): result
             for combo, result in zip(combos, replayed)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import runner
-from repro.experiments.executor import Cell, SweepExecutor
+from repro.experiments.executor import MODE_REPLAY, Cell, SweepExecutor
 from repro.experiments.store import MemoryStore, ResultStore
 
 
@@ -30,6 +30,24 @@ class TestCell:
         cell = Cell.make("MM", "baseline", config=cfg)
         assert cell.resolved_config() is cfg
         assert cell.key() != Cell.make("MM", "baseline").key()
+
+
+class TestModes:
+    def test_each_executor_refuses_the_other_mode(self):
+        """A cell's key names its mode's experiment: run on the other
+        executor, its result would answer that experiment from the
+        store."""
+        from repro.trace.sweep import ReplaySweepExecutor
+
+        timing = Cell.make("MM", "dlp", num_sms=1, scale=0.1)
+        replay = Cell.make("MM", "dlp", num_sms=1, scale=0.1,
+                           mode=MODE_REPLAY)
+        store = MemoryStore()
+        for executor, cell in ((ReplaySweepExecutor(store=store), timing),
+                               (SweepExecutor(store), replay)):
+            with pytest.raises(ValueError, match="this executor runs"):
+                executor.run_cells([cell])
+        assert len(store) == 0
 
 
 class TestSweepShape:

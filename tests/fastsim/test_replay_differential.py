@@ -133,32 +133,56 @@ def test_replay_sweep_executor_identical():
 
 
 def test_serve_replay_unit_identical(tmp_path):
-    """The serve worker entry point honours the engine field in its
-    payload and stays bit-identical (shared trace dir exercised too)."""
+    """The serve worker entry point replays on the cell's engine and
+    stays bit-identical (shared trace dir exercised too)."""
+    from repro.experiments.executor import MODE_REPLAY
     from repro.serve.jobs import replay_unit
 
-    spec = {"abbr": "MM", "scheme": "dlp", "num_sms": 2, "scale": 0.4,
-            "seed": 0, "policy_kwargs": {}}
-    reference = replay_unit(dict(spec), str(tmp_path / "traces"))
-    fast = replay_unit(dict(spec, engine="fast"), str(tmp_path / "traces"))
+    cell = Cell.make("MM", "dlp", num_sms=2, scale=0.4, mode=MODE_REPLAY)
+    reference = replay_unit(cell, str(tmp_path / "traces"))
+    fast = replay_unit(cell.cell("fast"), str(tmp_path / "traces"))
     assert fast == reference
 
 
 def test_serve_scheduler_stamps_engine():
-    """The scheduler injects its deployment-wide engine into replay
-    worker payloads and timing cells."""
-    from repro.serve.protocol import MODE_REPLAY, MODE_SIM, UnitSpec
-    from repro.serve.scheduler import Scheduler
+    """The scheduler stamps its deployment-wide engine on the cells it
+    hands to the timing and the replay workers; the key it coalesces on
+    ignores the engine."""
+    from concurrent.futures import ThreadPoolExecutor
 
-    scheduler = Scheduler(engine="fast")
-    sim_spec = UnitSpec(mode=MODE_SIM, abbr="MM", scheme="dlp")
-    assert sim_spec.cell(scheduler.engine).engine == "fast"
-    # the key the scheduler coalesces on ignores the engine
-    assert sim_spec.cell("fast").key() == sim_spec.cell("reference").key()
-    replay_spec = UnitSpec(mode=MODE_REPLAY, abbr="MM", scheme="dlp")
-    payload = dict(replay_spec.worker_payload())
-    payload["engine"] = scheduler.engine
-    assert payload["engine"] == "fast"
+    from repro.serve.protocol import (
+        cell_request, parse_job_request, replay_request,
+    )
+    from repro.serve.scheduler import Scheduler
+    from tests.serve.test_scheduler import payload_for, run, settle
+
+    seen = []
+
+    def stub(cell, trace_dir=None):
+        seen.append((cell.mode, cell.engine, cell.key()))
+        return payload_for(cell)
+
+    requests = [parse_job_request(body) for body in (
+        cell_request("MM", "dlp", sms=1, scale=0.1),
+        replay_request(["MM"], ["dlp"], sms=1, scale=0.1),
+    )]
+
+    async def body():
+        scheduler = Scheduler(engine="fast", workers=1,
+                              pool=ThreadPoolExecutor(max_workers=1),
+                              sim_fn=stub, replay_fn=stub)
+        await scheduler.start()
+        try:
+            for request in requests:
+                job = await settle(scheduler.submit(request))
+                assert job.state == "done", job.error
+        finally:
+            await scheduler.shutdown()
+
+    run(body())
+    units = [request.units[0] for request in requests]
+    assert seen == [(unit.mode, "fast", unit.key()) for unit in units]
+    assert [unit.engine for unit in units] == ["reference", "reference"]
 
 
 def test_phase_profile_runs_and_compares():

@@ -12,7 +12,7 @@ from typing import List
 
 import pytest
 
-from repro.serve.client import ServeClient, ServeError
+from repro.serve.client import JobFailedError, ServeClient, ServeError
 from repro.utils.rng import DeterministicRng
 
 
@@ -120,3 +120,35 @@ class TestBackoffShape:
         b = ServeClient(retries=1, rng=DeterministicRng("same"))
         assert [a._backoff(i, None) for i in range(4)] \
             == [b._backoff(i, None) for i in range(4)]
+
+
+def polls(states, job_id="job-000001"):
+    """Scripted ``GET /jobs/<id>`` answers, one per state."""
+    return [(200, {"id": job_id, "state": state}, None) for state in states]
+
+
+class TestWaitBackoff:
+    @pytest.mark.parametrize("states, poll, expected", [
+        (["queued"] + ["running"] * 6 + ["done"], 0.05,
+         [0.005, 0.01, 0.02, 0.04, 0.05, 0.05, 0.05]),
+        (["running"] * 3 + ["done"], 0.002, [0.002] * 3),
+        (["done"], 0.05, []),
+    ], ids=["doubling-to-poll", "poll-below-5ms", "settled-at-once"])
+    def test_first_sleep_is_5ms_then_doubles_up_to_poll(self, sleeps, states,
+                                                        poll, expected):
+        client = ScriptedClient(polls(states))
+        doc = client.wait("job-000001", poll=poll)
+        assert doc["state"] == "done" and client.attempts == len(states)
+        assert sleeps == pytest.approx(expected)
+
+    def test_deadline_and_failure_behave_as_before(self, sleeps):
+        client = ScriptedClient(polls(["running"]))
+        with pytest.raises(ServeError, match="still 'running' after 0s"):
+            client.wait("job-000001", timeout=0)
+        assert sleeps == []
+        client = ScriptedClient(polls(["running", "failed"]))
+        with pytest.raises(JobFailedError):
+            client.wait("job-000001")
+        client = ScriptedClient(polls(["failed"]))
+        doc = client.wait("job-000001", raise_on_failure=False)
+        assert doc["state"] == "failed"

@@ -50,7 +50,7 @@ class StubSim:
 
 
 class StubPredict:
-    """Mimics jobs.predict_unit: (worker payload, trace_dir) -> dict."""
+    """Mimics jobs.predict_unit: (cell, trace_dir) -> dict."""
 
     def __init__(self, fail: bool = False):
         self.calls: List[str] = []
@@ -58,15 +58,15 @@ class StubPredict:
         self._lock = threading.Lock()
         self.fail = fail
 
-    def __call__(self, spec: dict, trace_dir=None) -> dict:
+    def __call__(self, cell, trace_dir=None) -> dict:
         with self._lock:
-            self.calls.append(f"{spec['abbr']}/{spec['scheme']}")
+            self.calls.append(f"{cell.abbr}/{cell.scheme}")
             self.trace_dirs.append(trace_dir)
         if self.fail:
             raise RuntimeError("injected prediction failure")
         return {
             "tier": "analytical",
-            "app": spec["abbr"], "scheme": spec["scheme"],
+            "app": cell.abbr, "scheme": cell.scheme,
             "miss_rate": 0.25, "hit_rate": 0.75,
             "error": {"mean_abs": 0.01, "max_abs": 0.05},
         }

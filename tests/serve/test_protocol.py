@@ -85,7 +85,7 @@ class TestKeys:
         (cell_request("MM", "dlp", sms=2, seed=1),
          "repro.experiments.executor.cell_key"),
         (replay_request(["MM"], ["dlp"], sms=2),
-         "repro.serve.protocol.replay_cell_key"),
+         "repro.experiments.executor.replay_cell_key"),
     ], ids=["sim", "replay"])
     def test_key_is_computed_once_per_unit(self, monkeypatch, body, key_fn):
         (unit,) = parse_job_request(body).units

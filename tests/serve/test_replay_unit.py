@@ -13,14 +13,20 @@ import pytest
 from repro.experiments.store import trace_key
 from repro.gpu.config import GPUConfig
 from repro.serve.jobs import replay_unit
+from repro.serve.protocol import parse_job_request, replay_request
 from repro.trace import RECORDER_STATS
 from repro.trace.record import capture_records
 from repro.trace.replay import replay_records, replay_trace
 from repro.workloads import make_workload
 
 SCALE = 0.1
-SPEC = {"abbr": "MM", "scheme": "dlp", "num_sms": 2, "scale": SCALE,
-        "seed": 0, "policy_kwargs": {}, "non_blocking": True}
+
+
+def unit(scheme: str, non_blocking: bool, engine: str):
+    """The replay cell the service parses, on the scheduler's engine."""
+    body = replay_request(["MM"], [scheme], sms=2, scale=SCALE,
+                          non_blocking=non_blocking)
+    return parse_job_request(body).units[0].cell(engine)
 
 
 @pytest.mark.parametrize("with_trace_dir", [True, False],
@@ -32,7 +38,7 @@ def test_non_blocking_unit_matches_direct_replay(tmp_path, engine,
     blocking = GPUConfig().scaled(2)
     nb_config = blocking.with_l1d(non_blocking=True)
 
-    got = replay_unit(dict(SPEC, engine=engine),
+    got = replay_unit(unit("dlp", True, engine),
                       str(trace_dir) if with_trace_dir else None)
 
     if with_trace_dir:
@@ -48,7 +54,6 @@ def test_non_blocking_unit_matches_direct_replay(tmp_path, engine,
     if with_trace_dir:
         # another scheme, in the other MSHR mode, reuses the recording
         captures = RECORDER_STATS.captures
-        replay_unit(dict(SPEC, scheme="baseline", non_blocking=False,
-                         engine=engine), str(trace_dir))
+        replay_unit(unit("baseline", False, engine), str(trace_dir))
         assert RECORDER_STATS.captures == captures
         assert not list(trace_dir.glob("*.tmp.*"))

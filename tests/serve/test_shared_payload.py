@@ -29,10 +29,10 @@ from tests.serve.test_scheduler import StubSim, payload_for, run, settle
 
 CELL = cell_request("MM", "baseline", sms=1, scale=0.1)
 KEY = parse_job_request(CELL).units[0].key()
-SIMULATED = payload_for(parse_job_request(CELL).units[0].cell())
+SIMULATED = payload_for(parse_job_request(CELL).units[0])
 
 
-def no_prediction(spec, trace_dir=None):
+def no_prediction(cell, trace_dir=None):
     raise AssertionError("a stored cell never reaches the predictor")
 
 

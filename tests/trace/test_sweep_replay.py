@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.executor import MODE_REPLAY, Cell
 from repro.experiments.runner import harness_config
 from repro.experiments.store import ResultStore
 from repro.trace import RECORDER_STATS, ReplaySweepExecutor, replay_workload
@@ -69,8 +70,9 @@ class TestColdEconomics:
         assert executor.stats.store_hits == 1
 
         executor = ReplaySweepExecutor(engine=self.engine)
-        first, second = executor._run_cells(
-            "MM", [("dlp", {}), ("dlp", {})], 1, SCALE, 0)
+        cell = Cell.make("MM", "dlp", num_sms=1, scale=SCALE,
+                         mode=MODE_REPLAY)
+        first, second = executor.run_cells([cell, cell])
         assert executor.stats.replayed == 1
         assert executor.stats.store_hits == 1
         assert_results_identical(first, second, label="MM/dlp twice")
