@@ -1,5 +1,5 @@
-"""Analysis layer: reuse-distance profiling, metrics, CS/CI classing,
-ASCII table/figure rendering."""
+"""Analysis layer: reuse-distance and LRU stack-position profiling,
+metrics, CS/CI classing, ASCII table/figure rendering."""
 
 from repro.analysis.classify import (
     MEMORY_ACCESS_RATIO_THRESHOLD,
@@ -9,13 +9,7 @@ from repro.analysis.classify import (
     classify_workload,
     ratios_by_app,
 )
-from repro.analysis.metrics import (
-    FunctionalCache,
-    geometric_mean,
-    merge_functional,
-    normalize,
-    safe_ratio,
-)
+from repro.analysis.metrics import geometric_mean, normalize, safe_ratio
 from repro.analysis.report import (
     ascii_table,
     grouped_bars,
@@ -42,8 +36,6 @@ __all__ = [
     "geometric_mean",
     "normalize",
     "safe_ratio",
-    "FunctionalCache",
-    "merge_functional",
     "classify_all",
     "classify_ratio",
     "classify_workload",

@@ -2,17 +2,13 @@
 
 The paper reports geometric means over application groups (Fig. 10's
 G.MEANS bars) and normalizes every quantity to the 16 KB baseline; the
-helpers here implement both plus a simple functional cache model used by
-the Fig. 4 miss-rate sweep.
+helpers here implement both.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence
-
-from repro.cache.tagarray import CacheGeometry, TagArray
-from repro.cache.line import LineState
+from typing import Dict, Iterable
 
 
 def geometric_mean(values: Iterable[float]) -> float:
@@ -36,72 +32,3 @@ def normalize(values: Dict[str, float], baseline_key: str) -> Dict[str, float]:
 
 def safe_ratio(num: float, den: float) -> float:
     return num / den if den else 0.0
-
-
-class FunctionalCache:
-    """Tag-only LRU cache for the Fig. 4 capacity sweep.
-
-    Tracks the paper's *reuse-data miss rate*: compulsory misses (first
-    touch of a line anywhere in the run) are excluded, because no cache
-    size can avoid them (Section 3.2).
-    """
-
-    def __init__(self, geometry: CacheGeometry):
-        self.geometry = geometry
-        self.tags = TagArray(geometry)
-        self._seen: set = set()
-        self.reuse_accesses = 0
-        self.reuse_misses = 0
-        self.compulsory = 0
-        self.accesses = 0
-
-    def access(self, block_addr: int) -> bool:
-        """Returns True on hit."""
-        self.accesses += 1
-        first_touch = block_addr not in self._seen
-        if first_touch:
-            self._seen.add(block_addr)
-            self.compulsory += 1
-        else:
-            self.reuse_accesses += 1
-        line = self.tags.probe(block_addr)
-        if line is not None and line.state is LineState.VALID:
-            self.tags.touch(line)
-            return True
-        if not first_touch:
-            self.reuse_misses += 1
-        # install with plain LRU
-        cache_set = self.tags.set_for(block_addr)
-        victim = cache_set.find_invalid()
-        if victim is None:
-            victim = min(
-                (l for l in cache_set.lines if l.state is LineState.VALID),
-                key=lambda l: l.lru_stamp,
-            )
-        victim.invalidate()
-        victim.reserve(self.geometry.tag(block_addr), block_addr, 0, self.tags.next_stamp())
-        victim.fill(self.tags.next_stamp())
-        return False
-
-    @property
-    def reuse_miss_rate(self) -> float:
-        return safe_ratio(self.reuse_misses, self.reuse_accesses)
-
-    @property
-    def hit_rate(self) -> float:
-        return safe_ratio(self.accesses - self.reuse_misses - self.compulsory, self.accesses)
-
-
-def merge_functional(caches: Sequence[FunctionalCache]) -> Dict[str, float]:
-    """Aggregate per-SM functional caches into run-level counters."""
-    reuse_accesses = sum(c.reuse_accesses for c in caches)
-    reuse_misses = sum(c.reuse_misses for c in caches)
-    compulsory = sum(c.compulsory for c in caches)
-    accesses = sum(c.accesses for c in caches)
-    return {
-        "accesses": accesses,
-        "compulsory": compulsory,
-        "reuse_accesses": reuse_accesses,
-        "reuse_misses": reuse_misses,
-        "reuse_miss_rate": safe_ratio(reuse_misses, reuse_accesses),
-    }

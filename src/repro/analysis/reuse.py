@@ -15,6 +15,13 @@ Attribution: a reuse is credited to the PC of the access that *brought
 in or last touched* the line (the same previous-toucher convention the
 DLP hardware uses for its hit counters), so the per-PC RDDs of Fig. 7
 line up with the PDs the mechanism would assign.
+
+The same walk finds each reuse's position in its set's LRU stack: the
+number of distinct other blocks the set saw since the block's last
+touch.  An LRU set of ``assoc`` ways hits exactly the reuses above
+position ``assoc`` (Mattson et al.'s stack algorithm), so one pass
+gives Fig. 4's reuse-data misses at every capacity that keeps the set
+count and index function.
 """
 
 from __future__ import annotations
@@ -27,6 +34,10 @@ from repro.cache.tagarray import CacheGeometry
 #: The paper's four RD ranges (Fig. 3 legend).
 RD_RANGES: Tuple[Tuple[int, int], ...] = ((1, 4), (5, 8), (9, 64), (65, 1 << 62))
 RD_LABELS = ("RD 1~4", "RD 5~8", "RD 9~64", "RD >65")
+
+#: Depth of each set's LRU stack: the 64 KB L1D's associativity
+#: (``GPUConfig.with_l1d_size_kb``), the largest capacity of Fig. 4.
+STACK_DEPTH = 16
 
 
 def bucket_of(rd: int) -> int:
@@ -65,7 +76,8 @@ class RddHistogram:
 
 
 class ReuseProfiler:
-    """Streams (block address, pc) observations, producing RDDs.
+    """Streams (block address, pc) observations, producing RDDs and LRU
+    stack positions.
 
     One profiler models one L1D's access stream (per-SM); merge the
     histograms to aggregate a whole run.
@@ -78,8 +90,13 @@ class ReuseProfiler:
         self._set_counter = [0] * nsets
         # per set: block -> (counter at last touch, pc of last toucher)
         self._last: List[Dict[int, Tuple[int, int]]] = [dict() for _ in range(nsets)]
+        # per set: its most recent distinct blocks, MRU first
+        self._stacks: List[List[int]] = [[] for _ in range(nsets)]
         self.overall = RddHistogram()
         self.per_pc: Dict[int, RddHistogram] = {}
+        #: Reuses per LRU stack position; the last slot counts every
+        #: reuse deeper than :data:`STACK_DEPTH`.
+        self.stack_positions = [0] * (STACK_DEPTH + 1)
         self.compulsory = 0
         self.reuses = 0
         self.accesses = 0
@@ -93,9 +110,20 @@ class ReuseProfiler:
         last = self._last[set_idx]
         prev = last.get(block_addr)
         last[block_addr] = (counter, pc)
+        stack = self._stacks[set_idx]
         if prev is None:
             self.compulsory += 1
+            stack.insert(0, block_addr)
+            del stack[STACK_DEPTH:]
             return None
+        if block_addr in stack:
+            pos = stack.index(block_addr)
+            del stack[pos]
+        else:
+            pos = STACK_DEPTH
+            stack.pop()
+        stack.insert(0, block_addr)
+        self.stack_positions[pos] += 1
         prev_counter, prev_pc = prev
         rd = counter - prev_counter
         self.reuses += 1
@@ -114,6 +142,15 @@ class ReuseProfiler:
     def pc_fractions(self) -> Dict[int, List[float]]:
         return {pc: h.fractions() for pc, h in self.per_pc.items()}
 
+    def reuse_misses(self, assoc: int) -> int:
+        """Reuses an LRU set of ``assoc`` ways misses: those found at
+        stack position ``assoc`` or deeper."""
+        if not 1 <= assoc <= STACK_DEPTH:
+            raise ValueError(
+                f"associativity must be 1..{STACK_DEPTH}, got {assoc}"
+            )
+        return sum(self.stack_positions[assoc:])
+
     def merge(self, other: "ReuseProfiler") -> None:
         self.overall.merge(other.overall)
         for pc, hist in other.per_pc.items():
@@ -122,6 +159,8 @@ class ReuseProfiler:
                 self.per_pc[pc] = RddHistogram(list(hist.counts))
             else:
                 mine.merge(hist)
+        for pos, count in enumerate(other.stack_positions):
+            self.stack_positions[pos] += count
         self.compulsory += other.compulsory
         self.reuses += other.reuses
         self.accesses += other.accesses

@@ -425,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(set query / victim select / policy hooks / "
                              "sampling) plus the fast-engine comparison")
     p_prof.add_argument("--scale", type=float, default=1.0,
-                        help="workload input scale factor (--scheme mode)")
+                        help="workload input scale factor")
 
     p_trace = sub.add_parser(
         "trace", help="record, inspect, replay and import memory traces"
@@ -1111,11 +1111,17 @@ def cmd_profile(args) -> int:
     from repro.experiments.cachesim import profile_reuse
 
     config = harness_config(args.sms)
-    profiler = profile_reuse(make_workload(app), config)
+    profiler = profile_reuse(make_workload(app, args.scale), config)
     print(stacked_percent_rows(
         [app], [profiler.overall_fractions()], RD_LABELS,
         title=f"{app}: reuse-distance distribution",
     ))
+    _print_pc_rdds(profiler)
+    return 0
+
+
+def _print_pc_rdds(profiler) -> None:
+    """The per-PC RDD table of ``repro profile`` and ``trace info --rdd``."""
     per_pc = sorted(profiler.pc_fractions().items())
     print()
     print(stacked_percent_rows(
@@ -1124,7 +1130,6 @@ def cmd_profile(args) -> int:
         RD_LABELS,
         title="per-instruction RDDs",
     ))
-    return 0
 
 
 def cmd_trace(args) -> int:
@@ -1151,26 +1156,20 @@ def cmd_trace(args) -> int:
         rows = [(k, str(v)) for k, v in info.items()]
         print(ascii_table(["field", "value"], rows, title=str(args.trace)))
         if args.rdd:
-            from repro.predict import profile_trace
+            from repro.experiments.cachesim import profile_stream
+            from repro.trace.replay import check_trace
 
-            profile = profile_trace(reader)
+            config = check_trace(reader, harness_config(reader.num_sms))
+            profiler = profile_stream(reader, config)
             print()
             print(stacked_percent_rows(
-                ["overall"], [profile.rdd.fractions()], RD_LABELS,
+                ["overall"], [profiler.overall_fractions()], RD_LABELS,
                 title=f"reuse-distance distribution "
-                      f"({profile.rdd.total} reuses, "
-                      f"{profile.compulsory} compulsory)",
+                      f"({profiler.reuses} reuses, "
+                      f"{profiler.compulsory} compulsory)",
             ))
-            per_insn = sorted(profile.insn_rdd.items())
-            if per_insn:
-                print()
-                print(stacked_percent_rows(
-                    [f"insn={insn:#04x} ({hist.total})"
-                     for insn, hist in per_insn],
-                    [hist.fractions() for _insn, hist in per_insn],
-                    RD_LABELS,
-                    title="per-instruction RDDs (hashed instruction IDs)",
-                ))
+            if profiler.per_pc:
+                _print_pc_rdds(profiler)
         return 0
 
     if args.trace_command == "import":

@@ -3,7 +3,7 @@ content-addressed result store, the functional cache-simulation path and
 one driver per paper table/figure (see DESIGN.md's per-experiment index)."""
 
 from repro.experiments import figures
-from repro.experiments.cachesim import capacity_sweep, interleaved_streams, profile_reuse
+from repro.experiments.cachesim import capacity_sweep, profile_reuse
 from repro.experiments.executor import Cell, SweepExecutor
 from repro.experiments.runner import (
     FIG10_SCHEMES,
@@ -48,5 +48,4 @@ __all__ = [
     "TRAFFIC_SCHEMES",
     "profile_reuse",
     "capacity_sweep",
-    "interleaved_streams",
 ]

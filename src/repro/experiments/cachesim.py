@@ -6,18 +6,18 @@ replays a workload's warp traces in an interleaving that mimics the GPU:
 CTAs placed round-robin across SMs up to the residency limit, resident
 warps served round-robin one memory instruction at a time (a good proxy
 for fine-grained SIMT interleaving), each SM's stream fed to its own
-profiler or functional cache.
+reuse profiler.
 
-The same path also drives the Fig. 4 capacity sweep (16/32/64 KB
-reuse-data miss rates).
+The same pass also drives the Fig. 4 capacity sweep (16/32/64 KB
+reuse-data miss rates, read off each reuse's LRU stack position).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
-from repro.analysis.metrics import FunctionalCache, merge_functional
+from repro.analysis.metrics import safe_ratio
 from repro.analysis.reuse import ReuseProfiler
 from repro.gpu.coalescer import coalesce
 from repro.gpu.config import GPUConfig
@@ -94,34 +94,32 @@ def interleaved_accesses(
                 break
 
 
-def interleaved_streams(
-    workload: Workload, config: GPUConfig
-) -> Iterator[Tuple[int, int, int, bool]]:
-    """Yield (sm_id, block_addr, pc, is_write) in a GPU-like interleaving.
-
-    Thin view over :func:`interleaved_accesses` that drops the warp
-    identity (the reuse profilers don't need it)."""
-    for sm, block, pc, is_write, _warp in interleaved_accesses(workload, config):
-        yield sm, block, pc, is_write
-
-
-def profile_reuse(
-    workload: Workload,
-    config: GPUConfig | None = None,
-    include_writes: bool = False,
+def profile_stream(
+    records: Iterable[Tuple[int, int, int, bool, int]], config: GPUConfig
 ) -> ReuseProfiler:
-    """Aggregate RDD over all SMs (Figs. 3 and 7 input)."""
-    config = config or GPUConfig()
+    """RDDs and LRU stack positions of a stream's reads, one profiler
+    per SM (L1Ds are private), merged.
+
+    ``records`` are ``(sm_id, block_addr, pc, is_write, warp_id)``
+    tuples: a live interleaving or a recorded trace's records.
+    """
     geometry = config.l1d.geometry()
     profilers = [ReuseProfiler(geometry) for _ in range(config.num_sms)]
-    for sm, block, pc, is_write in interleaved_streams(workload, config):
-        if is_write and not include_writes:
-            continue
-        profilers[sm].observe(block, pc)
+    for sm, block, pc, is_write, _warp in records:
+        if not is_write:
+            profilers[sm].observe(block, pc)
     merged = profilers[0]
     for p in profilers[1:]:
         merged.merge(p)
     return merged
+
+
+def profile_reuse(
+    workload: Workload, config: GPUConfig | None = None
+) -> ReuseProfiler:
+    """Aggregate RDD over all SMs (Figs. 3, 4 and 7 input)."""
+    config = config or GPUConfig()
+    return profile_stream(interleaved_accesses(workload, config), config)
 
 
 def capacity_sweep(
@@ -131,17 +129,19 @@ def capacity_sweep(
 ) -> Dict[int, Dict[str, float]]:
     """Fig. 4: reuse-data miss rate per L1D capacity.
 
-    The three capacities share one replay pass (one stream, three cache
-    hierarchies per SM) so their streams are identical by construction.
+    The capacities differ only in associativity, so one LRU
+    stack-position pass over the stream answers all of them.
     """
     config = config or GPUConfig()
-    caches: Dict[int, List[FunctionalCache]] = {}
+    profiler = profile_reuse(workload, config)
+    sweep: Dict[int, Dict[str, float]] = {}
     for kb in sizes_kb:
-        geometry = config.with_l1d_size_kb(kb).l1d.geometry()
-        caches[kb] = [FunctionalCache(geometry) for _ in range(config.num_sms)]
-    for sm, block, pc, is_write in interleaved_streams(workload, config):
-        if is_write:
-            continue
-        for kb in sizes_kb:
-            caches[kb][sm].access(block)
-    return {kb: merge_functional(caches[kb]) for kb in sizes_kb}
+        misses = profiler.reuse_misses(config.with_l1d_size_kb(kb).l1d.assoc)
+        sweep[kb] = {
+            "accesses": profiler.accesses,
+            "compulsory": profiler.compulsory,
+            "reuse_accesses": profiler.reuses,
+            "reuse_misses": misses,
+            "reuse_miss_rate": safe_ratio(misses, profiler.reuses),
+        }
+    return sweep

@@ -4,7 +4,10 @@ Each ``figN_data`` function computes the numbers the paper's figure
 plots (normalized the same way); each ``render_figN`` turns them into
 the ASCII rendering the benchmark harness prints.  Timing-based figures
 share the memoised sweep in :mod:`repro.experiments.runner`, so running
-every bench in one session simulates each (app, scheme) cell once.
+every bench in one session simulates each (app, scheme) cell once.  Each
+resolves its whole grid in one :func:`~repro.experiments.runner.run_sweep`
+call, so an executor with ``jobs >= 2`` simulates its cold cells in
+parallel.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from repro.experiments.runner import (
     SCHEME_LABELS,
     TRAFFIC_SCHEMES,
     harness_config,
-    run_cell,
+    run_sweep,
 )
 from repro.gpu.config import GPUConfig
 from repro.workloads import ALL_APPS, CI_APPS, CS_APPS, make_workload, table2_rows
@@ -180,13 +183,15 @@ def render_fig4(data=None) -> str:
 
 
 def fig5_data(apps: Sequence[str] = tuple(ALL_APPS), num_sms: int = 4):
+    sweep = run_sweep(apps, ("baseline", "32kb", "64kb"), num_sms)
     out: Dict[str, Dict[str, float]] = {}
     for app in apps:
-        base = run_cell(app, "baseline", num_sms).ipc
+        row = sweep[app.upper()]
+        base = row["baseline"].ipc
         out[app] = {
             "16KB": 1.0,
-            "32KB": run_cell(app, "32kb", num_sms).ipc / base,
-            "64KB": run_cell(app, "64kb", num_sms).ipc / base,
+            "32KB": row["32kb"].ipc / base,
+            "64KB": row["64kb"].ipc / base,
         }
     return out
 
@@ -244,9 +249,10 @@ def _group_geomeans(per_app: Dict[str, Dict[str, float]], schemes) -> Dict[str, 
 
 def _policy_metric(metric_fn, schemes, apps, num_sms: int):
     """Normalized per-app metric for each scheme plus CS/CI geomeans."""
+    sweep = run_sweep(apps, schemes, num_sms)
     per_app: Dict[str, Dict[str, float]] = {}
     for app in apps:
-        values = {s: metric_fn(run_cell(app, s, num_sms)) for s in schemes}
+        values = {s: metric_fn(sweep[app.upper()][s]) for s in schemes}
         base = values[schemes[0]]
         per_app[app] = {
             SCHEME_LABELS[s]: (values[s] / base if base else 0.0) for s in schemes
@@ -277,10 +283,11 @@ def fig11b_data(apps: Sequence[str] = tuple(ALL_APPS), num_sms: int = 4):
 
 def fig12a_data(apps: Sequence[str] = tuple(ALL_APPS), num_sms: int = 4):
     """L1D hit rate (not normalized — the paper plots the rate itself)."""
+    sweep = run_sweep(apps, TRAFFIC_SCHEMES, num_sms)
     per_app: Dict[str, Dict[str, float]] = {}
     for app in apps:
         per_app[app] = {
-            SCHEME_LABELS[s]: run_cell(app, s, num_sms).l1d.hit_rate
+            SCHEME_LABELS[s]: sweep[app.upper()][s].l1d.hit_rate
             for s in TRAFFIC_SCHEMES
         }
     labels = [SCHEME_LABELS[s] for s in TRAFFIC_SCHEMES]

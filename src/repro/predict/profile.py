@@ -47,7 +47,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
-from repro.analysis.reuse import RddHistogram, bucket_of
 from repro.cache.tagarray import CacheGeometry
 from repro.gpu.config import GPUConfig
 from repro.gpu.isa import ComputeOp
@@ -130,19 +129,18 @@ class EpochCounts:
 
 @dataclass
 class PredictProfile:
-    """Everything the analytical model needs, and nothing else."""
+    """Everything the analytical model needs, and nothing else.
+
+    The paper's reporting RDDs (Figs. 3 and 7, ``repro profile`` and
+    ``repro trace info --rdd``) come from
+    :class:`repro.analysis.reuse.ReuseProfiler` instead.
+    """
 
     num_sets: int = 32
     line_size: int = 128
     index_fn: str = "hash"
     num_sms: int = 0
     epochs: List[EpochCounts] = field(default_factory=list)
-    #: The paper's Fig. 3 RDD over read-only counter distances (the
-    #: reporting convention of :mod:`repro.analysis.reuse`).
-    rdd: RddHistogram = field(default_factory=RddHistogram)
-    #: Fig. 7-style per-instruction RDDs (same read-only distances,
-    #: keyed by the hashed previous-toucher instruction ID).
-    insn_rdd: Dict[int, RddHistogram] = field(default_factory=dict)
     #: Per-instruction write-evicted reuse counts (whole stream).
     write_evicted: Dict[int, int] = field(default_factory=dict)
     #: Static thread-instruction count (workload sources only; traces
@@ -194,11 +192,6 @@ class PredictProfile:
             "index_fn": self.index_fn,
             "num_sms": self.num_sms,
             "epochs": [e.to_dict() for e in self.epochs],
-            "rdd": list(self.rdd.counts),
-            "insn_rdd": {
-                str(insn): list(hist.counts)
-                for insn, hist in sorted(self.insn_rdd.items())
-            },
             "write_evicted": {
                 str(insn): n for insn, n in sorted(self.write_evicted.items())
             },
@@ -217,10 +210,6 @@ class PredictProfile:
             insns=None if data.get("insns") is None else int(data["insns"]),
             meta=dict(data.get("meta", {})),
         )
-        profile.rdd = RddHistogram([int(c) for c in data["rdd"]])
-        for insn, counts in data.get("insn_rdd", {}).items():
-            profile.insn_rdd[int(insn)] = \
-                RddHistogram([int(c) for c in counts])
         for insn, n in data["write_evicted"].items():
             profile.write_evicted[int(insn)] = int(n)
         return profile
@@ -255,11 +244,9 @@ def _profile_sm(profile: PredictProfile, columns: SmColumns,
     writes = columns.writes.tolist()
     stacks: List[List[int]] = [[] for _ in range(num_sets)]  # MRU first
     counters = [0] * num_sets    # set queries, stores included
-    read_ctrs = [0] * num_sets   # reads only (the reporting RDD clock)
-    # block -> (insn, counter, read counter, written) as of its last
-    # read; a block maps to one set, so one dict serves every set
-    last: Dict[int, Tuple[int, int, int, bool]] = {}
-    read_rds: Dict[Tuple[int, int], int] = {}  # (insn, read-only rd)
+    # block -> (insn, counter, written) as of its last read; a block
+    # maps to one set, so one dict serves every set
+    last: Dict[int, Tuple[int, int, bool]] = {}
     evicted: Dict[int, int] = {}
     epochs = profile.epochs
     for index in range(NUM_EPOCHS):
@@ -279,23 +266,19 @@ def _profile_sm(profile: PredictProfile, columns: SmColumns,
                 # A store evicts the line (write-evict): its next read
                 # is a write-evicted reuse, and it leaves the stack.
                 prev = last.get(block)
-                if prev is not None and not prev[3]:
-                    last[block] = (prev[0], prev[1], prev[2], True)
+                if prev is not None and not prev[2]:
+                    last[block] = (prev[0], prev[1], True)
                     stacks[s].remove(block)
                 continue
-            read_counter = read_ctrs[s] + 1
-            read_ctrs[s] = read_counter
             counter = counters[s]
             prev = last.get(block)
-            last[block] = (insn, counter, read_counter, False)
+            last[block] = (insn, counter, False)
             stack = stacks[s]
             if prev is None:
                 compulsory += 1
                 stack.insert(0, block)
                 continue
-            prev_insn, prev_counter, prev_read_counter, written = prev
-            key = (prev_insn, read_counter - prev_read_counter)
-            read_rds[key] = read_rds.get(key, 0) + 1
+            prev_insn, prev_counter, written = prev
             if written:
                 write_evicted += 1
                 evicted[prev_insn] = evicted.get(prev_insn, 0) + 1
@@ -321,14 +304,6 @@ def _profile_sm(profile: PredictProfile, columns: SmColumns,
         for (insn, sd, rd), count in joint.items():
             pairs = epoch.joint.setdefault(insn, {})
             pairs[(sd, rd)] = pairs.get((sd, rd), 0) + count
-    rdd = profile.rdd.counts
-    for (insn, read_rd), count in read_rds.items():
-        bucket = bucket_of(read_rd)
-        rdd[bucket] += count
-        hist = profile.insn_rdd.get(insn)
-        if hist is None:
-            hist = profile.insn_rdd[insn] = RddHistogram()
-        hist.counts[bucket] += count
     for insn, count in evicted.items():
         profile.write_evicted[insn] = (
             profile.write_evicted.get(insn, 0) + count

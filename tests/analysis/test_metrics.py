@@ -1,15 +1,8 @@
-"""Metric helpers and the functional cache used by Fig. 4."""
+"""Metric helpers: geometric means and normalization."""
 
 import pytest
 
-from repro.analysis.metrics import (
-    FunctionalCache,
-    geometric_mean,
-    merge_functional,
-    normalize,
-    safe_ratio,
-)
-from repro.cache.tagarray import CacheGeometry
+from repro.analysis.metrics import geometric_mean, normalize, safe_ratio
 
 
 class TestGeometricMean:
@@ -44,48 +37,3 @@ class TestSafeRatio:
 
     def test_zero_denominator(self):
         assert safe_ratio(1, 0) == 0.0
-
-
-class TestFunctionalCache:
-    def geo(self, assoc=2):
-        return CacheGeometry(num_sets=2, assoc=assoc, index_fn="linear")
-
-    def test_compulsory_not_in_reuse_rate(self):
-        cache = FunctionalCache(self.geo())
-        cache.access(0)
-        cache.access(2)
-        assert cache.reuse_accesses == 0
-        assert cache.reuse_miss_rate == 0.0
-
-    def test_captured_reuse(self):
-        cache = FunctionalCache(self.geo())
-        cache.access(0)
-        cache.access(0)
-        assert cache.reuse_accesses == 1
-        assert cache.reuse_misses == 0
-
-    def test_thrashed_reuse_counts_as_reuse_miss(self):
-        cache = FunctionalCache(self.geo(assoc=1))
-        cache.access(0)   # set 0
-        cache.access(2)   # set 0, evicts 0
-        cache.access(0)   # reuse miss
-        assert cache.reuse_misses == 1
-        assert cache.reuse_miss_rate == 1.0
-
-    def test_larger_assoc_reduces_reuse_misses(self):
-        small = FunctionalCache(self.geo(assoc=1))
-        big = FunctionalCache(self.geo(assoc=2))
-        pattern = [0, 2, 0, 2, 0, 2]
-        for b in pattern:
-            small.access(b)
-            big.access(b)
-        assert big.reuse_misses < small.reuse_misses
-
-    def test_merge_functional(self):
-        a, b = FunctionalCache(self.geo()), FunctionalCache(self.geo())
-        a.access(0); a.access(0)
-        b.access(1)
-        merged = merge_functional([a, b])
-        assert merged["accesses"] == 3
-        assert merged["compulsory"] == 2
-        assert merged["reuse_accesses"] == 1

@@ -5,12 +5,14 @@ import pytest
 from repro.analysis.reuse import (
     RD_LABELS,
     RD_RANGES,
+    STACK_DEPTH,
     RddHistogram,
     ReuseProfiler,
     bucket_of,
     rd_of_sequence,
 )
 from repro.cache.tagarray import CacheGeometry
+from repro.gpu.config import GPUConfig
 
 
 def one_set():
@@ -90,6 +92,60 @@ class TestProfiler:
         assert a.reuses == 3
         assert a.compulsory == 2
         assert a.accesses == 5
+
+
+class TestReuseMisses:
+    """Fig. 4's reuse-data misses, read off LRU stack positions."""
+
+    def geo(self):
+        return CacheGeometry(num_sets=2, assoc=2, index_fn="linear")
+
+    def test_compulsory_not_in_reuse_rate(self):
+        p = ReuseProfiler(self.geo())
+        p.observe(0)
+        p.observe(2)
+        assert p.reuses == 0
+        assert p.reuse_misses(1) == 0
+
+    def test_captured_reuse(self):
+        p = ReuseProfiler(self.geo())
+        p.observe(0)
+        p.observe(0)
+        assert p.reuses == 1
+        assert p.reuse_misses(1) == 0
+
+    def test_thrashed_reuse_counts_as_reuse_miss(self):
+        p = ReuseProfiler(self.geo())
+        p.observe(0)   # set 0
+        p.observe(2)   # set 0, evicts 0 from one way
+        p.observe(0)   # reuse at stack position 1
+        assert p.reuse_misses(1) == p.reuses == 1
+        assert p.reuse_misses(2) == 0
+
+    def test_larger_assoc_reduces_reuse_misses(self):
+        p = ReuseProfiler(self.geo())
+        for block in [0, 2, 0, 2, 0, 2]:
+            p.observe(block)
+        assert p.reuse_misses(2) < p.reuse_misses(1)
+
+    def test_merge_adds_stack_positions(self):
+        a, b = ReuseProfiler(self.geo()), ReuseProfiler(self.geo())
+        a.observe(0)
+        a.observe(0)
+        for block in (1, 3, 1):   # set 1: a reuse at position 1
+            b.observe(block)
+        a.merge(b)
+        assert (a.accesses, a.compulsory, a.reuses) == (5, 3, 2)
+        assert a.reuse_misses(1) == 1
+        assert a.reuse_misses(2) == 0
+
+    def test_stack_is_as_deep_as_the_largest_l1d(self):
+        assert GPUConfig().with_l1d_size_kb(64).l1d.assoc == STACK_DEPTH
+
+    @pytest.mark.parametrize("assoc", [0, STACK_DEPTH + 1])
+    def test_assoc_outside_the_stack_rejected(self, assoc):
+        with pytest.raises(ValueError):
+            ReuseProfiler(self.geo()).reuse_misses(assoc)
 
 
 class TestHistogram:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.cachesim import capacity_sweep, interleaved_streams, profile_reuse
+from repro.experiments.cachesim import capacity_sweep, interleaved_accesses, profile_reuse
 from repro.gpu.config import GPUConfig, L1DConfig
 from repro.workloads import make_workload
 
@@ -19,21 +19,21 @@ def small_workload():
 
 class TestInterleavedStreams:
     def test_emits_every_request(self, func_config, small_workload):
-        stream = list(interleaved_streams(small_workload, func_config))
+        stream = list(interleaved_accesses(small_workload, func_config))
         expected = small_workload.static_stats()["mem_requests"]
         assert len(stream) == expected
 
     def test_sm_ids_in_range(self, func_config, small_workload):
-        for sm, block, pc, is_write in interleaved_streams(small_workload, func_config):
+        for sm, *_ in interleaved_accesses(small_workload, func_config):
             assert 0 <= sm < func_config.num_sms
 
     def test_ctas_distributed_round_robin(self, func_config, small_workload):
-        sms = {sm for sm, *_ in interleaved_streams(small_workload, func_config)}
+        sms = {sm for sm, *_ in interleaved_accesses(small_workload, func_config)}
         assert sms == {0, 1}
 
     def test_deterministic(self, func_config):
-        a = list(interleaved_streams(make_workload("MM", 0.5), func_config))
-        b = list(interleaved_streams(make_workload("MM", 0.5), func_config))
+        a = list(interleaved_accesses(make_workload("MM", 0.5), func_config))
+        b = list(interleaved_accesses(make_workload("MM", 0.5), func_config))
         assert a == b
 
 

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.experiments import figures
+from repro.experiments import figures, runner
+from repro.experiments.executor import Cell, SweepExecutor, simulate_cell
+from repro.experiments.store import MemoryStore
 
 
 class TestStaticFigures:
@@ -84,3 +86,35 @@ class TestTimingFigures:
         out = figures.render_policy_figure(fig10_subset, "Fig. 10")
         assert out.startswith("Fig. 10")
         assert "G.MEAN CI" in out
+
+
+class TestOneBatchPerFigure:
+    """Each timing figure hands its whole grid to the executor at once,
+    so a ``jobs >= 2`` executor can fan its cold cells out."""
+
+    @pytest.fixture(scope="class")
+    def payload(self):
+        return simulate_cell(Cell.make("MM", "baseline", num_sms=1, scale=0.1))
+
+    @pytest.mark.parametrize("driver,cells", [
+        (figures.fig5_data, 9),
+        (figures.fig10_data, 15),
+        (figures.fig12a_data, 12),
+    ])
+    def test_grid_is_one_batch(self, monkeypatch, payload, driver, cells):
+        executor = SweepExecutor(MemoryStore(), jobs=4)
+        batches = []
+
+        def spy(pending):
+            batches.append(len(pending))
+            return [(key, payload) for key in pending]
+
+        monkeypatch.setattr(executor, "_simulate_all", spy)
+        previous = runner.set_executor(executor)
+        try:
+            data = driver(apps=("MM", "HS", "BT"), num_sms=1)
+        finally:
+            runner.set_executor(previous)
+        assert batches == [cells]
+        per_app = data if driver is figures.fig5_data else data[0]
+        assert list(per_app) == ["MM", "HS", "BT"]

@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Tuple
 
 import pytest
 
-from repro.analysis.reuse import RddHistogram
 from repro.cache.tagarray import CacheGeometry
 from repro.experiments.runner import harness_config
 from repro.gpu.config import GPUConfig
@@ -31,12 +30,11 @@ from repro.utils.hashing import hash_pc
 from repro.workloads import ALL_APPS
 
 #: Per-SM profiler state: (stacks[set] = blocks MRU->LRU, counters[set],
-#: read_counters[set], last[set][block] = (insn, ctr, read_ctr, written)).
+#: last[set][block] = (insn, ctr, written)).
 SmState = Tuple[
     List[List[int]],
     List[int],
-    List[int],
-    List[Dict[int, Tuple[int, int, int, bool]]],
+    List[Dict[int, Tuple[int, int, bool]]],
 ]
 
 
@@ -70,8 +68,7 @@ class ReferenceProfiler:
         self._expected_per_sm = expected_per_sm
         self._insn_ids: Dict[int, int] = {}
         # per SM: stacks[set] = blocks MRU->LRU; counters[set] = set
-        # queries so far; read_ctr[set] = reads only (reporting RDD);
-        # last[set][block] = (insn, counter, read_counter, written);
+        # queries so far; last[set][block] = (insn, counter, written);
         # seen = records consumed from this SM's stream (epoch clock)
         self._sms: Dict[int, SmState] = {}
         self._seen: Dict[int, int] = {}
@@ -100,7 +97,6 @@ class ReferenceProfiler:
             state = self._sms[sm_id] = (
                 [[] for _ in range(nsets)],        # stacks
                 [0] * nsets,                        # set-query counters
-                [0] * nsets,                        # read-only counters
                 [dict() for _ in range(nsets)],     # last-touch info
             )
             self._seen[sm_id] = 0
@@ -117,7 +113,7 @@ class ReferenceProfiler:
     def observe(self, sm_id: int, block_addr: int, pc: int,
                 is_write: bool) -> None:
         profile = self.profile
-        stacks, counters, read_ctrs, lasts = self._sm_state(sm_id)
+        stacks, counters, lasts = self._sm_state(sm_id)
         epoch = self._epoch(sm_id)
         self._seen[sm_id] += 1
         set_idx = self.geometry.set_index(block_addr)
@@ -130,7 +126,7 @@ class ReferenceProfiler:
             epoch.writes += 1
             prev = last.get(block_addr)
             if prev is not None:
-                last[block_addr] = (prev[0], prev[1], prev[2], True)
+                last[block_addr] = (prev[0], prev[1], True)
             try:
                 stack.remove(block_addr)
             except ValueError:
@@ -138,25 +134,17 @@ class ReferenceProfiler:
             return
 
         epoch.reads += 1
-        read_ctrs[set_idx] += 1
         counter = counters[set_idx]
-        read_counter = read_ctrs[set_idx]
         insn = self._insn(pc)
         prev = last.get(block_addr)
-        last[block_addr] = (insn, counter, read_counter, False)
+        last[block_addr] = (insn, counter, False)
 
         if prev is None:
             epoch.compulsory += 1
             stack.insert(0, block_addr)
             return
 
-        prev_insn, prev_counter, prev_read_counter, written = prev
-        read_rd = read_counter - prev_read_counter
-        profile.rdd.add(read_rd)
-        insn_hist = profile.insn_rdd.get(prev_insn)
-        if insn_hist is None:
-            insn_hist = profile.insn_rdd[prev_insn] = RddHistogram()
-        insn_hist.add(read_rd)
+        prev_insn, prev_counter, written = prev
         if written:
             epoch.write_evicted += 1
             profile.write_evicted[prev_insn] = (
@@ -383,9 +371,6 @@ class TestSerialization:
         assert clone.reads == profile.reads
         assert clone.compulsory == profile.compulsory
         assert clone.insns == profile.insns
-        assert clone.rdd.counts == profile.rdd.counts
-        assert {i: h.counts for i, h in clone.insn_rdd.items()} == \
-            {i: h.counts for i, h in profile.insn_rdd.items()}
 
     def test_merged_preserves_totals(self):
         profile = profile_workload("BFS", harness_config(2), scale=0.25)
@@ -418,7 +403,6 @@ class TestSources:
         assert traced.epochs == live.epochs or \
             [e.to_dict() for e in traced.epochs] == \
             [e.to_dict() for e in live.epochs]
-        assert traced.rdd.counts == live.rdd.counts
 
     def test_trace_line_size_mismatch_rejected(self, tmp_path):
         from repro.trace.format import TraceFormatError, TraceReader

@@ -1,9 +1,10 @@
-"""Property tests for the RDD primitives the prediction tier leans on.
+"""Property tests for the reuse primitives behind Figs. 3, 4 and 7.
 
 ``RddHistogram.merge`` must be a commutative monoid and ``bucket_of``
-must honour the paper's Fig. 3 range boundaries exactly — the predict
-profiles, the ``--rdd`` trace report, and the serve tier all aggregate
-through these.
+must honour the paper's Fig. 3 range boundaries exactly — the figures,
+``repro profile`` and the ``--rdd`` trace report all aggregate through
+these.  ``ReuseProfiler.reuse_misses`` must count exactly the reuses an
+LRU cache of each associativity misses (Fig. 4).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import pytest
 
 from repro.analysis.reuse import (
     RD_RANGES,
+    STACK_DEPTH,
     RddHistogram,
     ReuseProfiler,
     bucket_of,
@@ -160,3 +162,86 @@ class TestProfilerMerge:
         a.merge(b)
         a.per_pc[5].add(1)
         assert b.per_pc[5].total == 1   # b must be untouched
+
+
+class LruTagCache:
+    """Oracle: ``assoc`` ways per set, each holding a block and its last
+    use time; a miss fills a free way or evicts the least recently used
+    one.  Counts the reuses (touches after a block's first) it misses."""
+
+    def __init__(self, geometry: CacheGeometry, assoc: int) -> None:
+        self.geometry = geometry
+        self.assoc = assoc
+        self.ways = [dict() for _ in range(geometry.num_sets)]
+        self.seen: set = set()
+        self.time = 0
+        self.reuse_misses = 0
+
+    def access(self, block: int) -> None:
+        self.time += 1
+        ways = self.ways[self.geometry.set_index(block)]
+        if block not in ways:
+            if block in self.seen:
+                self.reuse_misses += 1
+            if len(ways) == self.assoc:
+                del ways[min(ways, key=ways.get)]
+        self.seen.add(block)
+        ways[block] = self.time
+
+
+def random_stream(rng: random.Random, length: int) -> list:
+    """Hot blocks reused at short range over a cold pool wide enough to
+    push blocks past the stack's depth in every set."""
+    hot = rng.sample(range(4096), 12)
+    return [rng.choice(hot) if rng.random() < 0.5 else rng.randrange(0, 400)
+            for _ in range(length)]
+
+
+class TestReuseMissesMatchLru:
+    @pytest.mark.parametrize("index_fn", ["linear", "hash"])
+    def test_every_associativity_matches_the_oracle(self, index_fn):
+        rng = random.Random(8)
+        geometry = CacheGeometry(num_sets=4, assoc=4, index_fn=index_fn)
+        for _ in range(6):
+            stream = random_stream(rng, 1500)
+            profiler = ReuseProfiler(geometry)
+            oracles = [LruTagCache(geometry, assoc)
+                       for assoc in range(1, STACK_DEPTH + 1)]
+            for block in stream:
+                profiler.observe(block)
+                for oracle in oracles:
+                    oracle.access(block)
+            assert profiler.stack_positions[STACK_DEPTH] > 0
+            for oracle in oracles:
+                assert profiler.reuse_misses(oracle.assoc) == \
+                    oracle.reuse_misses, oracle.assoc
+
+    def test_cycle_one_past_the_stack_always_misses(self):
+        geometry = CacheGeometry(num_sets=1, assoc=4)
+        profiler = ReuseProfiler(geometry)
+        oracle = LruTagCache(geometry, STACK_DEPTH)
+        for _ in range(3):
+            for block in range(STACK_DEPTH + 1):
+                profiler.observe(block)
+                oracle.access(block)
+        assert profiler.reuse_misses(STACK_DEPTH) == profiler.reuses \
+            == oracle.reuse_misses == 2 * (STACK_DEPTH + 1)
+
+    def test_merge_matches_the_oracle_per_stream(self):
+        rng = random.Random(9)
+        geometry = CacheGeometry(num_sets=4, assoc=4, index_fn="linear")
+        merged = ReuseProfiler(geometry)
+        expected = [0] * STACK_DEPTH
+        for _ in range(3):
+            stream = random_stream(rng, 600)
+            part = ReuseProfiler(geometry)
+            for block in stream:
+                part.observe(block)
+            merged.merge(part)
+            for assoc in range(1, STACK_DEPTH + 1):
+                oracle = LruTagCache(geometry, assoc)
+                for block in stream:
+                    oracle.access(block)
+                expected[assoc - 1] += oracle.reuse_misses
+        assert [merged.reuse_misses(a) for a in range(1, STACK_DEPTH + 1)] \
+            == expected

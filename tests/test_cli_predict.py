@@ -66,6 +66,29 @@ class TestTraceInfoRdd:
         assert "per-instruction RDDs" in out
         assert "RD 1~4" in out
 
+    def test_rdd_rows_match_repro_profile(self, tmp_path, capsys):
+        """One walker: the trace's reads give the live stream's rows,
+        at the recorded scale."""
+        path = tmp_path / "bfs.rptr"
+        flags = ["--sms", "2", "--scale", "0.2"]
+        assert main(["trace", "record", "BFS", "--out", str(path),
+                     *flags]) == 0
+        capsys.readouterr()
+        assert main(["trace", "info", str(path), "--rdd"]) == 0
+        traced = capsys.readouterr().out
+        assert main(["profile", "BFS", *flags]) == 0
+        live = capsys.readouterr().out
+
+        def overall_row(out, label):
+            row = next(line for line in out.splitlines()
+                       if line.startswith(label + " "))
+            return row[len(label):].strip()
+
+        assert overall_row(traced, "overall") == overall_row(live, "BFS")
+        per_pc = live[live.index("per-instruction RDDs"):]
+        assert traced.endswith(per_pc)
+        assert per_pc.count("pc=0x") == 6
+
     def test_info_without_rdd_stays_header_only(self, tmp_path, capsys):
         path = tmp_path / "mm.rptr"
         main(["trace", "record", "MM", "--out", str(path),
