@@ -197,7 +197,9 @@ def parse_job_request(payload: Any) -> JobRequest:
     scale = _parse_float(payload, "scale", default=1.0)
     max_cycles = payload.get("max_cycles")
     if max_cycles is not None:
-        if not isinstance(max_cycles, int) or max_cycles < 1:
+        # a bool is an int to isinstance: True would cap at one cycle
+        if not isinstance(max_cycles, int) or isinstance(max_cycles, bool) \
+                or max_cycles < 1:
             raise ProtocolError("max_cycles must be a positive integer")
     if kind != "cell" and max_cycles is not None:
         raise ProtocolError("max_cycles is only valid for kind 'cell'")

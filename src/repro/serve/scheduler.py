@@ -12,9 +12,12 @@ resolution path for every unit of every job:
    ``os.stat``: while the entry's version
    (:meth:`~repro.experiments.store.ResultStore.entry_version`) still
    matches the payload last built for it, every job gets that same
-   dict back, with no read or parse.  A rewritten, replaced, pruned,
-   cleared or torn entry has another version, or none, and goes
-   through ``store.get`` as a first request does.
+   dict back, with no read or parse.  A job whose every unit is such a
+   repeat, and none in flight, settles inside :meth:`Scheduler.submit`:
+   no job task, no unit task, and its POST already answers ``done``.
+   A rewritten, replaced, pruned, cleared or torn entry has another
+   version, or none, and goes through ``store.get`` as a first request
+   does, on the job's task.
 3. **Queue** — a cold cell is enqueued on its shard with its job's
    priority.  Interactive (single-cell) jobs sort ahead of bulk sweep
    cells, so a user poking at one configuration is not stuck behind a
@@ -65,6 +68,10 @@ exact result supersedes the analytical one for every later request.
 Analytical answers are never persisted, and refinements are best-effort:
 queued ones are dropped at drain.
 
+**One cell per configuration.**  ``submit`` swaps each unit for the
+one :class:`Cell` instance the scheduler keeps for its configuration,
+so a cell's content address is computed once, not once per request.
+
 Every scheduling decision increments a counter or observes a histogram
 on :class:`~repro.serve.metrics.ServeMetrics`, so the acceptance tests
 assert "N submissions, 1 simulation" on counters, never wall clock.
@@ -77,10 +84,12 @@ awaits, so the coalescing map needs no locks.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import operator
 import weakref
 from concurrent.futures import BrokenExecutor, Executor, ProcessPoolExecutor
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.experiments.executor import (
     MODE_REPLAY,
@@ -172,6 +181,22 @@ class TokenBucket:
         if deficit <= 0:
             return 0.0
         return deficit / self.rate
+
+
+#: The fields ``Cell`` compares on, as one tuple (``_key`` only caches
+#: the key they determine).
+_cell_fields = operator.attrgetter(
+    *(f.name for f in dataclasses.fields(Cell) if f.compare))
+
+
+def _configuration(unit: Cell) -> Tuple[Any, ...]:
+    """``unit``'s configuration as a table key that does not hold the
+    cell.  ``Cell`` equality takes ``True`` for ``1``, but the store key
+    spells a knob value as given, so the knob values' types are part of
+    it: ``{"bypass_enabled": 1}`` and ``true`` stay two entries.  (The
+    protocol gives every other field one type.)"""
+    return (_cell_fields(unit),
+            tuple(type(value) for _, value in unit.policy_kwargs))
 
 
 class _SharedPayload(Dict[str, Any]):
@@ -316,7 +341,14 @@ class Scheduler:
         #: Weak values: it holds no payload that no job holds.
         self._payloads: "weakref.WeakValueDictionary[str, _SharedPayload]" \
             = weakref.WeakValueDictionary()
+        #: Per configuration, the one cell that answers for it, so its
+        #: key is computed once.  Weak values, like ``_payloads``: it
+        #: holds no cell that no job holds.
+        self._cells: "weakref.WeakValueDictionary[Tuple[Any, ...], Cell]" \
+            = weakref.WeakValueDictionary()
         self.jobs: Dict[str, Job] = {}
+        #: Jobs whose task has not finished (``active_jobs``).
+        self._jobs_active = 0
         self._job_seq = 0
         self._queue_seq = 0
         #: Bumped each time the worker pool is replaced after a crash;
@@ -392,7 +424,8 @@ class Scheduler:
     # -- admission -----------------------------------------------------
 
     def submit(self, request: JobRequest) -> Job:
-        """Admit one job and start the task that runs it (sync, no awaits).
+        """Admit one job (sync, no awaits): settle it here when every
+        unit is a current store hit, else start the task that runs it.
 
         Raises :class:`DrainingError` (503), :class:`JobTooLargeError`
         (413) or a :class:`RetryableError` (429), in that precedence.
@@ -401,12 +434,39 @@ class Scheduler:
             self.metrics.jobs_rejected += 1
             raise DrainingError("service is draining; not accepting jobs")
         self._admit(request)
+        request.units = [self._cells.setdefault(_configuration(unit), unit)
+                         for unit in request.units]
+        hits = self._current_hits(request.units)
         self._job_seq += 1
         job = Job(id=f"job-{self._job_seq:06d}", request=request)
         self.jobs[job.id] = job
-        job.task = asyncio.create_task(self._run_job(job), name=job.id)
         self.metrics.jobs_submitted += 1
+        if hits is not None:
+            self.metrics.cells_requested += len(hits)
+            self.store.stats.hits += len(hits)
+            self._done(job, [self._hit(shared, request.predict)
+                             for shared in hits])
+        else:
+            self._jobs_active += 1
+            job.task = asyncio.create_task(self._run_job(job), name=job.id)
         return job
+
+    def _current_hits(self, units: List[Cell],
+                      ) -> Optional[List[_SharedPayload]]:
+        """Each unit's shared payload, when every unit has one at its
+        entry's current version and none is in flight; else ``None``,
+        and the job's task resolves its units (a coalesced waiter, a
+        first read or a miss is counted there, once)."""
+        hits = []
+        for unit in units:
+            key = unit.key()
+            if key in self._in_flight:
+                return None
+            shared, _version = self._current(key)
+            if shared is None:
+                return None
+            hits.append(shared)
+        return hits
 
     def _admit(self, request: JobRequest) -> None:
         cells = max(1, len(request.units))
@@ -470,13 +530,7 @@ class Scheduler:
             for unit in job.request.units
         ]
         try:
-            payloads = await asyncio.gather(*tasks)
-            job.results = [
-                {"unit": unit.describe(), "result": payload}
-                for unit, payload in zip(job.request.units, payloads)
-            ]
-            job.state = jobstates.DONE
-            self.metrics.jobs_done += 1
+            self._done(job, await asyncio.gather(*tasks))
         except asyncio.CancelledError:
             job.state = jobstates.CANCELLED
             self.metrics.jobs_cancelled += 1
@@ -492,8 +546,21 @@ class Scheduler:
             self.metrics.jobs_failed += 1
             await self._reap(tasks)
         finally:
-            job.finished_at = wallclock.now()
+            if job.finished_at is None:     # a failed or cancelled job
+                job.finished_at = wallclock.now()
             job.task = None
+            self._jobs_active -= 1
+
+    def _done(self, job: Job, payloads: List[Dict[str, Any]]) -> None:
+        """Settle ``job`` DONE with one result per unit (a job task, or
+        ``submit`` for a job of current store hits)."""
+        job.results = [
+            {"unit": unit.describe(), "result": payload}
+            for unit, payload in zip(job.request.units, payloads)
+        ]
+        job.state = jobstates.DONE
+        job.finished_at = wallclock.now()
+        self.metrics.jobs_done += 1
 
     @staticmethod
     async def _reap(tasks: List["asyncio.Task"]) -> None:
@@ -524,8 +591,7 @@ class Scheduler:
 
         cached = self._stored(key)
         if cached is not None:
-            self.metrics.cells_store_hits += 1
-            return cached
+            return self._hit(cached, predict=False)
 
         entry = _CellEntry(key, unit,
                            asyncio.get_running_loop().create_future(),
@@ -541,10 +607,7 @@ class Scheduler:
         analytical answer plus a background exact refinement."""
         cached = self._stored(key)
         if cached is not None:
-            self.metrics.cells_store_hits += 1
-            payload = dict(cached)      # the shared payload stays as stored
-            payload["tier"] = "exact"   # response-only; never stored
-            return payload
+            return self._hit(cached, predict=True)
         loop = asyncio.get_running_loop()
         attempts = 0
         while True:
@@ -568,6 +631,26 @@ class Scheduler:
         self._ensure_refinement(unit, key, client)
         return payload
 
+    def _hit(self, shared: Dict[str, Any], predict: bool) -> Dict[str, Any]:
+        """Count one unit served from the store; a predict unit gets
+        the payload flagged exact on a copy."""
+        self.metrics.cells_store_hits += 1
+        if not predict:
+            return shared
+        payload = dict(shared)      # the shared payload stays as stored
+        payload["tier"] = "exact"   # response-only; never stored
+        return payload
+
+    def _current(self, key: str) -> Tuple[Optional[_SharedPayload], Any]:
+        """One ``stat`` of ``key``'s entry: the payload table's dict if
+        it was read at the version the stat finds (else ``None``), and
+        that version.  Counts nothing."""
+        version = self.store.entry_version(key)
+        shared = self._payloads.get(key)
+        if shared is None or version is None or shared.version != version:
+            return None, version
+        return shared, version
+
     def _stored(self, key: str) -> Optional[Dict[str, Any]]:
         """The store's payload for ``key``, or ``None`` (a counted miss).
 
@@ -575,10 +658,8 @@ class Scheduler:
         table's dict is the answer, counted as a store hit as the read
         it replaces would be; otherwise ``store.get`` decides.
         """
-        version = self.store.entry_version(key)
-        shared = self._payloads.get(key)
-        if shared is not None and version is not None \
-                and shared.version == version:
+        shared, version = self._current(key)
+        if shared is not None:
             self.store.stats.hits += 1
             return shared
         result = self.store.get(key)
@@ -652,13 +733,14 @@ class Scheduler:
         while True:
             _priority, finish, _seq, entry = await queue.get()
             self._vtime[index] = max(self._vtime[index], finish)
-            if entry.abandoned:
-                continue
-            entry.started = True
-            self.metrics.queue_wait.observe(
-                wallclock.monotonic() - entry.enqueued_at
-            )
-            await self._execute(loop, entry)
+            if not entry.abandoned:
+                entry.started = True
+                self.metrics.queue_wait.observe(
+                    wallclock.monotonic() - entry.enqueued_at
+                )
+                await self._execute(loop, entry)
+            # keep no settled cell alive while waiting for the next
+            del entry
 
     async def _execute(self, loop: asyncio.AbstractEventLoop,
                        entry: _CellEntry) -> None:
@@ -744,7 +826,7 @@ class Scheduler:
         return sum(1 for e in self._in_flight.values() if e.started)
 
     def active_jobs(self) -> int:
-        return sum(1 for j in self.jobs.values() if not j.done)
+        return self._jobs_active
 
     def metrics_snapshot(self) -> Dict[str, Any]:
         store_stats = getattr(self.store, "stats", None)

@@ -275,12 +275,12 @@ def check_trace(reader: TraceReader,
     """The machine to replay ``reader`` on.
 
     ``config`` defaults to the machine shape stored in the trace header
-    (``num_sms`` SMs of the Table 1 core); when given, it must provide
+    (``num_sms`` SMs of the Table 1 core).  Either way it must provide
     every recorded SM stream and match the trace's line size — block
     addresses are line-granular.
     """
     if config is None:
-        return GPUConfig().scaled(reader.num_sms)
+        config = GPUConfig().scaled(reader.num_sms)
     if config.num_sms < reader.num_sms:
         raise ValueError(
             f"trace has {reader.num_sms} SM streams but config provides "

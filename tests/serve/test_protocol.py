@@ -140,6 +140,8 @@ class TestValidation:
         {"kind": "cell", "app": "MM", "scheme": "dlp", "scale": -1},
         {"kind": "cell", "app": "MM", "scheme": "dlp", "seed": -1},
         {"kind": "cell", "app": "MM", "scheme": "dlp", "max_cycles": 0},
+        # a bool is an int to isinstance, but not a cycle cap
+        {"kind": "cell", "app": "MM", "scheme": "dlp", "max_cycles": True},
         {"kind": "cell", "app": "MM", "scheme": "dlp", "priority": "urgent"},
         {"kind": "cell", "app": "MM", "scheme": "dlp", "policy_kwargs": 7},
         {"kind": "cell", "apps": ["MM", "HS"], "scheme": "dlp"},  # grid cell

@@ -106,6 +106,19 @@ class TestImport:
         assert main(["trace", "replay", str(tmp_path / "t.rptr"),
                      "--schemes", "baseline"]) == 0
 
+    def test_replay_refuses_another_line_size(self, tmp_path, capsys):
+        src = tmp_path / "t.csv"
+        src.write_text("".join(f"0, {i}, 0x400, R\n" for i in range(5)))
+        assert main(["trace", "import", str(src), str(tmp_path / "t.rptr"),
+                     "--line-size", "64"]) == 0
+        capsys.readouterr()
+        rc = main(["trace", "replay", str(tmp_path / "t.rptr")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "line-size mismatch" in captured.err
+        assert "64 B" in captured.err and "128 B" in captured.err
+
 
 class TestReplaySweep:
     #: The subclass below reruns each test under ``--engine fast`` and
