@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Collection, List, Optional
+from typing import Any, Collection, Dict, List, Optional
 
 from repro.analysis import RD_LABELS, ascii_table, stacked_percent_rows
 from repro.experiments.figures import (
@@ -1037,13 +1037,16 @@ def cmd_submit(args) -> int:
             priority=args.priority, non_blocking=args.non_blocking,
             predict=args.predict, client=args.client,
         )
-    job = client.submit(body)
-    print(f"submitted {job['id']} ({job['kind']}, {job['units']} units, "
-          f"priority {job['priority']})")
+
+    def submitted(job: Dict[str, Any]) -> None:
+        print(f"submitted {job['id']} ({job['kind']}, {job['units']} "
+              f"units, priority {job['priority']})")
+
     if not args.wait:
+        submitted(client.submit(body))
         return 0
     try:
-        doc = client.wait(job["id"], timeout=args.timeout)
+        doc = client.run(body, timeout=args.timeout, on_submit=submitted)
     except JobFailedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         error = exc.job.get("error") or {}

@@ -12,8 +12,10 @@ store.
 Each client coroutine walks its slice of the deterministic zipfian
 schedule: submit (with retry/backoff, honouring 429 Retry-After), poll
 to completion with exponential poll backoff, record the end-to-end
-latency.  Client start times ramp linearly over ``ramp_seconds``, and
-every client draws its keep-alive connections from one shared
+latency.  A job the server evicted before a poll saw it settle (410)
+is submitted again, within the same ``retries`` budget.  Client start
+times ramp linearly over ``ramp_seconds``, and every client draws its
+keep-alive connections from one shared
 :class:`~repro.loadtest.client.ConnectionPool` bounded by
 ``max_connections``, so "1000 clients" is a sustained closed-loop load
 over reused connections rather than a connect storm.
@@ -231,11 +233,15 @@ def _kill_one_worker(scheduler: Any) -> bool:
 
 
 async def _wait_done(client: AsyncServeClient, job_id: str,
-                     config: LoadTestConfig) -> Dict[str, Any]:
+                     config: LoadTestConfig) -> Optional[Dict[str, Any]]:
+    """Poll ``job_id`` until it settles; ``None`` if the server evicted
+    it first (410)."""
     deadline = wallclock.monotonic() + config.request_timeout
     poll = config.poll_initial
     while True:
         status, doc = await client.request("GET", f"/jobs/{job_id}")
+        if status == 410:
+            return None
         if status == 200 and isinstance(doc, dict) \
                 and doc.get("state") in TERMINAL_STATES:
             return doc
@@ -244,6 +250,26 @@ async def _wait_done(client: AsyncServeClient, job_id: str,
             return {"state": "timeout", "last": state}
         await asyncio.sleep(poll)
         poll = min(config.poll_max, poll * config.poll_factor)
+
+
+async def _complete(client: AsyncServeClient, body: Dict[str, Any],
+                    config: LoadTestConfig) -> Optional[str]:
+    """Submit ``body`` and poll it until it settles, submitting it
+    again each time the server evicted it first, up to
+    ``config.retries`` times; ``None`` once it is done, else what went
+    wrong."""
+    submissions = max(0, config.retries) + 1
+    for _ in range(submissions):
+        status, doc = await client.request("POST", "/jobs", body)
+        if status != 200 or not isinstance(doc, dict):
+            return f"submit -> {status}: {doc}"
+        final = await _wait_done(client, doc["id"], config)
+        if final is None:
+            continue
+        if final.get("state") != "done":
+            return f"job {doc['id']} ended {final.get('state')!r}"
+        return None
+    return f"evicted {submissions} times before a poll saw it settle"
 
 
 async def _drive(config: LoadTestConfig, host: str, port: int,
@@ -278,17 +304,11 @@ async def _drive(config: LoadTestConfig, host: str, port: int,
                 body["predict"] = True
             t0 = wallclock.perf()
             try:
-                status, doc = await client.request("POST", "/jobs", body)
-                if status != 200 or not isinstance(doc, dict):
-                    failures.append(f"submit -> {status}: {doc}")
-                    continue
-                final = await _wait_done(client, doc["id"], config)
-                if final.get("state") != "done":
-                    failures.append(
-                        f"job {doc['id']} ended {final.get('state')!r}")
-                    continue
+                failure = await _complete(client, body, config)
             except Exception as exc:
-                failures.append(f"{type(exc).__name__}: {exc}")
+                failure = f"{type(exc).__name__}: {exc}"
+            if failure is not None:
+                failures.append(failure)
                 continue
             latencies.append(wallclock.perf() - t0)
             state["completed"] += 1

@@ -9,6 +9,10 @@ service from scripts::
     done = client.wait(job["id"])
     payload = done["results"][0]["result"]     # SimResult.to_dict shape
 
+The server keeps only the most recently settled jobs: polling a job it
+has since evicted answers ``410 Gone``, and :meth:`ServeClient.run`
+resubmits the request body then, within its ``retries``.
+
 Stdlib only (``http.client``).  The server keeps connections open
 between requests, but this client opens one per request and sends
 ``Connection: close``, so the server closes its side right after the
@@ -21,7 +25,7 @@ import http.client
 import json
 import os
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.serve.jobs import TERMINAL_STATES
 from repro.serve.protocol import (  # noqa: F401  (re-exported convenience)
@@ -226,7 +230,22 @@ class ServeClient:
             delay *= 2
 
     def run(self, job_body: Dict[str, Any], timeout: float = 300.0,
+            on_submit: Optional[Callable[[Dict[str, Any]], Any]] = None,
             ) -> Dict[str, Any]:
-        """Submit + wait in one call; returns the final status doc."""
-        job = self.submit(job_body)
-        return self.wait(job["id"], timeout=timeout)
+        """Submit + wait in one call; returns the final status doc.
+
+        A job the server evicted before a poll saw it settle (410) is
+        submitted again, up to ``retries`` times.  ``on_submit`` gets
+        each submission's job summary.
+        """
+        attempt = 0
+        while True:
+            job = self.submit(job_body)
+            if on_submit is not None:
+                on_submit(job)
+            try:
+                return self.wait(job["id"], timeout=timeout)
+            except ServeError as exc:
+                if exc.status != 410 or attempt >= self.retries:
+                    raise
+            attempt += 1

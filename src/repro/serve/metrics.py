@@ -3,7 +3,8 @@
 Everything the ``/metrics`` endpoint reports lives here, updated by the
 scheduler as it admits, coalesces, resolves and executes units:
 
-* job lifecycle counters (submitted / done / failed / cancelled),
+* job lifecycle counters (submitted / done / failed / cancelled, and
+  settled jobs evicted from the bounded job table),
 * cell accounting (requested, coalesced onto an in-flight execution,
   served warm from the store, simulated cold, failed),
 * tier-0 accounting (analytical answers returned, background exact
@@ -79,6 +80,7 @@ class ServeMetrics:
     jobs_failed: int = 0
     jobs_cancelled: int = 0
     jobs_rejected: int = 0          # submissions refused while draining
+    jobs_evicted: int = 0           # settled jobs dropped past the bound
     # admission control (HTTP 429 + Retry-After)
     jobs_throttled_queue: int = 0   # refused: admission queue full
     jobs_throttled_rate: int = 0    # refused: client over its token bucket
@@ -138,6 +140,7 @@ class ServeMetrics:
                 "failed": self.jobs_failed,
                 "cancelled": self.jobs_cancelled,
                 "rejected": self.jobs_rejected,
+                "evicted": self.jobs_evicted,
                 "throttled_queue": self.jobs_throttled_queue,
                 "throttled_rate": self.jobs_throttled_rate,
             },

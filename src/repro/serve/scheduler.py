@@ -72,6 +72,15 @@ queued ones are dropped at drain.
 one :class:`Cell` instance the scheduler keeps for its configuration,
 so a cell's content address is computed once, not once per request.
 
+**Bounded job table.**  ``jobs`` holds every active job and the
+:data:`RETAINED_JOBS` most recently settled ones, in submission order.
+Every job settles exactly once, through :meth:`Scheduler._retire`
+(at admission, at the end of its task, or when cancelled before its
+task started), which evicts the oldest settled job past the bound.
+Job ids carry a sequence number, so an id this scheduler issued but
+no longer holds is told apart from an unknown one with nothing kept
+per evicted job (:meth:`Scheduler.evicted`; HTTP 410).
+
 Every scheduling decision increments a counter or observes a histogram
 on :class:`~repro.serve.metrics.ServeMetrics`, so the acceptance tests
 assert "N submissions, 1 simulation" on counters, never wall clock.
@@ -84,12 +93,15 @@ awaits, so the coalescing map needs no locks.
 from __future__ import annotations
 
 import asyncio
+import collections
 import dataclasses
 import operator
 import weakref
 from concurrent.futures import BrokenExecutor, Executor, ProcessPoolExecutor
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple, Union,
+)
 
 from repro.experiments.executor import (
     MODE_REPLAY,
@@ -104,6 +116,18 @@ from repro.serve.jobs import Job, predict_unit, replay_unit
 from repro.serve.metrics import ServeMetrics
 from repro.serve.protocol import PRIORITY_REFINE, JobRequest
 from repro.utils import wallclock
+
+
+#: How many settled jobs ``Scheduler.jobs`` keeps; older settled jobs
+#: are evicted and their ids answer 410.  Sized from the clients: at about
+#: 1,850 warm jobs/s, 1,024 later jobs take about 0.55 s to settle,
+#: longer than the loadtest's 0.5 s poll ceiling and ``ServeClient``'s
+#: 50 ms, and the table then holds at most about 1.3 MB.
+RETAINED_JOBS = 1024
+
+
+def _job_id(seq: int) -> str:
+    return f"job-{seq:06d}"
 
 
 class DrainingError(RuntimeError):
@@ -207,6 +231,16 @@ class _SharedPayload(Dict[str, Any]):
     __slots__ = ("version", "__weakref__")
     #: The store's :meth:`entry_version` the payload was read under.
     version: Any
+
+
+class _ExactAnswer(Dict[str, Any]):
+    """A ``predict: true`` unit's answer from the store: a copy of the
+    shared payload flagged ``tier: "exact"``.  It holds the shared
+    payload, so the payload table keeps that while the job lives and a
+    predict repeat settles at admission like a plain one."""
+
+    __slots__ = ("shared",)
+    shared: _SharedPayload
 
 
 class _CellEntry:
@@ -346,8 +380,12 @@ class Scheduler:
         #: holds no cell that no job holds.
         self._cells: "weakref.WeakValueDictionary[Tuple[Any, ...], Cell]" \
             = weakref.WeakValueDictionary()
+        #: Every active job and the most recently settled ones, in
+        #: submission order.
         self.jobs: Dict[str, Job] = {}
-        #: Jobs whose task has not finished (``active_jobs``).
+        #: Ids of the settled jobs still in ``jobs``, oldest first.
+        self._settled: Deque[str] = collections.deque()
+        #: Jobs not yet settled (``active_jobs``).
         self._jobs_active = 0
         self._job_seq = 0
         self._queue_seq = 0
@@ -438,16 +476,17 @@ class Scheduler:
                          for unit in request.units]
         hits = self._current_hits(request.units)
         self._job_seq += 1
-        job = Job(id=f"job-{self._job_seq:06d}", request=request)
+        job = Job(id=_job_id(self._job_seq), request=request)
         self.jobs[job.id] = job
+        self._jobs_active += 1
         self.metrics.jobs_submitted += 1
         if hits is not None:
             self.metrics.cells_requested += len(hits)
             self.store.stats.hits += len(hits)
             self._done(job, [self._hit(shared, request.predict)
                              for shared in hits])
+            self._retire(job)
         else:
-            self._jobs_active += 1
             job.task = asyncio.create_task(self._run_job(job), name=job.id)
         return job
 
@@ -510,12 +549,31 @@ class Scheduler:
         return min(30.0, max(0.05, estimate))
 
     def cancel(self, job_id: str) -> bool:
-        """Cancel a job; False if unknown or already settled."""
+        """Cancel a job; False if unknown or already settled.
+
+        A job whose task has not started yet settles here: cancelling
+        that task means it never runs, so nothing else would.
+        """
         job = self.jobs.get(job_id)
-        if job is None or job.done or job.task is None:
+        if job is None or job.done:
             return False
         job.task.cancel()
+        if job.state == jobstates.QUEUED:
+            job.state = jobstates.CANCELLED
+            self.metrics.jobs_cancelled += 1
+            self._retire(job)
         return True
+
+    def evicted(self, job_id: str) -> bool:
+        """Whether this scheduler issued ``job_id`` and no longer holds
+        it: the job settled and was evicted past :data:`RETAINED_JOBS`."""
+        try:
+            seq = int(job_id[len("job-"):])
+        except ValueError:
+            return False
+        # the id it would have been issued as: rejects other spellings
+        return (0 < seq <= self._job_seq and _job_id(seq) == job_id
+                and job_id not in self.jobs)
 
     # -- job driver ----------------------------------------------------
 
@@ -546,21 +604,30 @@ class Scheduler:
             self.metrics.jobs_failed += 1
             await self._reap(tasks)
         finally:
-            if job.finished_at is None:     # a failed or cancelled job
-                job.finished_at = wallclock.now()
-            job.task = None
-            self._jobs_active -= 1
+            self._retire(job)
 
     def _done(self, job: Job, payloads: List[Dict[str, Any]]) -> None:
-        """Settle ``job`` DONE with one result per unit (a job task, or
+        """Mark ``job`` DONE with one result per unit (a job task, or
         ``submit`` for a job of current store hits)."""
         job.results = [
             {"unit": unit.describe(), "result": payload}
             for unit, payload in zip(job.request.units, payloads)
         ]
         job.state = jobstates.DONE
-        job.finished_at = wallclock.now()
         self.metrics.jobs_done += 1
+
+    def _retire(self, job: Job) -> None:
+        """Settle ``job``, whatever its final state: the one way out of
+        the active jobs (``submit``, the end of the job's task, or
+        ``cancel`` before the task started).  Keeps its id among the
+        retained settled jobs and evicts the oldest past the bound."""
+        job.finished_at = wallclock.now()
+        job.task = None
+        self._jobs_active -= 1
+        self._settled.append(job.id)
+        if len(self._settled) > RETAINED_JOBS:
+            self.jobs.pop(self._settled.popleft(), None)
+            self.metrics.jobs_evicted += 1
 
     @staticmethod
     async def _reap(tasks: List["asyncio.Task"]) -> None:
@@ -631,15 +698,17 @@ class Scheduler:
         self._ensure_refinement(unit, key, client)
         return payload
 
-    def _hit(self, shared: Dict[str, Any], predict: bool) -> Dict[str, Any]:
+    def _hit(self, shared: _SharedPayload,
+             predict: bool) -> Dict[str, Any]:
         """Count one unit served from the store; a predict unit gets
         the payload flagged exact on a copy."""
         self.metrics.cells_store_hits += 1
         if not predict:
             return shared
-        payload = dict(shared)      # the shared payload stays as stored
-        payload["tier"] = "exact"   # response-only; never stored
-        return payload
+        answer = _ExactAnswer(shared)   # the shared payload stays as stored
+        answer["tier"] = "exact"        # response-only; never stored
+        answer.shared = shared
+        return answer
 
     def _current(self, key: str) -> Tuple[Optional[_SharedPayload], Any]:
         """One ``stat`` of ``key``'s entry: the payload table's dict if
@@ -651,7 +720,7 @@ class Scheduler:
             return None, version
         return shared, version
 
-    def _stored(self, key: str) -> Optional[Dict[str, Any]]:
+    def _stored(self, key: str) -> Optional[_SharedPayload]:
         """The store's payload for ``key``, or ``None`` (a counted miss).
 
         While the entry's version matches the payload table's, the

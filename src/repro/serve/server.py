@@ -18,10 +18,16 @@ GET      /healthz                liveness + drain state (always answers)
 GET      /metrics                counters/histograms as JSON;
                                  ``?format=prom`` for Prometheus text
 POST     /jobs                   submit a job (see repro.serve.protocol)
-GET      /jobs                   list job summaries
+GET      /jobs                   list job summaries, in submission order
 GET      /jobs/<id>              full status incl. results when done
 POST     /jobs/<id>/cancel       cancel (also DELETE /jobs/<id>)
 =======  ======================  =========================================
+
+The scheduler keeps every active job and only the most recently
+settled ones (:data:`~repro.serve.scheduler.RETAINED_JOBS`).  Any
+``/jobs/<id>`` route for an id it issued but no longer holds answers
+``410 Gone``: the client resubmits its request, which for a warm cell
+costs one ``stat``.  An id it never issued answers 404.
 
 ``serve_async`` is the long-running entry point behind ``repro serve``:
 it wires a :class:`~repro.serve.scheduler.Scheduler` to the listener,
@@ -63,7 +69,7 @@ MAX_BODY_BYTES = 1 << 20
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 413: "Payload Too Large",
+    405: "Method Not Allowed", 410: "Gone", 413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error", 503: "Service Unavailable",
 }
@@ -255,10 +261,8 @@ class ServeApp:
         if path == "/jobs":
             if method == "GET":
                 return self._json(200, {
-                    "jobs": [
-                        job.summary()
-                        for _id, job in sorted(self.scheduler.jobs.items())
-                    ]
+                    "jobs": [job.summary()
+                             for job in self.scheduler.jobs.values()]
                 })
             if method == "POST":
                 return self._submit(body)
@@ -269,6 +273,10 @@ class ServeApp:
             job_id, _, action = rest.partition("/")
             job = self.scheduler.jobs.get(job_id)
             if job is None:
+                if self.scheduler.evicted(job_id):
+                    return self._error(
+                        410, f"job {job_id!r} settled and was evicted; "
+                             f"resubmit its request")
                 return self._error(404, f"unknown job {job_id!r}")
             if action == "" and method == "GET":
                 return self._json(200, job.status())

@@ -1,9 +1,14 @@
-"""Loadtest harness: percentiles, SLO gating, one tiny real run."""
+"""Loadtest harness: percentiles, SLO gating, one tiny real run, and
+resubmission of jobs the server evicted."""
 
 from __future__ import annotations
 
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
+import repro.serve.scheduler as scheduler_module
 from repro.loadtest.harness import (
     LoadTestConfig,
     LoadTestReport,
@@ -13,6 +18,8 @@ from repro.loadtest.harness import (
     run_loadtest,
 )
 from repro.loadtest.mix import MixConfig
+from repro.serve.server import ServerThread
+from tests.serve.test_scheduler import payload_for
 
 
 def report_with(**overrides) -> LoadTestReport:
@@ -139,3 +146,31 @@ class TestTinyRealRun:
         assert doc["completed"] == 6
         assert doc["passed"] is True
         assert set(doc["latency_s"]) == {"p50", "p95", "p99", "max"}
+
+
+class TestResubmitOnGone:
+    """With 2 settled jobs kept, a client polling every 0.2 s finds its
+    job evicted (410) once the 20 ms stub cells before it settle, and
+    must submit it again: every request still completes."""
+
+    def test_evicted_jobs_are_resubmitted(self, monkeypatch):
+        monkeypatch.setattr(scheduler_module, "RETAINED_JOBS", 2)
+
+        def slow_sim(cell):
+            time.sleep(0.02)
+            return payload_for(cell)
+
+        with ServerThread(workers=1, pool=ThreadPoolExecutor(max_workers=1),
+                          sim_fn=slow_sim) as srv:
+            config = LoadTestConfig(
+                clients=6,
+                mix=MixConfig(population=6, apps=("MM", "HS", "BT"),
+                              schemes=("baseline", "dlp"), scale=0.05),
+                ramp_seconds=0.0, poll_initial=0.2,
+                host="127.0.0.1", port=srv.port,
+            )
+            report = run_loadtest(config)
+            jobs = srv.client().metrics()["jobs"]
+        assert report.failures == [] and report.completed == 6
+        assert jobs["evicted"] > 0
+        assert jobs["submitted"] > report.requests

@@ -6,15 +6,19 @@ and no unit is in flight: no job task, no unit task, and the POST
 already answers ``done``.  Everything else (a cold cell, a cell in
 flight, the first read of an entry version, a job with any such unit)
 runs on the job's task exactly as before, so these tests pin both
-sides, counter by counter.  ``submit`` also swaps each unit for the one
-``Cell`` kept for its configuration, so a key is computed once.  Stub
-simulation on a thread pool, as in ``test_scheduler.py``.
+sides, counter by counter.  A warm ``predict: true`` repeat settles the
+same way, since its exact-flagged answer holds the shared payload.
+``submit`` also swaps each unit for the one ``Cell`` kept for its
+configuration, so a key is computed once.  Past the job table's bound,
+20,000 warm jobs hold no more memory than 2,000.  Stub simulation on a
+thread pool, as in ``test_scheduler.py``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import gc
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -24,6 +28,7 @@ import repro.experiments.executor as executor_module
 from repro.experiments.store import MemoryStore, ResultStore
 from repro.gpu.simulator import SimResult
 from repro.serve.protocol import cell_request, parse_job_request, sweep_request
+from repro.serve.scheduler import RETAINED_JOBS
 from repro.serve.server import ServerThread
 from tests.serve.test_scheduler import StubSim, run, settle
 from tests.serve.test_shared_payload import (
@@ -138,6 +143,38 @@ class TestSettledAtAdmission:
                 assert "tier" not in scheduler._payloads[KEY]
                 assert {k: v for k, v in answer.items() if k != "tier"} \
                     == SIMULATED
+            finally:
+                await scheduler.shutdown()
+        run(body())
+
+    def test_warm_predict_repeats_settle_at_admission(self, tmp_path):
+        predict = dict(CELL, predict=True)
+
+        async def body():
+            scheduler = await started(ResultStore(tmp_path / "store"))
+            reads = CountingGets(scheduler.store)
+            try:
+                await warmed(scheduler)
+                # no plain job holds the entry's shared payload any more
+                scheduler.jobs.clear()
+                gc.collect()
+                assert KEY not in scheduler._payloads
+                first = await settle(submit(scheduler, predict))
+                assert reads.calls == 3
+                tasks = asyncio.all_tasks()
+                before = counters(scheduler)
+                repeats = [submit(scheduler, predict) for _ in range(500)]
+                assert all(job.state == "done" and job.task is None
+                           for job in repeats)
+                assert asyncio.all_tasks() == tasks
+                assert reads.calls == 3
+                assert moved(before, counters(scheduler)) == {
+                    "jobs_submitted": 500, "jobs_done": 500,
+                    "cells_requested": 500, "cells_store_hits": 500,
+                    "store_hits": 500,
+                }
+                assert all(job.results == first.results for job in repeats)
+                assert "tier" not in scheduler._payloads[KEY]
             finally:
                 await scheduler.shutdown()
         run(body())
@@ -390,35 +427,57 @@ class TestActiveJobs:
 
 
 class TestNoTaskBlocks:
-    """Warm jobs leave nothing behind in asyncio: no task, no gather."""
+    """Warm jobs leave nothing behind in asyncio (no task, no gather),
+    and past the job table's bound they hold no more memory."""
 
     APPS = ("MM", "BFS", "HS", "BT")
     SCHEMES = ("baseline", "dlp")
-    JOBS = 2000
+    JOBS = 20_000
+    #: Past the bound (1,024 settled jobs), so the table is full here.
+    FULL = 2_000
+    #: How far the traced total may move between ``FULL`` and ``JOBS``.
+    SLACK_BYTES = 64 * 1024
 
     def test_warm_jobs_allocate_nothing_in_asyncio_tasks(self, tmp_path):
-        bodies = [cell_request(app, scheme, sms=1, scale=0.1)
-                  for app in self.APPS for scheme in self.SCHEMES]
+        plain = [cell_request(app, scheme, sms=1, scale=0.1)
+                 for app in self.APPS for scheme in self.SCHEMES]
+        bodies = plain + [dict(cell, predict=True) for cell in plain]
 
         async def body():
             scheduler = await started(ResultStore(tmp_path / "store"))
             try:
-                for cell in bodies:
+                for cell in plain:
                     await warmed(scheduler, cell)
+                # Each stat names the entry's file through pathlib, which
+                # interns the name and drops it again.  The interpreter's
+                # interned-string table fills with dead slots and is
+                # rebuilt every ~18,000 stats: a 1.9 MB block tracemalloc
+                # sees appear, though the untraced one it replaces goes.
+                # Holding the names keeps that table out of the totals.
+                names = [sys.intern(f"{parse_job_request(cell).units[0].key()}"
+                                    f".json") for cell in plain]
                 tracemalloc.start()
                 try:
-                    jobs = [await settle(submit(scheduler, cell))
-                            for _ in range(self.JOBS // len(bodies))
-                            for cell in bodies]
+                    for n in range(self.JOBS):
+                        job = submit(scheduler, bodies[n % len(bodies)])
+                        assert job.state == "done" and job.task is None
+                        assert len(scheduler.jobs) <= RETAINED_JOBS
+                        if n + 1 == self.FULL:
+                            gc.collect()
+                            full = tracemalloc.get_traced_memory()[0]
+                    del job
+                    gc.collect()
+                    after = tracemalloc.get_traced_memory()[0]
                     snapshot = tracemalloc.take_snapshot()
                 finally:
                     tracemalloc.stop()
+                assert abs(after - full) <= self.SLACK_BYTES, (full, after)
+                del names
                 held = snapshot.filter_traces(
                     [tracemalloc.Filter(True, asyncio.tasks.__file__)])
                 assert held.statistics("filename") == []
-                assert all(job.state == "done" and job.task is None
-                           for job in jobs)
+                assert scheduler.metrics.jobs_evicted == \
+                    self.JOBS + 2 * len(plain) - RETAINED_JOBS
             finally:
                 await scheduler.shutdown()
         run(body())
-

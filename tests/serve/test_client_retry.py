@@ -152,3 +152,40 @@ class TestWaitBackoff:
         client = ScriptedClient(polls(["failed"]))
         doc = client.wait("job-000001", raise_on_failure=False)
         assert doc["state"] == "failed"
+
+
+class TestResubmitOnGone:
+    """``run`` submits its body again when a poll finds the job evicted
+    (410), within ``retries``."""
+
+    GONE = (410, {"error": "job 'job-000001' settled and was evicted"}, None)
+
+    def test_evicted_job_is_resubmitted(self, sleeps):
+        client = ScriptedClient(
+            [(200, {"id": "job-000001", "state": "queued"}, None),
+             self.GONE,
+             (200, {"id": "job-000002", "state": "done"}, None),
+             (200, {"id": "job-000002", "state": "done"}, None)],
+            retries=1)
+        submitted = []
+        doc = client.run({"kind": "cell"}, on_submit=submitted.append)
+        assert doc == {"id": "job-000002", "state": "done"}
+        assert [job["id"] for job in submitted] == \
+            ["job-000001", "job-000002"]
+        assert client.attempts == 4
+
+    def test_gone_past_the_retries_surfaces(self, sleeps):
+        submit = (200, {"id": "job-000001", "state": "done"}, None)
+        client = ScriptedClient([submit, self.GONE] * 3, retries=2)
+        with pytest.raises(ServeError) as caught:
+            client.run({"kind": "cell"})
+        assert caught.value.status == 410
+        assert client.attempts == 6          # 1 try + 2 resubmits
+
+    def test_other_errors_are_not_resubmitted(self, sleeps):
+        client = ScriptedClient(
+            [(200, {"id": "job-000001", "state": "queued"}, None),
+             (404, {"error": "unknown job"}, None)], retries=3)
+        with pytest.raises(ServeError) as caught:
+            client.run({"kind": "cell"})
+        assert caught.value.status == 404 and client.attempts == 2
