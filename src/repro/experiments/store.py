@@ -288,6 +288,8 @@ class ResultStore:
     def __init__(self, root) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        #: ``root`` as a string, for the warm path's ``stat``.
+        self._dir = str(self.root)
         self.stats = StoreStats()
 
     def _path(self, key: str) -> Path:
@@ -327,7 +329,9 @@ class ResultStore:
         nothing about whether the entry parses: :meth:`get` does that.
         """
         try:
-            st = os.stat(self._path(key))
+            # a string path: pathlib costs more than the stat, and it
+            # interns every file name it builds
+            st = os.stat(os.path.join(self._dir, key + ".json"))
         except FileNotFoundError:
             return None
         return (st.st_ino, st.st_mtime_ns, st.st_size)

@@ -10,13 +10,15 @@ sharded fair queueing, process workers and the content-addressed
 store.
 
 Each client coroutine walks its slice of the deterministic zipfian
-schedule: submit (with retry/backoff, honouring 429 Retry-After), poll
-to completion with exponential poll backoff, record the end-to-end
-latency.  A job the server evicted before a poll saw it settle (410)
-is submitted again, within the same ``retries`` budget.  Client start
-times ramp linearly over ``ramp_seconds``, and every client draws its
-keep-alive connections from one shared
-:class:`~repro.loadtest.client.ConnectionPool` bounded by
+schedule and runs each request through
+:meth:`~repro.serve.client.AsyncServeClient.run`: submit (with
+retry/backoff, honouring 429 Retry-After), poll to completion on the
+config's poll schedule, and submit again if the server evicted the job
+before a poll saw it settle (410), within the same ``retries`` budget;
+then record the end-to-end latency.  A poll answering any other error
+fails the request at once.  Client start times ramp linearly over
+``ramp_seconds``, and every client draws its keep-alive connections
+from one shared :class:`~repro.serve.client.ConnectionPool` bounded by
 ``max_connections``, so "1000 clients" is a sustained closed-loop load
 over reused connections rather than a connect storm.
 
@@ -33,11 +35,10 @@ import math
 import os
 import signal
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from repro.loadtest.client import AsyncServeClient, ConnectionPool
 from repro.loadtest.mix import MixConfig, build_population, build_schedule
-from repro.serve.jobs import TERMINAL_STATES
+from repro.serve.client import AsyncServeClient, ConnectionPool
 from repro.utils import wallclock
 from repro.utils.rng import DeterministicRng
 
@@ -232,46 +233,6 @@ def _kill_one_worker(scheduler: Any) -> bool:
     return True
 
 
-async def _wait_done(client: AsyncServeClient, job_id: str,
-                     config: LoadTestConfig) -> Optional[Dict[str, Any]]:
-    """Poll ``job_id`` until it settles; ``None`` if the server evicted
-    it first (410)."""
-    deadline = wallclock.monotonic() + config.request_timeout
-    poll = config.poll_initial
-    while True:
-        status, doc = await client.request("GET", f"/jobs/{job_id}")
-        if status == 410:
-            return None
-        if status == 200 and isinstance(doc, dict) \
-                and doc.get("state") in TERMINAL_STATES:
-            return doc
-        if wallclock.monotonic() >= deadline:
-            state = doc.get("state") if isinstance(doc, dict) else status
-            return {"state": "timeout", "last": state}
-        await asyncio.sleep(poll)
-        poll = min(config.poll_max, poll * config.poll_factor)
-
-
-async def _complete(client: AsyncServeClient, body: Dict[str, Any],
-                    config: LoadTestConfig) -> Optional[str]:
-    """Submit ``body`` and poll it until it settles, submitting it
-    again each time the server evicted it first, up to
-    ``config.retries`` times; ``None`` once it is done, else what went
-    wrong."""
-    submissions = max(0, config.retries) + 1
-    for _ in range(submissions):
-        status, doc = await client.request("POST", "/jobs", body)
-        if status != 200 or not isinstance(doc, dict):
-            return f"submit -> {status}: {doc}"
-        final = await _wait_done(client, doc["id"], config)
-        if final is None:
-            continue
-        if final.get("state") != "done":
-            return f"job {doc['id']} ended {final.get('state')!r}"
-        return None
-    return f"evicted {submissions} times before a poll saw it settle"
-
-
 async def _drive(config: LoadTestConfig, host: str, port: int,
                  scheduler: Any) -> LoadTestReport:
     total = config.clients * config.requests_per_client
@@ -304,11 +265,12 @@ async def _drive(config: LoadTestConfig, host: str, port: int,
                 body["predict"] = True
             t0 = wallclock.perf()
             try:
-                failure = await _complete(client, body, config)
+                await client.run(body, timeout=config.request_timeout,
+                                 poll_initial=config.poll_initial,
+                                 poll_factor=config.poll_factor,
+                                 poll_max=config.poll_max)
             except Exception as exc:
-                failure = f"{type(exc).__name__}: {exc}"
-            if failure is not None:
-                failures.append(failure)
+                failures.append(f"{type(exc).__name__}: {exc}")
                 continue
             latencies.append(wallclock.perf() - t0)
             state["completed"] += 1

@@ -13,7 +13,7 @@ package turns the same engines into a service:
   **coalesced** onto one execution keyed by the store's content
   addresses (``cell_key``/``replay_cell_key``) and warm results are
   served straight from the result store; cold cells queue on their
-  worker's shard in weighted-fair priority order, behind admission
+  worker's shard in fair priority order, behind admission
   limits (429, or 413 for a job too large ever to admit), and a
   crashed worker pool is replaced with its cells requeued once;
 * :mod:`repro.serve.cluster` — ``ClusterScheduler``, the scheduler's
@@ -23,10 +23,12 @@ package turns the same engines into a service:
 * :mod:`repro.serve.server` — a stdlib-only asyncio HTTP front end
   (``repro serve``) with ``/healthz``, ``/metrics``, job submission,
   polling, cancellation, and graceful drain on SIGTERM;
-* :mod:`repro.serve.client` — a blocking HTTP client (``repro submit``
-  and the test suite drive the service through it).
+* :mod:`repro.serve.client` — the one HTTP client: ``AsyncServeClient``
+  over a keep-alive connection pool (the loadtest and the benchmark
+  drive it directly) and ``ServeClient``, which runs it blocking, one
+  private event loop per call (``repro submit`` and the test suite).
 
-The whole package is stdlib-only (asyncio + http.client); simulation
+The whole package is stdlib-only (asyncio); simulation
 semantics live entirely in the engines it schedules — nothing here may
 alter what a simulation produces, only when and where it runs.
 """

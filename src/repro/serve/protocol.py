@@ -73,7 +73,7 @@ class JobRequest:
     #: part of a unit's identity — the store keys are unchanged.
     predict: bool = False
     #: Self-reported client identity.  The scheduler keys its
-    #: token buckets and weighted-fair queueing on it; never part of a
+    #: token buckets and fair queueing on it; never part of a
     #: unit's identity or store key.
     client: str = "anonymous"
 

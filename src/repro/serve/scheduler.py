@@ -34,9 +34,9 @@ work stealing: a cell's shard is a pure function of its identity,
 which keeps bulk-sweep placement reproducible and lets every worker's
 predictor/trace caches stay hot for "its" cells.
 
-**Weighted fair queueing.**  Within a priority class, each shard orders
-cells by start-time fair queueing over the submitting client: a cell's
-virtual finish tag is ``max(vtime, client's last finish) + 1/weight``.
+**Fair queueing.**  Within a priority class, each shard orders cells
+by start-time fair queueing over the submitting client: a cell's
+virtual finish tag is ``max(vtime, client's last finish) + 1``.
 A bulk client flooding 500 cells cannot starve an interactive client —
 the interactive cell's tag sorts just after the flood's *first* cell,
 not after all 500.  Priority still dominates (interactive < bulk <
@@ -55,8 +55,9 @@ instead.  Draining (503) wins over both.
 ``ProcessPoolExecutor``; every in-flight future fails with
 ``BrokenExecutor`` at once.  The first failure of a pool generation
 replaces the pool (``workers.restarts_total``), and each failed cell is
-requeued once (``cells.requeued``) at its original priority.  A cell
-that fails again after a restart settles as a normal unit failure.
+requeued once (:data:`REQUEUE_LIMIT`; ``cells.requeued``) at its
+original priority.  A cell that fails again after a restart settles as
+a normal unit failure.
 
 Jobs submitted with ``predict: true`` take the tier-0 path instead: a
 warm cell is still served exact from the store, but a cold cell gets an
@@ -100,7 +101,7 @@ import weakref
 from concurrent.futures import BrokenExecutor, Executor, ProcessPoolExecutor
 from pathlib import Path
 from typing import (
-    Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple, Union,
+    Any, Callable, Deque, Dict, List, Optional, Tuple, Union,
 )
 
 from repro.experiments.executor import (
@@ -124,6 +125,10 @@ from repro.utils import wallclock
 #: longer than the loadtest's 0.5 s poll ceiling and ``ServeClient``'s
 #: 50 ms, and the table then holds at most about 1.3 MB.
 RETAINED_JOBS = 1024
+
+#: How many times a cell is requeued after worker crashes before its
+#: failure is surfaced: the drop-once recovery contract.
+REQUEUE_LIMIT = 1
 
 
 def _job_id(seq: int) -> str:
@@ -309,13 +314,6 @@ class Scheduler:
         Per-client token bucket: ``rate`` cells per second with a
         ``burst`` ceiling (defaults to ``max(1, rate)``).  ``None``
         (default) disables rate limiting.
-    client_weights / default_weight:
-        Fair-queueing weights; a client with weight 2 gets twice the
-        scheduling share of a weight-1 client within a priority class.
-    requeue_limit:
-        How many times a cell may be requeued after worker crashes
-        before its failure is surfaced (default 1, per the drop-once
-        recovery contract).
     pool_factory:
         Builds replacement executors after a crash (and the initial
         one, when no ``pool`` was injected).  Defaults to a
@@ -340,9 +338,6 @@ class Scheduler:
                  *, max_queued: int = 0,
                  rate: Optional[float] = None,
                  burst: Optional[float] = None,
-                 client_weights: Optional[Mapping[str, float]] = None,
-                 default_weight: float = 1.0,
-                 requeue_limit: int = 1,
                  pool_factory: Optional[Callable[[], Executor]] = None,
                  clock: Callable[[], float] = wallclock.monotonic) -> None:
         self.store = store if store is not None else MemoryStore()
@@ -359,9 +354,6 @@ class Scheduler:
         self.max_queued = max(0, int(max_queued))
         self.rate = rate if rate is None else float(rate)
         self.burst = burst if burst is None else float(burst)
-        self.requeue_limit = max(0, int(requeue_limit))
-        self._weights: Dict[str, float] = dict(client_weights or {})
-        self._default_weight = max(1e-9, float(default_weight))
         self._clock = clock
         self._buckets: Dict[str, TokenBucket] = {}
         #: Per shard: its queue, its fair-queueing virtual time, and
@@ -689,7 +681,7 @@ class Scheduler:
             except Exception as exc:
                 if isinstance(exc, BrokenExecutor):
                     self._restart_pool(pool_gen)
-                    if attempts < self.requeue_limit:
+                    if attempts < REQUEUE_LIMIT:
                         attempts += 1
                         continue
                 self.metrics.cells_failed += 1
@@ -782,10 +774,8 @@ class Scheduler:
         virtual finish tag, then arrival."""
         assert self._queues, "Scheduler.start() was never awaited"
         shard = shard_of(entry.key, self.workers)
-        weight = self._weights.get(entry.client, self._default_weight)
-        start = max(self._vtime[shard],
-                    self._finish[shard].get(entry.client, 0.0))
-        finish = start + 1.0 / weight
+        finish = max(self._vtime[shard],
+                     self._finish[shard].get(entry.client, 0.0)) + 1.0
         self._finish[shard][entry.client] = finish
         self._queue_seq += 1
         self._queues[shard].put_nowait(
@@ -830,7 +820,7 @@ class Scheduler:
         except Exception as exc:
             if isinstance(exc, BrokenExecutor):
                 self._restart_pool(entry.pool_gen)
-                if entry.requeues < self.requeue_limit:
+                if entry.requeues < REQUEUE_LIMIT:
                     entry.requeues += 1
                     entry.started = False
                     entry.enqueued_at = wallclock.monotonic()

@@ -1,5 +1,6 @@
-"""AsyncServeClient and ConnectionPool: HTTP parsing, retry/backoff,
-connection reuse, scripted servers.
+"""AsyncServeClient and ConnectionPool: HTTP parsing, retries,
+connection reuse, scripted servers (the backoff's shape is tested in
+``tests/serve/test_client_retry.py``).
 
 The scripted server is a real ``asyncio.start_server`` speaking raw
 bytes, so these tests cover the client's actual wire path — framing,
@@ -323,20 +324,3 @@ class TestConnectionPool:
     def test_limit_must_be_positive(self):
         with pytest.raises(ValueError):
             ConnectionPool("h", 1, 0)
-
-
-class TestBackoff:
-    def test_retry_after_wins_and_is_capped(self):
-        client = AsyncServeClient("h", 1, backoff_cap=0.5,
-                                  rng=DeterministicRng("x"))
-        assert client._backoff(0, 0.2) == pytest.approx(0.2)
-        assert client._backoff(0, 9.0) == pytest.approx(0.5)
-
-    def test_full_jitter_within_ceiling(self):
-        client = AsyncServeClient("h", 1, backoff_base=0.2,
-                                  backoff_cap=2.0,
-                                  rng=DeterministicRng("x"))
-        for attempt in range(8):
-            ceiling = min(2.0, 0.2 * (2 ** attempt))
-            for _ in range(8):
-                assert 0.0 <= client._backoff(attempt, None) <= ceiling

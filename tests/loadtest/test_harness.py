@@ -1,8 +1,10 @@
-"""Loadtest harness: percentiles, SLO gating, one tiny real run, and
-resubmission of jobs the server evicted."""
+"""Loadtest harness: percentiles, SLO gating, one tiny real run,
+resubmission of jobs the server evicted, and a failed poll failing its
+request at once."""
 
 from __future__ import annotations
 
+import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -19,6 +21,7 @@ from repro.loadtest.harness import (
 )
 from repro.loadtest.mix import MixConfig
 from repro.serve.server import ServerThread
+from tests.loadtest.test_client import ScriptedServer, kept
 from tests.serve.test_scheduler import payload_for
 
 
@@ -174,3 +177,27 @@ class TestResubmitOnGone:
         assert report.failures == [] and report.completed == 6
         assert jobs["evicted"] > 0
         assert jobs["submitted"] > report.requests
+
+
+class TestFailedPoll:
+    """A poll answering an error other than 410 fails its request at
+    once, naming the status, instead of polling on until the request
+    timeout."""
+
+    def test_404_poll_fails_the_request_at_once(self):
+        async def body():
+            server = ScriptedServer([
+                kept(200, {"id": "job-000001", "state": "queued"}),
+                kept(404, {"error": "unknown job 'job-000001'"}),
+            ])
+            async with server as (host, port):
+                config = LoadTestConfig(
+                    clients=1, mix=MixConfig(population=1, apps=("MM",)),
+                    ramp_seconds=0.0, request_timeout=5.0,
+                    host=host, port=port)
+                return await asyncio.to_thread(run_loadtest, config)
+
+        report = asyncio.run(asyncio.wait_for(body(), timeout=30))
+        assert report.failed == 1 and report.completed == 0
+        assert "404" in report.failures[0], report.failures
+        assert report.wall_s < 5.0

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import asyncio
 import gc
-import sys
 import threading
 import tracemalloc
 import weakref
@@ -28,7 +27,7 @@ import repro.experiments.executor as executor_module
 from repro.experiments.store import MemoryStore, ResultStore
 from repro.gpu.simulator import SimResult
 from repro.serve.protocol import cell_request, parse_job_request, sweep_request
-from repro.serve.scheduler import RETAINED_JOBS
+from repro.serve.scheduler import RETAINED_JOBS, Scheduler
 from repro.serve.server import ServerThread
 from tests.serve.test_scheduler import StubSim, run, settle
 from tests.serve.test_shared_payload import (
@@ -428,7 +427,8 @@ class TestActiveJobs:
 
 class TestNoTaskBlocks:
     """Warm jobs leave nothing behind in asyncio (no task, no gather),
-    and past the job table's bound they hold no more memory."""
+    and past the job table's bound they hold no more memory; cold jobs,
+    which run a task and a ``gather``, leave nothing behind either."""
 
     APPS = ("MM", "BFS", "HS", "BT")
     SCHEMES = ("baseline", "dlp")
@@ -448,14 +448,6 @@ class TestNoTaskBlocks:
             try:
                 for cell in plain:
                     await warmed(scheduler, cell)
-                # Each stat names the entry's file through pathlib, which
-                # interns the name and drops it again.  The interpreter's
-                # interned-string table fills with dead slots and is
-                # rebuilt every ~18,000 stats: a 1.9 MB block tracemalloc
-                # sees appear, though the untraced one it replaces goes.
-                # Holding the names keeps that table out of the totals.
-                names = [sys.intern(f"{parse_job_request(cell).units[0].key()}"
-                                    f".json") for cell in plain]
                 tracemalloc.start()
                 try:
                     for n in range(self.JOBS):
@@ -472,12 +464,46 @@ class TestNoTaskBlocks:
                 finally:
                     tracemalloc.stop()
                 assert abs(after - full) <= self.SLACK_BYTES, (full, after)
-                del names
                 held = snapshot.filter_traces(
                     [tracemalloc.Filter(True, asyncio.tasks.__file__)])
                 assert held.statistics("filename") == []
                 assert scheduler.metrics.jobs_evicted == \
                     self.JOBS + 2 * len(plain) - RETAINED_JOBS
+            finally:
+                await scheduler.shutdown()
+        run(body())
+
+    def test_cold_jobs_allocate_nothing_in_asyncio_tasks(self, tmp_path):
+        async def body():
+            scheduler = Scheduler(store=ResultStore(tmp_path / "store"),
+                                  workers=2,
+                                  pool=ThreadPoolExecutor(max_workers=2),
+                                  sim_fn=StubSim())
+            await scheduler.start()
+            try:
+                tracemalloc.start()
+                try:
+                    for seed in range(300):
+                        cold = cell_request("MM", "baseline", sms=1,
+                                            scale=0.1, seed=seed) \
+                            if seed % 2 else sweep_request(
+                                ["MM", "HS"], ["baseline", "dlp"], sms=1,
+                                scale=0.1, seed=seed)
+                        job = submit(scheduler, cold)
+                        # awaited on its own task: the polling helper
+                        # ``settle`` keeps a block there of its own
+                        # (``asyncio.sleep``'s)
+                        await job.task
+                        assert job.state == "done", job.error
+                    del job
+                    gc.collect()
+                    snapshot = tracemalloc.take_snapshot()
+                finally:
+                    tracemalloc.stop()
+                held = snapshot.filter_traces(
+                    [tracemalloc.Filter(True, asyncio.tasks.__file__)])
+                assert held.statistics("filename") == []
+                assert scheduler.metrics.cells_simulated == 150 + 4 * 150
             finally:
                 await scheduler.shutdown()
         run(body())

@@ -1,9 +1,9 @@
 """ServeClient retry/backoff semantics, without a server.
 
-``_roundtrip`` is scripted and ``time.sleep`` intercepted, so every
-test observes the exact retry schedule: which attempts happened, how
-long each backoff was, and whose hint (computed jitter vs. the
-server's ``Retry-After``) won.
+The async client's ``_exchange`` is scripted and ``asyncio.sleep``
+intercepted, so every test observes the exact retry schedule: which
+attempts happened, how long each backoff was, and whose hint (computed
+jitter vs. the server's ``Retry-After``) won.
 """
 
 from __future__ import annotations
@@ -12,7 +12,12 @@ from typing import List
 
 import pytest
 
-from repro.serve.client import JobFailedError, ServeClient, ServeError
+from repro.serve.client import (
+    AsyncServeClient,
+    JobFailedError,
+    ServeClient,
+    ServeError,
+)
 from repro.utils.rng import DeterministicRng
 
 
@@ -24,8 +29,9 @@ class ScriptedClient(ServeClient):
         super().__init__(**kwargs)
         self.script = list(script)
         self.attempts = 0
+        self._client._exchange = self._exchange
 
-    def _roundtrip(self, method, path, body):
+    async def _exchange(self, method, path, body):
         self.attempts += 1
         outcome = self.script.pop(0)
         if isinstance(outcome, Exception):
@@ -36,7 +42,11 @@ class ScriptedClient(ServeClient):
 @pytest.fixture()
 def sleeps(monkeypatch) -> List[float]:
     record: List[float] = []
-    monkeypatch.setattr("repro.serve.client.time.sleep", record.append)
+
+    async def sleep(delay):
+        record.append(delay)
+
+    monkeypatch.setattr("repro.serve.client.asyncio.sleep", sleep)
     return record
 
 
@@ -51,7 +61,7 @@ class TestThrottleRetry:
         status, doc = client.request("POST", "/jobs", {})
         assert status == 200 and doc == {"id": "job-1"}
         assert client.attempts == 3
-        assert client.retried_throttles == 2
+        assert client.throttled == 2
 
     def test_retry_after_wins_over_computed_backoff(self, sleeps):
         client = ScriptedClient(
@@ -84,22 +94,23 @@ class TestThrottleRetry:
 class TestTransportRetry:
     def test_transport_error_retried(self, sleeps):
         client = ScriptedClient(
-            [ServeError("connection refused"), (200, {"ok": True}, None)],
+            [ConnectionRefusedError("connection refused"),
+             (200, {"ok": True}, None)],
             retries=2,
         )
         status, doc = client.request("GET", "/healthz")
         assert status == 200
-        assert client.retried_errors == 1
+        assert client.transport_errors == 1
 
     def test_exhausted_transport_retries_raise(self, sleeps):
         client = ScriptedClient(
-            [ServeError("refused")] * 3, retries=2)
+            [ConnectionRefusedError("refused")] * 3, retries=2)
         with pytest.raises(ServeError, match="refused"):
             client.request("GET", "/healthz")
         assert client.attempts == 3
 
     def test_no_retry_when_disabled(self, sleeps):
-        client = ScriptedClient([ServeError("refused")])
+        client = ScriptedClient([ConnectionRefusedError("refused")])
         with pytest.raises(ServeError):
             client.request("GET", "/healthz")
         assert client.attempts == 1
@@ -107,8 +118,9 @@ class TestTransportRetry:
 
 class TestBackoffShape:
     def test_full_jitter_within_doubling_ceiling(self):
-        client = ServeClient(retries=5, backoff_base=0.25, backoff_cap=5.0,
-                             rng=DeterministicRng("jitter"))
+        client = AsyncServeClient("h", 1, retries=5, backoff_base=0.25,
+                                  backoff_cap=5.0,
+                                  rng=DeterministicRng("jitter"))
         for attempt in range(6):
             ceiling = min(5.0, 0.25 * (2 ** attempt))
             for _ in range(16):
@@ -116,10 +128,16 @@ class TestBackoffShape:
                 assert 0.0 <= delay <= ceiling
 
     def test_deterministic_given_rng(self):
-        a = ServeClient(retries=1, rng=DeterministicRng("same"))
-        b = ServeClient(retries=1, rng=DeterministicRng("same"))
+        a = AsyncServeClient("h", 1, retries=1, rng=DeterministicRng("same"))
+        b = AsyncServeClient("h", 1, retries=1, rng=DeterministicRng("same"))
         assert [a._backoff(i, None) for i in range(4)] \
             == [b._backoff(i, None) for i in range(4)]
+
+    def test_retry_after_wins_and_is_capped(self):
+        client = AsyncServeClient("h", 1, backoff_cap=0.5,
+                                  rng=DeterministicRng("x"))
+        assert client._backoff(0, 0.2) == pytest.approx(0.2)
+        assert client._backoff(0, 9.0) == pytest.approx(0.5)
 
 
 def polls(states, job_id="job-000001"):

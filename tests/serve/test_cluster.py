@@ -20,7 +20,7 @@ import pytest
 from repro.cache.l1d import L1DStats
 from repro.experiments.store import MemoryStore
 from repro.gpu.simulator import SimResult
-from repro.serve.client import ServeClient
+from repro.serve.client import AsyncServeClient, ServeClient
 from repro.serve.protocol import (
     ProtocolError,
     cell_request,
@@ -307,29 +307,6 @@ class TestFairQueueing:
                 await scheduler.shutdown()
         run(body())
 
-    def test_weighted_client_overtakes_queued_peer(self):
-        async def body():
-            gate = threading.Event()
-            sim = StubSim(gate=gate)
-            scheduler = await make_cluster(
-                sim_fn=sim, client_weights={"vip": 2.0})
-            try:
-                flood = [scheduler.submit(parse_job_request(
-                    cell(s, "flood"))) for s in range(1, 5)]
-                await until(lambda: scheduler.running_count() == 1
-                            and scheduler.queue_depth() == 3)
-                vip = scheduler.submit(parse_job_request(cell(50, "vip")))
-                await until(lambda: scheduler.queue_depth() == 4)
-                gate.set()
-                for job in flood + [vip]:
-                    await settle(job)
-                served = [seed for _abbr, seed in sim.calls]
-                # finish tag 1.5 (weight 2) beats flood's tag-2 cell
-                assert served[1] == 50, served
-            finally:
-                await scheduler.shutdown()
-        run(body())
-
 
 class CrashingSim:
     """Raises BrokenExecutor the first ``crashes`` times per cell."""
@@ -380,7 +357,7 @@ class TestCrashRecovery:
         async def body():
             sim = CrashingSim(crashes=99)         # never recovers
             scheduler = await make_cluster(
-                sim_fn=sim, pool=None, requeue_limit=1,
+                sim_fn=sim, pool=None,
                 pool_factory=lambda: ThreadPoolExecutor(max_workers=1),
             )
             try:
@@ -462,8 +439,14 @@ class TestHttp429:
                     break
                 deadline.wait(0.01)
 
-            status, body, retry_after = client._roundtrip(
-                "POST", "/jobs", cell(3))
+            async def raw_submit():
+                raw = AsyncServeClient("127.0.0.1", srv.port, retries=0)
+                try:
+                    return await raw._exchange("POST", "/jobs", cell(3))
+                finally:
+                    await raw.aclose()
+
+            status, body, retry_after = asyncio.run(raw_submit())
             assert status == 429
             assert "queue full" in body["error"]
             assert retry_after is not None and retry_after > 0
@@ -480,10 +463,10 @@ class TestHttp429:
             thread = threading.Thread(target=resubmit)
             thread.start()
             for _ in range(400):                 # first attempt sees 429
-                if retrier.retried_throttles >= 1:
+                if retrier.throttled >= 1:
                     break
                 deadline.wait(0.01)
-            assert retrier.retried_throttles >= 1
+            assert retrier.throttled >= 1
             gate.set()
             thread.join(timeout=30)
             assert outcome["status"] == 200
@@ -506,7 +489,7 @@ class TestHttp413:
             assert status == 413
             assert "4 cells" in body["error"]
             assert "max_queued is 2" in body["error"]
-            assert retrier.retried_throttles == 0
+            assert retrier.throttled == 0
             metrics = srv.client().metrics()
             assert metrics["jobs"]["throttled_queue"] == 0
             assert metrics["jobs"]["submitted"] == 0
@@ -521,3 +504,24 @@ class TestBenchmarkNames:
 
         assert ClusterScheduler is Scheduler
         assert "submit" in Scheduler.__dict__
+
+    def test_loadtest_client_names(self):
+        """perfbench imports ``AsyncServeClient`` and ``LoadClientError``
+        from ``repro.loadtest.client`` and catches the latter around each
+        request; its tracer patches ``AsyncServeClient.request`` through
+        the class ``__dict__``."""
+        from repro.loadtest.client import AsyncServeClient as named
+        from repro.loadtest.client import LoadClientError
+
+        assert named is AsyncServeClient
+        assert "request" in AsyncServeClient.__dict__
+
+        async def unreachable():
+            client = AsyncServeClient("127.0.0.1", 1, retries=0)
+            try:
+                await client.request("GET", "/healthz")
+            finally:
+                await client.aclose()
+
+        with pytest.raises(LoadClientError, match="cannot reach"):
+            asyncio.run(unreachable())

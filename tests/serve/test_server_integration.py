@@ -21,6 +21,7 @@ from repro.gpu.simulator import SimResult
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.protocol import cell_request, replay_request, sweep_request
 from repro.serve.server import ServeApp, ServerThread
+from tests.serve.test_scheduler import payload_for
 
 CELL = cell_request("MM", "baseline", sms=1, scale=0.1)
 HEALTH = b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
@@ -218,6 +219,22 @@ class TestPersistentConnections:
             client.healthz()
         http = client.metrics()["http"]
         assert http == {"connections": 4, "requests": 4}
+
+    def test_blocking_run_polls_on_its_one_connection(self, tmp_path):
+        def slow_sim(cell):
+            time.sleep(0.05)
+            return payload_for(cell)
+
+        with ServerThread(workers=1, store=tmp_path / "store",
+                          pool=ThreadPoolExecutor(max_workers=1),
+                          sim_fn=slow_sim) as srv:
+            client = srv.client()
+            assert client.run(CELL)["state"] == "done"
+            http = client.metrics()["http"]
+        # the run's submit and polls (the 50 ms cell takes at least two)
+        # on one connection, closed when it returned, so the metrics
+        # call opens its own
+        assert http["connections"] == 2 and http["requests"] >= 4
 
 
 class TestFraming:
